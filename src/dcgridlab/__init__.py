@@ -8,9 +8,8 @@ transient metrics.
 
 __version__ = "0.1.0"
 
-from .control import (CascadeScheme, CommChannel, ConventionalScheme,
-                      Measurement, PiGains, PiState, compute_weights,
-                      exchange_info, pi_step)
+from .control import (CascadeScheme, ConventionalScheme, PiGains,
+                      compute_weights, pi_step)
 from .grid import (CableParams, ConverterParams, GridConfig, default_grid,
                    power_plant_tf, total_bus_voltage, voltage_loop_plant_tf)
 from .lti import (FrequencyPoint, Polynomial, StateSpace, TransferFunction,
@@ -24,16 +23,15 @@ from .sim import (ItaeReport, LoadProfile, Scenario, SimResult, itae_current,
 from .tuning import TunedController, TuningSpec, design_pi, verify_design
 
 __all__ = [
-    "__version__",
-    "CableParams", "CascadeScheme", "CommChannel", "ConventionalScheme",
+    "__version__", "CableParams", "CascadeScheme", "ConventionalScheme",
     "ConverterParams", "FrequencyPoint", "GridConfig", "ImpedanceSweep",
-    "ItaeReport", "LoadProfile", "LocusResult", "Measurement", "PiGains",
-    "PiState", "Polynomial", "Scenario", "SimResult", "StateSpace",
-    "TransferFunction", "TunedController", "TuningSpec", "analytic_phase",
-    "bandwidth_3db", "compute_weights", "default_grid", "design_pi",
-    "exchange_info", "freq_response", "gain_crossover", "itae_current",
-    "itae_voltage", "max_resistance_bound", "phase_margin", "pi_step",
-    "poles", "poly_mul", "power_plant_tf", "realize", "run", "settling_time",
-    "sweep_power_loop", "sweep_voltage_loop", "tf", "tf_feedback",
-    "tf_series", "total_bus_voltage", "verify_design", "voltage_loop_plant_tf",
+    "ItaeReport", "LoadProfile", "LocusResult", "PiGains", "Polynomial",
+    "Scenario", "SimResult", "StateSpace", "TransferFunction",
+    "TunedController", "TuningSpec", "analytic_phase", "bandwidth_3db",
+    "compute_weights", "default_grid", "design_pi", "freq_response",
+    "gain_crossover", "itae_current", "itae_voltage", "max_resistance_bound",
+    "phase_margin", "pi_step", "poles", "poly_mul", "power_plant_tf",
+    "realize", "run", "settling_time", "sweep_power_loop",
+    "sweep_voltage_loop", "tf", "tf_feedback", "tf_series",
+    "total_bus_voltage", "verify_design", "voltage_loop_plant_tf",
 ]

@@ -25,7 +25,7 @@ from . import __version__
 from .config import (CONVENTIONAL_HIGH_PI, CONVENTIONAL_LOW_PI, ConfigError,
                      RunConfig, load_config, render_config)
 from .control import CascadeScheme, ConventionalScheme, weights_from_ratings
-from .grid import power_plant_tf, voltage_loop_plant_tf
+from .grid import GridModelError, power_plant_tf, voltage_loop_plant_tf
 from .lti import NoCrossoverError, freq_response, tf_constant, tf_series
 from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
 from .sim import (DEFAULT_ITAE_WINDOW, ItaeReport, SimResult, SimulationError,
@@ -77,10 +77,13 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, manifest: RunManifest, header: Sequence[str],
-              rows) -> None:
+              rows, note: Optional[str] = None) -> None:
+    """Manifest line, optional ``# note`` line, header, then one line per row."""
     # comma-separated, '.' decimal, LF endings: byte-stable for golden files
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(manifest.comment_line() + "\n")
+        if note is not None:
+            fh.write(f"# {note}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
@@ -231,32 +234,11 @@ def _case_scheme(cfg: RunConfig, case: str):
                               voltage_pi=gains, current_pi=cfg.current_pi)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    case: str
-    event: str
-    itae_v: float
-    itae_i: float
-    settling_v: float
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    """The full case-by-event grid; failed cases carry NaN markers."""
-
-    rows: tuple[ComparisonRow, ...]
-
-    def __post_init__(self):
-        if {r.case for r in self.rows} != set(COMPARE_CASES):
-            raise ValueError("comparison table must cover all three cases")
-
-    def lookup(self, case: str, event: str) -> ComparisonRow:
-        return next(r for r in self.rows if r.case == case and r.event == event)
-
-
 def cmd_compare(cfg: RunConfig, outdir: Path) -> int:
     manifest = _manifest(cfg, "compare")
-    rows: list[ComparisonRow] = []
+    # (case, event) -> (itae_v, itae_i, settling_v); a failed case has one
+    # ("FAILED") entry of NaNs
+    table: dict[tuple[str, str], tuple[float, float, float]] = {}
     per_case: dict[str, Optional[list[dict]]] = {}
     failed = False
     for case in COMPARE_CASES:
@@ -267,42 +249,39 @@ def cmd_compare(cfg: RunConfig, outdir: Path) -> int:
         except SimulationError as exc:
             log.error("case %s failed: %s", case, exc)
             per_case[case] = None
-            rows.append(ComparisonRow(case, "FAILED", math.nan, math.nan, math.nan))
+            table[case, "FAILED"] = (math.nan, math.nan, math.nan)
             failed = True
             continue
         per_case[case] = scored
         for entry in scored:
-            rows.append(ComparisonRow(case, f"t={entry['event_time_s']:g}s",
-                                      entry["itae_v"], entry["itae_i"],
-                                      entry["settling_v_s"]))
-    table = ComparisonTable(rows=tuple(rows))
+            table[case, f"t={entry['event_time_s']:g}s"] = (
+                entry["itae_v"], entry["itae_i"], entry["settling_v_s"])
 
     orderings = {}
     if not failed:
         events = [f"t={e['event_time_s']:g}s" for e in per_case["proposed"]]
         for event in events:
-            p = table.lookup("proposed", event)
-            hi = table.lookup("conventional-high", event)
-            lo = table.lookup("conventional-low", event)
+            p = table["proposed", event]
+            hi = table["conventional-high", event]
+            lo = table["conventional-low", event]
             orderings[event] = {
                 "itae_v: proposed < conventional-high < conventional-low":
-                    p.itae_v < hi.itae_v < lo.itae_v,
+                    p[0] < hi[0] < lo[0],
                 "itae_i: proposed < conventional-low < conventional-high":
-                    p.itae_i < lo.itae_i < hi.itae_i,
+                    p[1] < lo[1] < hi[1],
                 "settling: proposed < conventional-high < conventional-low":
-                    p.settling_v < hi.settling_v < lo.settling_v,
+                    p[2] < hi[2] < lo[2],
             }
 
     write_csv(outdir / "comparison.csv", manifest,
               ("case", "event", "itae_v", "itae_i", "settling_v_s"),
-              ((r.case, r.event, r.itae_v, r.itae_i, r.settling_v)
-               for r in table.rows))
+              (key + scores for key, scores in table.items()))
     write_json(outdir / "comparison.json", manifest,
                {"cases": per_case, "orderings": orderings})
 
-    for r in table.rows:
-        print(f"{r.case:18s} {r.event:10s} itae_v={_fmt(r.itae_v):>14s} "
-              f"itae_i={_fmt(r.itae_i):>14s} settling={_fmt(r.settling_v)}")
+    for (case, event), (itae_v, itae_i, settling_v) in table.items():
+        print(f"{case:18s} {event:10s} itae_v={_fmt(itae_v):>14s} "
+              f"itae_i={_fmt(itae_i):>14s} settling={_fmt(settling_v)}")
     for event, checks in orderings.items():
         for name, ok in checks.items():
             print(f"{event}: {name}: {'PASS' if ok else 'FAIL'}")
@@ -366,16 +345,14 @@ def cmd_bode(cfg: RunConfig, outdir: Path, plant_name: str, converter: int,
         log.error("unknown plant selector %r", plant_name)
         return EXIT_VALIDATION
 
+    note = None
+    if annotation is not None and annotation.ok:
+        note = (f"crossover_rad_s={_fmt(annotation.crossover)} "
+                f"margin_deg={_fmt(annotation.margin)}")
     pts = freq_response(g, np.logspace(-2, 5, 400))
     path = outdir / f"bode_{plant_name}.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest.comment_line() + "\n")
-        if annotation is not None and annotation.ok:
-            fh.write(f"# crossover_rad_s={_fmt(annotation.crossover)} "
-                     f"margin_deg={_fmt(annotation.margin)}\n")
-        fh.write("omega_rad_s,magnitude_db,phase_deg\n")
-        for p in pts:
-            fh.write(f"{_fmt(p.omega)},{_fmt(p.magnitude_db)},{_fmt(p.phase_deg)}\n")
+    write_csv(path, manifest, ("omega_rad_s", "magnitude_db", "phase_deg"),
+              ((p.omega, p.magnitude_db, p.phase_deg) for p in pts), note=note)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -442,6 +419,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_rootlocus(cfg, outdir, args.mode)
         if args.subcommand == "bode":
             return cmd_bode(cfg, outdir, args.plant, args.converter, args.mode)
+    except GridModelError as exc:
+        log.error("invalid grid request: %s", exc)
+        return EXIT_VALIDATION
     except (SimulationError, NoCrossoverError) as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL

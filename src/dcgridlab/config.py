@@ -34,7 +34,6 @@ DEFAULT_DROOP = 0.5
 _DEFAULTS: dict[str, dict[str, str]] = {
     "grid": {
         "nominal_bus_voltage": "400.0",
-        "fixed_voltage_reference": "400.0",
         "rated_powers": "4000.0, 2000.0",
         "cable_resistances": "0.5, 0.5",
         "cable_inductances": "0.003, 0.003",
@@ -204,8 +203,6 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         grid = GridConfig(
             converters=converters,
             nominal_bus_voltage=_float(g["nominal_bus_voltage"], "grid.nominal_bus_voltage"),
-            fixed_voltage_reference=_float(g["fixed_voltage_reference"],
-                                           "grid.fixed_voltage_reference"),
         )
     except Exception as exc:
         raise ConfigError(f"grid: {exc}") from exc

@@ -10,7 +10,7 @@ converter:
   correction that joins the weighted total-power reference, and an inner
   power PI turns the power error into the voltage reference.
 
-Controllers exchange measurements over a sampled channel; a neighbor's values
+Controllers exchange measurements over sampled channels; a neighbor's values
 are always one exchange period old (zero-order hold).  Each converter's bus
 voltage measurement is its own terminal voltage; the regulated quantity is the
 average of the local (fresh) and the neighbor (delayed) terminal voltage.
@@ -19,7 +19,7 @@ average of the local (fresh) and the neighbor (delayed) terminal voltage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .grid import GridConfig
@@ -43,36 +43,28 @@ class PiGains:
             raise ControlError("integral gain must be >= 0")
 
 
-@dataclass(frozen=True)
-class PiState:
-    """Integrator state of one PI block; reset to zero on activation."""
-
-    integrator: float = 0.0
-    last_output: float = 0.0
-    prev_error: Optional[float] = None
-
-
-def pi_step(gains: PiGains, state: PiState, error: float, dt: float,
-            lo: float = -math.inf, hi: float = math.inf) -> tuple[float, PiState]:
+def pi_step(gains: PiGains, integrator: float, prev_error: Optional[float],
+            error: float, dt: float, lo: float = -math.inf,
+            hi: float = math.inf) -> tuple[float, float]:
     """One trapezoidal PI update with clamped output and conditional integration.
 
-    The integrator accumulates ki*dt*(error + previous error)/2; on the first
-    step after a reset the current error stands in for the missing history.
+    Returns the output and the new integrator.  The integrator accumulates
+    ki*dt*(error + prev_error)/2; on the first step after a reset
+    (``prev_error`` None) the current error stands in for the missing history.
     Anti-windup: while the output sits at a clamp, updates that would drive it
     further past the clamp are skipped, and the integrator itself never leaves
     [lo, hi].
     """
     if dt <= 0:
         raise ControlError("dt must be positive")
-    prev = error if state.prev_error is None else state.prev_error
+    prev = error if prev_error is None else prev_error
     delta = gains.ki * dt * (error + prev) / 2.0
-    integrator = state.integrator
     unclamped = gains.kp * error + integrator
     pushing_past = (unclamped >= hi and delta > 0) or (unclamped <= lo and delta < 0)
     if not pushing_past:
         integrator = min(max(integrator + delta, lo), hi)
     out = min(max(gains.kp * error + integrator, lo), hi)
-    return out, PiState(integrator=integrator, last_output=out, prev_error=error)
+    return out, integrator
 
 
 def weights_from_ratings(ratings: Sequence[float]) -> tuple[float, ...]:
@@ -115,195 +107,107 @@ class CascadeScheme:
             raise ControlError("weights must sum to 1")
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One converter's local snapshot: exchanged power, current, terminal voltage."""
-
-    power: float = 0.0
-    current: float = 0.0
-    terminal_voltage: float = 0.0
-
-
-class CommChannel:
-    """Sampled exchange of measurements between the two controllers.
-
-    Values are published once per exchange period; a neighbor's view is the
-    value published one period earlier, held constant in between.  A zero
-    period degrades to pass-through.
-    """
-
-    def __init__(self, period: float):
-        if period < 0:
-            raise ControlError("communication period must be >= 0")
-        self.period = period
-        self._latest: dict[int, Measurement] = {}
-        self._previous: dict[int, Measurement] = {}
-
-    def publish(self, sender: int, meas: Measurement) -> None:
-        if sender in self._latest:
-            self._previous[sender] = self._latest[sender]
-        self._latest[sender] = meas
-
-    def neighbor_view(self, receiver: int) -> Measurement:
-        sender = 1 - receiver
-        if self.period == 0.0:
-            return self._latest.get(sender, Measurement())
-        return self._previous.get(sender, Measurement())
-
-
-def exchange_info(local: Measurement, sender: int,
-                  channel: CommChannel) -> Measurement:
-    """Publish the local snapshot and return the neighbor's delayed view."""
-    channel.publish(sender, local)
-    return channel.neighbor_view(sender)
-
-
-def bus_voltage_estimate(own: Measurement, neighbor: Measurement) -> float:
-    """Regulated bus-voltage signal: mean of local and exchanged terminal voltages."""
-    return 0.5 * (own.terminal_voltage + neighbor.terminal_voltage)
-
-
 # ---------------------------------------------------------------------------
-# per-tick control laws (pure; controller classes own the states)
+# per-converter controllers, stepped by the simulation loop
+#
+# A snapshot is one converter's (terminal voltage, cable current) deviation
+# pair.  ``step`` receives the fresh local snapshot, the neighbor's snapshot
+# from the previous control tick (telemetry), and on secondary ticks the
+# neighbor's snapshot from the previous secondary tick (coordination; None on
+# other ticks).  The PI states start at zero and stay there until activation.
 
 
-def conventional_step(scheme: ConventionalScheme,
-                      weights: Sequence[float],
-                      own: Measurement, neighbor: Measurement, index: int,
-                      v_state: PiState, i_state: PiState,
-                      dt: float, clamp: float) -> tuple[float, float, PiState, PiState]:
-    """One secondary update of the parallel voltage/current compensations.
-
-    Returns (voltage correction, current correction, new PI states).  The
-    current reference is the rated-power share of the total measured current;
-    the voltage error is taken against the averaged terminal voltages.
-    """
-    v_err = 0.0 - bus_voltage_estimate(own, neighbor)
-    dv, v_state = pi_step(scheme.voltage_pi, v_state, v_err, dt, -clamp, clamp)
-    i_ref = weights[index] * (own.current + neighbor.current)
-    di, i_state = pi_step(scheme.current_pi, i_state, i_ref - own.current,
-                          dt, -clamp, clamp)
-    return dv, di, v_state, i_state
-
-
-def conventional_reference(scheme: ConventionalScheme, current: float,
-                           dv: float, di: float, active: bool) -> float:
-    """Converter voltage-reference deviation: droop always, corrections when active."""
-    ref = -scheme.droop_resistance * current
-    if active:
-        ref += dv + di
-    return ref
-
-
-def cascade_outer_step(scheme: CascadeScheme,
-                       own: Measurement, neighbor: Measurement,
-                       state: PiState, dt: float,
-                       clamp: float) -> tuple[float, PiState]:
-    """Outer bus-voltage PI: power-reference correction from the voltage error."""
-    err = 0.0 - bus_voltage_estimate(own, neighbor)
-    return pi_step(scheme.bus_voltage_pi, state, err, dt, -clamp, clamp)
-
-
-def cascade_power_reference(scheme: CascadeScheme, index: int,
-                            own_power: float, neighbor_power: float,
-                            voltage_correction: float, demand: float,
-                            clamp: float) -> float:
-    """Weighted power reference: share of measured total plus corrections."""
-    ref = scheme.weights[index] * (own_power + neighbor_power
-                                   + voltage_correction + demand)
-    return min(max(ref, -clamp), clamp)
-
-
-def cascade_inner_step(scheme: CascadeScheme, power_reference: float,
-                       own_power: float, state: PiState, dt: float,
-                       clamp: float) -> tuple[float, PiState]:
-    """Inner power PI: voltage-reference deviation from the power error."""
-    return pi_step(scheme.power_pi, state, power_reference - own_power,
-                   dt, -clamp, clamp)
-
-
-# ---------------------------------------------------------------------------
-# stateful per-converter controllers, used by the simulation loop
-
-
-@dataclass
-class _UnitBase:
-    index: int
-    active: bool = field(default=False, init=False)
-
-    def activate(self) -> None:
-        self.active = True
-
-
-class ConventionalController(_UnitBase):
+class ConventionalController:
     """One converter's conventional controller (droop + two secondary PIs).
 
     Droop acts on the fresh local current every control step.  The secondary
     voltage and current corrections update once per secondary step, from the
-    local measurement and the neighbor dataset exchanged on the coordination
-    channel (one secondary period old).
+    local snapshot and the neighbor snapshot exchanged on the coordination
+    channel; the current reference is the rated-power share of the total
+    measured current.
     """
 
     def __init__(self, scheme: ConventionalScheme, grid: GridConfig, index: int):
-        super().__init__(index)
         self.scheme = scheme
-        self.weights = compute_weights(grid)
+        self.weight = compute_weights(grid)[index]
         self.clamp = 0.1 * grid.nominal_bus_voltage
-        self.v_state = PiState()
-        self.i_state = PiState()
+        self.active = False
+        self.v_integrator, self.v_prev_error = 0.0, None
+        self.i_integrator, self.i_prev_error = 0.0, None
         self.dv = 0.0
         self.di = 0.0
 
-    def step(self, own: Measurement, neighbor_fast: Measurement,
-             neighbor_slow: Optional[Measurement], control_dt: float,
+    def step(self, own: tuple[float, float], neighbor_fast: tuple[float, float],
+             neighbor_slow: Optional[tuple[float, float]], control_dt: float,
              secondary_dt: float) -> float:
+        """Voltage-reference deviation: droop always, corrections when active."""
+        own_v, own_i = own
         if neighbor_slow is not None and self.active:
-            self.dv, self.di, self.v_state, self.i_state = conventional_step(
-                self.scheme, self.weights, own, neighbor_slow, self.index,
-                self.v_state, self.i_state, secondary_dt, self.clamp)
-        return conventional_reference(self.scheme, own.current,
-                                      self.dv, self.di, self.active)
+            nb_v, nb_i = neighbor_slow
+            v_err = 0.0 - 0.5 * (own_v + nb_v)
+            self.dv, self.v_integrator = pi_step(
+                self.scheme.voltage_pi, self.v_integrator, self.v_prev_error,
+                v_err, secondary_dt, -self.clamp, self.clamp)
+            self.v_prev_error = v_err
+            i_err = self.weight * (own_i + nb_i) - own_i
+            self.di, self.i_integrator = pi_step(
+                self.scheme.current_pi, self.i_integrator, self.i_prev_error,
+                i_err, secondary_dt, -self.clamp, self.clamp)
+            self.i_prev_error = i_err
+        ref = -self.scheme.droop_resistance * own_i
+        if self.active:
+            ref += self.dv + self.di
+        return ref
 
 
-class CascadeController(_UnitBase):
+class CascadeController:
     """One converter's cascade controller (outer voltage PI, inner power PI).
 
     The outer bus-voltage PI updates once per secondary step from the
-    coordination-channel dataset; the weighted power reference and the inner
-    power PI run every control step on the fresh local power and the
-    telemetry-channel neighbor power (one control period old).
+    coordination-channel snapshot.  The weighted power reference (share of
+    the measured total plus corrections) and the inner power PI run every
+    control step on the fresh local power and the telemetry-channel neighbor
+    power.  Powers are cable currents times the nominal bus voltage.
     """
 
     def __init__(self, scheme: CascadeScheme, grid: GridConfig, index: int,
                  demand: float = 0.0):
-        super().__init__(index)
         self.scheme = scheme
+        self.weight = scheme.weights[index]
         self.demand = demand
+        self.v_nom = grid.nominal_bus_voltage
         conv = grid.converters[index]
         self.power_clamp = 2.0 * conv.rated_power
         # inner output is a voltage reference; clamp it to the voltage swing
         # that corresponds to twice rated power through the cable at DC
         self.voltage_clamp = 2.0 * conv.rated_power * conv.cable.resistance \
             / grid.nominal_bus_voltage
-        self.outer_state = PiState()
-        self.inner_state = PiState()
+        self.active = False
+        self.outer_integrator, self.outer_prev_error = 0.0, None
+        self.inner_integrator, self.inner_prev_error = 0.0, None
         self.voltage_correction = 0.0
-        self.last_power_reference = 0.0
 
-    def step(self, own: Measurement, neighbor_fast: Measurement,
-             neighbor_slow: Optional[Measurement], control_dt: float,
+    def step(self, own: tuple[float, float], neighbor_fast: tuple[float, float],
+             neighbor_slow: Optional[tuple[float, float]], control_dt: float,
              secondary_dt: float) -> float:
+        """Voltage-reference deviation from the inner power PI; 0 until active."""
         if not self.active:
             return 0.0
+        own_v, own_i = own
+        own_power = self.v_nom * own_i
         if neighbor_slow is not None:
-            self.voltage_correction, self.outer_state = cascade_outer_step(
-                self.scheme, own, neighbor_slow, self.outer_state, secondary_dt,
-                self.power_clamp)
-        ref = cascade_power_reference(self.scheme, self.index, own.power,
-                                      neighbor_fast.power, self.voltage_correction,
-                                      self.demand, self.power_clamp)
-        out, self.inner_state = cascade_inner_step(
-            self.scheme, ref, own.power, self.inner_state, control_dt,
-            self.voltage_clamp)
-        self.last_power_reference = ref
+            v_err = 0.0 - 0.5 * (own_v + neighbor_slow[0])
+            self.voltage_correction, self.outer_integrator = pi_step(
+                self.scheme.bus_voltage_pi, self.outer_integrator,
+                self.outer_prev_error, v_err, secondary_dt,
+                -self.power_clamp, self.power_clamp)
+            self.outer_prev_error = v_err
+        ref = self.weight * (own_power + self.v_nom * neighbor_fast[1]
+                             + self.voltage_correction + self.demand)
+        ref = min(max(ref, -self.power_clamp), self.power_clamp)
+        p_err = ref - own_power
+        out, self.inner_integrator = pi_step(
+            self.scheme.power_pi, self.inner_integrator, self.inner_prev_error,
+            p_err, control_dt, -self.voltage_clamp, self.voltage_clamp)
+        self.inner_prev_error = p_err
         return out

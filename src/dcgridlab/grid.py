@@ -52,17 +52,22 @@ class ConverterParams:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """The microgrid: ordered converters plus nominal bus voltage."""
+    """The microgrid: two ordered converters plus nominal bus voltage.
+
+    Every relation in the package (divider, superposition, the simulated
+    plant, neighbor exchange) is two-source algebra, so the topology is
+    checked here once.
+    """
 
     converters: tuple[ConverterParams, ...]
     nominal_bus_voltage: float    # volt
-    fixed_voltage_reference: float  # volt, primary-level setpoint
 
     def __post_init__(self):
         if self.nominal_bus_voltage <= 0:
             raise GridModelError("nominal bus voltage must be positive")
-        if len(self.converters) < 2:
-            raise GridModelError("at least two converters are required")
+        if len(self.converters) != 2:
+            raise GridModelError(
+                f"exactly 2 converters are required, got {len(self.converters)}")
 
     @property
     def rated_powers(self) -> tuple[float, ...]:
@@ -79,15 +84,7 @@ def default_grid() -> GridConfig:
             ConverterParams(rated_power=2000.0, voltage_loop_tau=0.005, cable=cable),
         ),
         nominal_bus_voltage=400.0,
-        fixed_voltage_reference=400.0,
     )
-
-
-def _require_two(grid: GridConfig) -> None:
-    # The divider and superposition relations below are two-source algebra.
-    if len(grid.converters) != 2:
-        raise GridModelError(
-            f"this relation is defined for exactly 2 converters, got {len(grid.converters)}")
 
 
 def _check_index(grid: GridConfig, i: int) -> None:
@@ -120,7 +117,6 @@ def bus_voltage_source_weights(grid: GridConfig) -> tuple[TransferFunction, Tran
     dVg = W1(s)*dV1 + W2(s)*dV2 with W1 = Z2/(Z1+Z2) and W2 = Z1/(Z1+Z2);
     the weights sum to one at every frequency.
     """
-    _require_two(grid)
     z1 = grid.converters[0].cable.impedance()
     z2 = grid.converters[1].cable.impedance()
     zsum = z1 + z2
@@ -132,7 +128,6 @@ def bus_voltage_load_response(grid: GridConfig) -> TransferFunction:
 
     dVg/dP = -(1/Vg_nominal) * Z1*Z2 / (Z1 + Z2).
     """
-    _require_two(grid)
     z1 = grid.converters[0].cable.impedance()
     z2 = grid.converters[1].cable.impedance()
     num = (z1 * z2).scaled(-1.0 / grid.nominal_bus_voltage)
@@ -160,19 +155,6 @@ def total_bus_voltage(grid: GridConfig) -> BusVoltageModel:
                            bus_voltage_load_response(grid))
 
 
-def power_exchange_tfs(grid: GridConfig) -> tuple[TransferFunction, TransferFunction]:
-    """Per-converter admittance from (dV_i - dVg) to exchanged power dP_i.
-
-    dP_i = (dV_i - dVg) * Vg_nominal / (R_i + L_i*s).
-    """
-    _require_two(grid)
-    out = []
-    for conv in grid.converters:
-        out.append(tf([grid.nominal_bus_voltage],
-                      [conv.cable.resistance, conv.cable.inductance]))
-    return out[0], out[1]
-
-
 OUTER_PLANT_MODES = ("as-written", "closed-inner")
 
 
@@ -190,7 +172,6 @@ def voltage_loop_plant_tf(grid: GridConfig, i: int, power_pi,
     - ``closed-inner``: the same path with the inner power loop closed before
       the divider, C_P*Gv_i/(1 + C_P*G_power,i) * Z_j/(Z_i+Z_j).
     """
-    _require_two(grid)
     _check_index(grid, i)
     if mode not in OUTER_PLANT_MODES:
         raise GridModelError(f"unknown outer-plant mode {mode!r}; pick one of {OUTER_PLANT_MODES}")

@@ -1,9 +1,11 @@
 """Rational LTI building blocks: polynomials, transfer functions, frequency
-response, pole extraction, and state-space realization.
+response, pole extraction, state-space realization, and zero-order-hold
+discretization.
 
-Everything lives in the continuous (s) domain.  Polynomial coefficients are
-stored in ascending powers of s.  All types are immutable; all operations are
-pure functions, so they are safe to evaluate concurrently.
+Everything lives in the continuous (s) domain until ``zoh`` samples it.
+Polynomial coefficients are stored in ascending powers of s.  All types are
+immutable; all operations are pure functions, so they are safe to evaluate
+concurrently.
 """
 
 from __future__ import annotations
@@ -212,10 +214,6 @@ def poles(g: TransferFunction) -> list[complex]:
     return list(g.den.roots())
 
 
-def zeros(g: TransferFunction) -> list[complex]:
-    return list(g.num.roots())
-
-
 # ---------------------------------------------------------------------------
 # frequency response
 
@@ -408,17 +406,25 @@ def realize(g: TransferFunction) -> StateSpace:
     return StateSpace(a, b, c, float(d))
 
 
+def zoh(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact zero-order-hold discretization: x[k+1] = ad @ x[k] + bd @ u[k].
+
+    Both blocks come from one matrix exponential of [[a, b], [0, 0]] * dt.
+    """
+    n, m = b.shape
+    big = np.zeros((n + m, n + m))
+    big[:n, :n] = a * dt
+    big[:n, n:] = b * dt
+    e = expm(big)
+    return e[:n, :n], e[:n, n:]
+
+
 def step_response(ss: StateSpace, dt: float, n_steps: int) -> np.ndarray:
     """Unit-step output samples at t = dt..n_steps*dt via exact discretization."""
-    n = ss.order
-    if n == 0:
+    if ss.order == 0:
         return np.full(n_steps, ss.d)
-    m = np.zeros((n + 1, n + 1))
-    m[:n, :n] = ss.a * dt
-    m[:n, n:] = ss.b * dt
-    e = expm(m)
-    ad, bd = e[:n, :n], e[:n, n:]
-    x = np.zeros((n, 1))
+    ad, bd = zoh(ss.a, ss.b, dt)
+    x = np.zeros((ss.order, 1))
     out = np.empty(n_steps)
     for k in range(n_steps):
         x = ad @ x + bd

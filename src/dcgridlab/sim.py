@@ -25,12 +25,11 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import expm
 
-from .control import (CascadeController, CascadeScheme, CommChannel,
-                      ConventionalController, ConventionalScheme, Measurement,
-                      compute_weights)
+from .control import (CascadeController, CascadeScheme, ConventionalController,
+                      ConventionalScheme, compute_weights)
 from .grid import GridConfig
+from .lti import zoh
 
 
 class SimulationError(Exception):
@@ -89,12 +88,25 @@ class Scenario:
             raise SimulationError("control_dt must not exceed secondary_dt")
         if self.duration <= self.load.last_event_time:
             raise SimulationError("duration must exceed the last load event")
-        n_sub = self.control_dt / self.plant_dt
-        if abs(n_sub - round(n_sub)) > 1e-9:
+        if not _is_multiple(self.control_dt, self.plant_dt):
             raise SimulationError("control_dt must be a multiple of plant_dt")
-        n_x = self.secondary_dt / self.control_dt
-        if abs(n_x - round(n_x)) > 1e-9:
+        if not _is_multiple(self.secondary_dt, self.control_dt):
             raise SimulationError("secondary_dt must be a multiple of control_dt")
+        # the engine acts only on control ticks, so an off-grid time would
+        # silently move to the next tick
+        timed = [("activation_time", self.activation_time),
+                 ("duration", self.duration)]
+        timed += [("load step time", t) for t, _ in self.load.steps]
+        for name, t in timed:
+            if not (math.isfinite(t) and _is_multiple(t, self.control_dt)):
+                raise SimulationError(
+                    f"{name} {t!r} s is not a multiple of control_dt "
+                    f"{self.control_dt!r} s")
+
+
+def _is_multiple(value: float, step: float) -> bool:
+    n = value / step
+    return abs(n - round(n)) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -140,15 +152,6 @@ def _plant_matrices(grid: GridConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return a, b, c_vg
 
 
-def _discretize(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    n, m = b.shape
-    big = np.zeros((n + m, n + m))
-    big[:n, :n] = a * dt
-    big[:n, n:] = b * dt
-    e = expm(big)
-    return e[:n, :n], e[:n, n:]
-
-
 def _make_controllers(scenario: Scenario):
     if isinstance(scenario.scheme, CascadeScheme):
         return [CascadeController(scenario.scheme, scenario.grid, i,
@@ -160,13 +163,11 @@ def _make_controllers(scenario: Scenario):
 def run(scenario: Scenario) -> SimResult:
     """Simulate one scenario; raises :class:`SimulationDiverged` on blow-up."""
     grid = scenario.grid
-    if len(grid.converters) != 2:
-        raise SimulationError("the simulation engine models exactly 2 converters")
     v_nom = grid.nominal_bus_voltage
     l1 = grid.converters[0].cable.inductance
     l2 = grid.converters[1].cable.inductance
     a, b, c_vg = _plant_matrices(grid)
-    ad, bd = _discretize(a, b, scenario.plant_dt)
+    ad, bd = zoh(a, b, scenario.plant_dt)
 
     n_sub = int(round(scenario.control_dt / scenario.plant_dt))
     n_sec = int(round(scenario.secondary_dt / scenario.control_dt))
@@ -174,8 +175,6 @@ def run(scenario: Scenario) -> SimResult:
     n_rows = n_ctl * n_sub
 
     units = _make_controllers(scenario)
-    telemetry = CommChannel(period=scenario.control_dt)
-    coordination = CommChannel(period=scenario.secondary_dt)
 
     time_grid = np.arange(1, n_rows + 1) * scenario.plant_dt
     term = np.empty((n_rows, 2))
@@ -187,6 +186,10 @@ def run(scenario: Scenario) -> SimResult:
     load_now = 0.0
     pending = list(scenario.load.steps)
     activated = False
+    # one-step delay registers of the two channels: entry i is what converter
+    # i receives, its neighbor's snapshot from the previous control tick
+    # (telemetry) or secondary tick (coordination); both start at zero
+    telemetry = coordination = ((0.0, 0.0), (0.0, 0.0))
     row = 0
 
     for k in range(n_ctl):
@@ -198,27 +201,22 @@ def run(scenario: Scenario) -> SimResult:
             x[3] += l1 / (l1 + l2) * jump
             load_now = new_load
 
-        meas = [Measurement(power=v_nom * x[2], current=x[2], terminal_voltage=x[0]),
-                Measurement(power=v_nom * x[3], current=x[3], terminal_voltage=x[1])]
-
         if not activated and t >= scenario.activation_time - 1e-12:
             for unit in units:
-                unit.activate()
+                unit.active = True
             activated = True
 
-        # publish both snapshots before reading so each side sees the
-        # neighbor's previous-period value (symmetric one-period staleness)
-        for i in range(2):
-            telemetry.publish(i, meas[i])
+        v1, v2, i1, i2 = x.tolist()
+        snapshots = ((v1, i1), (v2, i2))
         secondary = (k % n_sec == 0)
-        if secondary:
-            for i in range(2):
-                coordination.publish(i, meas[i])
+        slow = coordination if secondary else (None, None)
         u = np.array([
-            units[i].step(meas[i], telemetry.neighbor_view(i),
-                          coordination.neighbor_view(i) if secondary else None,
+            units[i].step(snapshots[i], telemetry[i], slow[i],
                           scenario.control_dt, scenario.secondary_dt)
             for i in range(2)])
+        telemetry = snapshots[::-1]
+        if secondary:
+            coordination = telemetry
 
         for _ in range(n_sub):
             x = ad @ x + bd @ u

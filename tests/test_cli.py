@@ -14,6 +14,15 @@ load_steps = 0.2:2000.0, 1.0:4000.0
 """
 
 
+THREE_CONVERTERS = """
+[grid]
+rated_powers = 4000.0, 2000.0, 2000.0
+cable_resistances = 0.5, 0.5, 0.5
+cable_inductances = 0.003, 0.003, 0.003
+voltage_loop_taus = 0.005, 0.005, 0.005
+"""
+
+
 def write(tmp_path, text, name="run.ini"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -57,6 +66,26 @@ class TestValidationErrors:
     def test_single_step_sweep_rejected(self, tmp_path):
         cfgp = write(tmp_path, "[sweep]\nsteps = 1\n")
         assert main(["rootlocus", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["tune"], ["simulate"], ["rootlocus"], ["bode", "--plant", "voltage"]])
+    def test_three_converter_grid_rejected(self, tmp_path, caplog, argv):
+        cfgp = write(tmp_path, THREE_CONVERTERS)
+        assert main(argv + ["--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "exactly 2" in errors[0].getMessage()
+
+    @pytest.mark.parametrize("plant", ["power", "voltage"])
+    @pytest.mark.parametrize("converter", ["2", "-1"])
+    def test_converter_index_out_of_range(self, tmp_path, caplog, plant, converter):
+        assert main(["bode", "--plant", plant, "--converter", converter,
+                     "--out", str(tmp_path / "o")]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "out of range" in errors[0].getMessage()
+
+    def test_off_grid_event_time_rejected(self, tmp_path):
+        cfgp = write(tmp_path, "[scenario]\nload_steps = 1.0004:2000.0\n")
+        assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
 
 
 class TestRootlocus:

@@ -1,16 +1,15 @@
-"""PI stepping, sharing weights, scheme types, and the exchange channel."""
+"""PI stepping, sharing weights, scheme types, controllers, and the exchange."""
 
 import math
 
 import pytest
 
-from dcgridlab.control import (CascadeScheme, CommChannel, ControlError,
-                               ConventionalScheme, Measurement, PiGains,
-                               PiState, bus_voltage_estimate,
-                               cascade_power_reference, compute_weights,
-                               conventional_reference, conventional_step,
-                               exchange_info, pi_step, weights_from_ratings)
+from dcgridlab.control import (CascadeController, CascadeScheme, ControlError,
+                               ConventionalController, ConventionalScheme,
+                               PiGains, compute_weights, pi_step,
+                               weights_from_ratings)
 from dcgridlab.grid import default_grid
+from dcgridlab.sim import LoadProfile, Scenario, run
 
 
 class TestWeights:
@@ -42,48 +41,69 @@ class TestPiGains:
             PiGains(kp=math.inf, ki=0.0)
 
 
+def run_pi(gains, errors, dt, lo=-math.inf, hi=math.inf):
+    """Step a PI from reset through ``errors``; return (outputs, integrator)."""
+    integrator, prev, outs = 0.0, None, []
+    for err in errors:
+        out, integrator = pi_step(gains, integrator, prev, err, dt, lo, hi)
+        prev = err
+        outs.append(out)
+    return outs, integrator
+
+
 class TestPiStep:
     def test_zero_error_zero_output(self):
-        state = PiState()
-        for _ in range(10):
-            out, state = pi_step(PiGains(2.0, 5.0), state, 0.0, 1e-3)
-            assert out == 0.0
+        outs, _ = run_pi(PiGains(2.0, 5.0), [0.0] * 10, 1e-3)
+        assert outs == [0.0] * 10
 
     def test_pure_proportional(self):
-        out, _ = pi_step(PiGains(1.0, 0.0), PiState(), 3.7, 1e-3)
+        out, _ = pi_step(PiGains(1.0, 0.0), 0.0, None, 3.7, 1e-3)
         assert out == pytest.approx(3.7)
 
     def test_trapezoid_of_constant(self):
         # integrating a constant unit error for 1 s at 1 kHz accumulates 1.0
-        gains = PiGains(kp=0.0, ki=1.0)
-        state = PiState()
-        out = 0.0
-        for _ in range(1000):
-            out, state = pi_step(gains, state, 1.0, 1e-3)
-        assert out == pytest.approx(1.0, abs=1e-6)
-        assert state.integrator == pytest.approx(1.0, abs=1e-6)
+        outs, integrator = run_pi(PiGains(kp=0.0, ki=1.0), [1.0] * 1000, 1e-3)
+        assert outs[-1] == pytest.approx(1.0, abs=1e-6)
+        assert integrator == pytest.approx(1.0, abs=1e-6)
 
     def test_trapezoid_averages_adjacent_errors(self):
-        gains = PiGains(kp=0.0, ki=1.0)
-        _, state = pi_step(gains, PiState(), 0.0, 1.0)
-        out, state = pi_step(gains, state, 1.0, 1.0)
-        assert out == pytest.approx(0.5)  # (0 + 1)/2 * dt
+        outs, _ = run_pi(PiGains(kp=0.0, ki=1.0), [0.0, 1.0], 1.0)
+        assert outs[-1] == pytest.approx(0.5)  # (0 + 1)/2 * dt
 
     def test_output_clamped(self):
-        out, _ = pi_step(PiGains(10.0, 0.0), PiState(), 100.0, 1e-3, lo=-2.0, hi=2.0)
+        out, _ = pi_step(PiGains(10.0, 0.0), 0.0, None, 100.0, 1e-3, lo=-2.0, hi=2.0)
         assert out == 2.0
 
     def test_conditional_integration_freezes_at_clamp(self):
-        gains = PiGains(kp=0.0, ki=1.0)
-        state = PiState()
-        for _ in range(100):
-            out, state = pi_step(gains, state, 10.0, 1.0, lo=-5.0, hi=5.0)
-        assert out == 5.0
-        assert abs(state.integrator) <= 5.0 + 1e-12
+        outs, integrator = run_pi(PiGains(kp=0.0, ki=1.0), [10.0] * 100, 1.0,
+                                  lo=-5.0, hi=5.0)
+        assert outs[-1] == 5.0
+        assert abs(integrator) <= 5.0 + 1e-12
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ControlError):
-            pi_step(PiGains(1.0, 1.0), PiState(), 1.0, 0.0)
+            pi_step(PiGains(1.0, 1.0), 0.0, None, 1.0, 0.0)
+
+
+def conventional(droop, voltage_pi, current_pi, index=0, active=True):
+    scheme = ConventionalScheme(droop_resistance=droop, voltage_pi=voltage_pi,
+                                current_pi=current_pi)
+    ctl = ConventionalController(scheme, default_grid(), index)
+    ctl.active = active
+    return ctl
+
+
+def cascade(power_pi, index, active=True):
+    scheme = CascadeScheme(power_pi=power_pi, bus_voltage_pi=PiGains(0.0, 0.0),
+                           weights=(2 / 3, 1 / 3))
+    ctl = CascadeController(scheme, default_grid(), index)
+    ctl.active = active
+    return ctl
+
+
+# snapshots are (terminal voltage deviation V, cable current A); at the 400 V
+# bench bus 1 A carries 400 W
+ZERO = (0.0, 0.0)
 
 
 class TestSchemes:
@@ -98,80 +118,94 @@ class TestSchemes:
                                current_pi=PiGains(1, 1))
 
     def test_droop_arithmetic(self):
-        scheme = ConventionalScheme(droop_resistance=0.5,
-                                    voltage_pi=PiGains(0, 0),
-                                    current_pi=PiGains(0, 0))
+        ctl = conventional(0.5, PiGains(0, 0), PiGains(0, 0))
         # 10 A through the 0.5 ohm virtual impedance drops the reference 5 V
-        ref = conventional_reference(scheme, current=10.0, dv=0.0, di=0.0,
-                                     active=True)
+        ref = ctl.step((0.0, 10.0), ZERO, None, 1e-3, 2e-2)
         assert ref == pytest.approx(-5.0)
 
     def test_inactive_scheme_keeps_primary_reference(self):
-        scheme = ConventionalScheme(droop_resistance=0.0,
-                                    voltage_pi=PiGains(1, 1),
-                                    current_pi=PiGains(1, 1))
-        assert conventional_reference(scheme, 5.0, dv=3.0, di=2.0, active=False) == 0.0
+        ctl = conventional(0.0, PiGains(1, 1), PiGains(1, 1), active=False)
+        ctl.dv, ctl.di = 3.0, 2.0
+        assert ctl.step((0.0, 5.0), ZERO, (1.0, 1.0), 1e-3, 2e-2) == 0.0
+        assert (ctl.dv, ctl.di) == (3.0, 2.0)  # secondary PIs frozen
 
     def test_conventional_step_zero_measurements(self):
-        scheme = ConventionalScheme(droop_resistance=0.5,
-                                    voltage_pi=PiGains(1.0, 2.0),
-                                    current_pi=PiGains(1.0, 2.0))
-        dv, di, _, _ = conventional_step(
-            scheme, (2 / 3, 1 / 3), Measurement(), Measurement(), 0,
-            PiState(), PiState(), dt=1e-2, clamp=40.0)
-        assert dv == 0.0 and di == 0.0
+        ctl = conventional(0.5, PiGains(1.0, 2.0), PiGains(1.0, 2.0))
+        assert ctl.step(ZERO, ZERO, ZERO, 1e-3, 1e-2) == 0.0
+        assert ctl.dv == 0.0 and ctl.di == 0.0
 
     def test_cascade_reference_split(self):
-        scheme = CascadeScheme(power_pi=PiGains(1, 1), bus_voltage_pi=PiGains(1, 1),
-                               weights=(2 / 3, 1 / 3))
-        # a measured 3 kW total with no corrections splits 2 kW / 1 kW
-        r0 = cascade_power_reference(scheme, 0, own_power=2000.0,
-                                     neighbor_power=1000.0, voltage_correction=0.0,
-                                     demand=0.0, clamp=8000.0)
-        r1 = cascade_power_reference(scheme, 1, own_power=1000.0,
-                                     neighbor_power=2000.0, voltage_correction=0.0,
-                                     demand=0.0, clamp=4000.0)
-        assert r0 == pytest.approx(2000.0)
-        assert r1 == pytest.approx(1000.0)
+        # a measured 3 kW total with no corrections splits 2 kW / 1 kW; with
+        # both sources at 1.5 kW the inner P-only PI sees +-500 W of error
+        kp = 0.004
+        own = nb = (0.0, 3.75)
+        out0 = cascade(PiGains(kp, 0.0), 0).step(own, nb, None, 1e-3, 2e-2)
+        out1 = cascade(PiGains(kp, 0.0), 1).step(own, nb, None, 1e-3, 2e-2)
+        assert out0 == pytest.approx(kp * (2000.0 - 1500.0))
+        assert out1 == pytest.approx(kp * (1000.0 - 1500.0))
 
     def test_cascade_reference_clamped(self):
-        scheme = CascadeScheme(power_pi=PiGains(1, 1), bus_voltage_pi=PiGains(1, 1),
-                               weights=(2 / 3, 1 / 3))
-        r = cascade_power_reference(scheme, 0, 1e6, 1e6, 0.0, 0.0, clamp=8000.0)
-        assert r == 8000.0
+        # a 1 MW neighbor reading drives the reference to its 8 kW clamp
+        # (twice the 4 kW rating), not to two thirds of 1 MW
+        kp = 1e-4
+        out = cascade(PiGains(kp, 0.0), 0).step(ZERO, (0.0, 2500.0), None,
+                                                1e-3, 2e-2)
+        assert out == pytest.approx(kp * 8000.0)
+
+
+def zero_gain_cascade():
+    return CascadeScheme(power_pi=PiGains(0.0, 0.0),
+                         bus_voltage_pi=PiGains(0.0, 0.0), weights=(2 / 3, 1 / 3))
+
+
+def recorded_exchange(monkeypatch, load_steps, duration, ramp):
+    """Run a scenario whose controllers command ``ramp`` volts per call, and
+    record every controller step's inputs."""
+    calls = []
+
+    def spy(self, own, neighbor_fast, neighbor_slow, control_dt, secondary_dt):
+        calls.append((own, neighbor_fast, neighbor_slow))
+        return ramp * len(calls)
+
+    monkeypatch.setattr(CascadeController, "step", spy)
+    run(Scenario(grid=default_grid(), scheme=zero_gain_cascade(),
+                 load=LoadProfile(load_steps), activation_time=0.0,
+                 duration=duration, plant_dt=1e-4, control_dt=1e-3,
+                 secondary_dt=0.005))
+    # calls alternate converter 0, converter 1 on every control tick
+    return calls[0::2], calls[1::2]
 
 
 class TestCommChannel:
-    def test_zero_delay_pass_through(self):
-        ch = CommChannel(period=0.0)
-        view = exchange_info(Measurement(power=5.0), sender=1, channel=ch)
-        assert view == Measurement()  # nothing from the neighbor yet
-        ch.publish(0, Measurement(power=42.0))
-        assert ch.neighbor_view(1).power == 42.0
+    def test_constant_signal_identical_after_first_sample(self, monkeypatch):
+        # with no load the state stays at zero: the neighbor views are the
+        # zero registers first and the identical zero snapshots after
+        conv0, conv1 = recorded_exchange(monkeypatch, (), 0.02, ramp=0.0)
+        for own, fast, slow in conv0 + conv1:
+            assert own == fast == ZERO
+            assert slow is None or slow == ZERO
 
-    def test_constant_signal_identical_after_first_sample(self):
-        ch = CommChannel(period=1e-3)
-        m = Measurement(power=7.0, current=1.0, terminal_voltage=0.1)
-        ch.publish(0, m)
-        ch.publish(0, m)
-        assert ch.neighbor_view(1) == m
-
-    def test_ramp_lags_one_period(self):
-        # 100 W/s ramp published every 1 ms: the received value lags 0.1 W
-        ch = CommChannel(period=1e-3)
-        for k in range(5):
-            t = k * 1e-3
-            ch.publish(0, Measurement(power=100.0 * t))
-        true_now = 100.0 * 4e-3
-        assert true_now - ch.neighbor_view(1).power == pytest.approx(0.1)
-
-    def test_negative_period_rejected(self):
-        with pytest.raises(ControlError):
-            CommChannel(period=-1.0)
+    def test_ramp_lags_one_period(self, monkeypatch):
+        # ramped voltage references move both snapshots every tick; each
+        # converter sees its neighbor's snapshot one control tick (telemetry)
+        # or one secondary tick (coordination, every 5th tick) old
+        conv0, conv1 = recorded_exchange(monkeypatch, ((0.002, 4000.0),), 0.03,
+                                         ramp=0.1)
+        for mine, theirs in ((conv0, conv1), (conv1, conv0)):
+            assert mine[0][1] == ZERO and mine[0][2] == ZERO
+            for k in range(1, len(mine)):
+                assert mine[k][1] == theirs[k - 1][0]
+                if k % 5 == 0:
+                    assert mine[k][2] == theirs[k - 5][0]
+                else:
+                    assert mine[k][2] is None
+        for k in range(2, len(conv0)):
+            assert conv0[k][1] != conv1[k][0]  # the lag is visible
 
 
 class TestBusEstimate:
     def test_average_of_terminals(self):
-        own = Measurement(terminal_voltage=2.0)
-        nb = Measurement(terminal_voltage=-1.0)
-        assert bus_voltage_estimate(own, nb) == pytest.approx(0.5)
+        # P-only voltage PI: the correction is minus the mean terminal voltage
+        ctl = conventional(0.0, PiGains(1.0, 0.0), PiGains(0.0, 0.0))
+        assert ctl.step((2.0, 0.0), ZERO, (-1.0, 0.0), 1e-3, 2e-2) == \
+            pytest.approx(-0.5)

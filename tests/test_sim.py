@@ -1,12 +1,14 @@
 """Time-domain engine: oracles, linearity, determinism, scoring metrics."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dcgridlab.config import load_config
+from dcgridlab.config import CONVENTIONAL_HIGH_PI, load_config
 from dcgridlab.control import CascadeScheme, ConventionalScheme, PiGains
 from dcgridlab.grid import default_grid
 from dcgridlab.sim import (LoadProfile, Scenario, SimResult, SimulationDiverged,
@@ -70,6 +72,23 @@ class TestValidation:
             Scenario(grid=default_grid(), scheme=zero_gain_cascade(),
                      load=LoadProfile(()), activation_time=1.0, duration=2.0,
                      plant_dt=3e-4, control_dt=1e-3, secondary_dt=0.02)
+
+    # the engine acts on control ticks only; an off-grid time would move
+    # silently to the next tick (a step at 1.0004 s acted at 1.001 s)
+    def test_off_grid_load_step_rejected(self):
+        with pytest.raises(SimulationError, match="load step time 1.0004"):
+            open_loop_scenario(((1.0004, 2000.0),))
+
+    def test_off_grid_activation_rejected(self):
+        scenario = open_loop_scenario(((1.0, 2000.0),))
+        with pytest.raises(SimulationError, match="activation_time 2.0005"):
+            dataclasses.replace(scenario, activation_time=2.0005)
+
+    def test_off_grid_duration_rejected(self):
+        # 2.99951 s used to run 30000 rows, to 3.0 s
+        scenario = open_loop_scenario(((1.0, 2000.0),), duration=3.0)
+        with pytest.raises(SimulationError, match="duration 2.99951"):
+            dataclasses.replace(scenario, duration=2.99951)
 
 
 class TestOpenLoop:
@@ -261,3 +280,45 @@ class TestSettling:
         # the cascade's regulated voltage barely moves at activation; with the
         # 0.05 V floor the event counts as settled immediately
         assert voltage_settling(cascade_result, 5.0, 10.0) == 0.0
+
+
+PINNED = Path(__file__).with_name("pinned_series.json")
+
+
+def pinned_columns(result: SimResult) -> dict[str, np.ndarray]:
+    cols = {}
+    for name in ("power", "current", "terminal_voltage", "bus_voltage",
+                 "regulated_voltage", "voltage_reference"):
+        arr = getattr(result, name)
+        if arr.ndim == 1:
+            cols[name] = arr
+        else:
+            cols.update({f"{name}[{j}]": arr[:, j] for j in range(arr.shape[1])})
+    return cols
+
+
+@pytest.mark.parametrize("case", ["cascade", "conventional-high"])
+def test_series_match_pinned_reference(case):
+    # pinned_series.json holds, per column, the peak |value|, the sum and every
+    # 97th row of the 3 s scenario of test_cli.FAST_SCENARIO, captured from
+    # the engine before its controllers moved to plain-float state.  Rows and
+    # peaks agree to 1e-12 of the column peak, sums to 1e-12 of peak * rows.
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    cfg = load_config(None)
+    scheme = cfg.scheme() if case == "cascade" else ConventionalScheme(
+        droop_resistance=cfg.droop_ohm, voltage_pi=CONVENTIONAL_HIGH_PI,
+        current_pi=cfg.current_pi)
+    scenario = dataclasses.replace(
+        cfg.scenario(scheme=scheme), activation_time=0.5, duration=3.0,
+        load=LoadProfile(((0.2, 2000.0), (1.0, 4000.0))))
+    result = run(scenario)
+    want = pinned[case]
+    assert len(result.time) == want["n_rows"]
+    cols = pinned_columns(result)
+    assert set(cols) == set(want["columns"])
+    for name, ref in want["columns"].items():
+        got = cols[name]
+        tol = 1e-12 * ref["peak"]
+        assert abs(np.abs(got).max() - ref["peak"]) <= tol, name
+        assert abs(got.sum() - ref["sum"]) <= tol * len(got), name
+        assert np.max(np.abs(got[::pinned["stride"]] - ref["rows"])) <= tol, name
