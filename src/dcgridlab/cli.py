@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -17,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from . import __version__
 from .config import (CONVENTIONAL_HIGH_PI, CONVENTIONAL_LOW_PI, ConfigError,
                      RunConfig, load_config, render_config)
 from .control import CascadeScheme, ConventionalScheme, weights_from_ratings
-from .grid import GridModelError, power_plant_tf, voltage_loop_plant_tf
+from .grid import (GridModelError, check_converter_index, power_plant_tf,
+                   voltage_loop_plant_tf)
 from .lti import NoCrossoverError, freq_response, tf_constant, tf_series
 from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
 from .sim import (DEFAULT_ITAE_WINDOW, ItaeReport, SimResult, SimulationError,
@@ -69,24 +71,44 @@ def _manifest(cfg: RunConfig, subcommand: str) -> RunManifest:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return format(x, ".12g")
-    return str(x)
+    return format(x, ".12g") if isinstance(x, float) else str(x)
+
+
+# rows per formatted chunk: on a 250k-row timeseries, chunks of 128-512 rows
+# raised peak RSS by 1-3 MB (their multi-kilobyte strings fragment the heap)
+# and were no faster than 32
+_CSV_CHUNK_ROWS = 32
 
 
 def write_csv(path: Path, manifest: RunManifest, header: Sequence[str],
-              rows, note: Optional[str] = None) -> None:
-    """Manifest line, optional ``# note`` line, header, then one line per row."""
+              columns: Iterable, note: Optional[str] = None) -> None:
+    """Manifest line, optional ``# note`` line, header, then one line per row.
+
+    ``columns`` holds one equal-length sequence (array or list) per header
+    field.  Float columns are written ``%.12g``, which is :func:`_fmt`'s rule
+    (``inf``, ``-inf`` and ``nan`` come out as such), every other column with
+    ``str``.  Rows are formatted ``_CSV_CHUNK_ROWS`` at a time by one ``%`` on
+    the line template repeated per row, so no full-size copy of the table is
+    made.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0   # zip(*rows) of no rows is empty
+    if columns and (len(columns) != len(header)
+                    or any(len(c) != n_rows for c in columns)):
+        raise ValueError(f"write_csv: {len(header)} header fields need as many "
+                         f"equal-length columns")
+    line = ",".join("%.12g" if c.dtype.kind == "f" else "%s"
+                    for c in columns) + "\n"
     # comma-separated, '.' decimal, LF endings: byte-stable for golden files
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(manifest.comment_line() + "\n")
         if note is not None:
             fh.write(f"# {note}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            chunk = [c[start:start + _CSV_CHUNK_ROWS].tolist() for c in columns]
+            cells = tuple(itertools.chain.from_iterable(zip(*chunk)))
+            fh.write(line * len(chunk[0]) % cells)
 
 
 def _json_safe(value):
@@ -166,7 +188,7 @@ def cmd_tune(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
         pts = freq_response(loop, np.logspace(-2, 5, 400))
         write_csv(outdir / f"bode_{name}_loop.csv", manifest,
                   ("omega_rad_s", "magnitude_db", "phase_deg"),
-                  ((p.omega, p.magnitude_db, p.phase_deg) for p in pts))
+                  zip(*((p.omega, p.magnitude_db, p.phase_deg) for p in pts)))
     print(f"power loop: kp={power.gains.kp:.6g} ki={power.gains.ki:.6g} "
           f"(crossover {power.achieved_crossover:.4g} rad/s, "
           f"margin {power.achieved_margin:.4g} deg)")
@@ -204,7 +226,7 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
     except SimulationError as exc:
         log.error("simulation failed: %s", exc)
         return EXIT_NUMERICAL
-    rows = zip(result.time,
+    columns = (result.time,
                result.power[:, 0], result.power[:, 1],
                result.bus_voltage,
                result.current[:, 0], result.current[:, 1],
@@ -213,7 +235,7 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
                result.voltage_reference[:, 0], result.voltage_reference[:, 1])
     write_csv(outdir / "timeseries.csv", manifest,
               ("t_s", "dP1_w", "dP2_w", "dVg_bus_v", "I1_a", "I2_a",
-               "Vterm1_v", "Vterm2_v", "Vreg_v", "ref1_v", "ref2_v"), rows)
+               "Vterm1_v", "Vterm2_v", "Vreg_v", "ref1_v", "ref2_v"), columns)
     scored = _score_events(cfg, result)
     write_json(outdir / "itae.json", manifest,
                {"scheme": cfg.scheme_kind, "events": scored})
@@ -275,7 +297,7 @@ def cmd_compare(cfg: RunConfig, outdir: Path) -> int:
 
     write_csv(outdir / "comparison.csv", manifest,
               ("case", "event", "itae_v", "itae_i", "settling_v_s"),
-              (key + scores for key, scores in table.items()))
+              zip(*(key + scores for key, scores in table.items())))
     write_json(outdir / "comparison.json", manifest,
                {"cases": per_case, "orderings": orderings})
 
@@ -288,11 +310,15 @@ def cmd_compare(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def _locus_rows(result: LocusResult):
-    for step in result.steps:
-        for p in step.poles:
-            yield (step.resistance, step.inductance, p.real, p.imag,
-                   int(step.stable))
+def _locus_columns(result: LocusResult):
+    """One row per pole: the step's impedance, the pole and the step's verdict."""
+    per_step = [len(step.poles) for step in result.steps]
+    poles = np.array([p for step in result.steps for p in step.poles],
+                     dtype=complex)
+    return (np.repeat([step.resistance for step in result.steps], per_step),
+            np.repeat([step.inductance for step in result.steps], per_step),
+            poles.real, poles.imag,
+            np.repeat([int(step.stable) for step in result.steps], per_step))
 
 
 def cmd_rootlocus(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
@@ -303,10 +329,10 @@ def cmd_rootlocus(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
                                  cfg.sweep, mode=mode)
     write_csv(outdir / "rootlocus_power.csv", manifest,
               ("r1_ohm", "l1_h", "pole_re", "pole_im", "stable"),
-              _locus_rows(power))
+              _locus_columns(power))
     write_csv(outdir / "rootlocus_voltage.csv", manifest,
               ("r1_ohm", "l1_h", "pole_re", "pole_im", "stable"),
-              _locus_rows(voltage))
+              _locus_columns(voltage))
     summary = {}
     for name, locus in (("power", power), ("voltage", voltage)):
         dom = locus.terminal_dominant_pole
@@ -323,6 +349,7 @@ def cmd_bode(cfg: RunConfig, outdir: Path, plant_name: str, converter: int,
              mode: Optional[str]) -> int:
     manifest = _manifest(cfg, "bode")
     mode = mode or cfg.tuning.outer_plant_mode
+    check_converter_index(cfg.grid, converter)   # every plant, unity included
     annotation = None
     if plant_name == "unity":
         g = tf_constant(1.0)
@@ -352,7 +379,8 @@ def cmd_bode(cfg: RunConfig, outdir: Path, plant_name: str, converter: int,
     pts = freq_response(g, np.logspace(-2, 5, 400))
     path = outdir / f"bode_{plant_name}.csv"
     write_csv(path, manifest, ("omega_rad_s", "magnitude_db", "phase_deg"),
-              ((p.omega, p.magnitude_db, p.phase_deg) for p in pts), note=note)
+              zip(*((p.omega, p.magnitude_db, p.phase_deg) for p in pts)),
+              note=note)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -87,7 +87,7 @@ def default_grid() -> GridConfig:
     )
 
 
-def _check_index(grid: GridConfig, i: int) -> None:
+def check_converter_index(grid: GridConfig, i: int) -> None:
     if not 0 <= i < len(grid.converters):
         raise GridModelError(f"converter index {i} out of range")
 
@@ -103,7 +103,7 @@ def power_plant_tf(grid: GridConfig, i: int) -> TransferFunction:
     Output power deviation per unit of voltage-reference deviation:
     Gv_i(s) * Vg_nominal / (R_i + L_i*s).
     """
-    _check_index(grid, i)
+    check_converter_index(grid, i)
     conv = grid.converters[i]
     gv = converter_voltage_tf(conv)
     cable_adm = tf([grid.nominal_bus_voltage],
@@ -172,7 +172,7 @@ def voltage_loop_plant_tf(grid: GridConfig, i: int, power_pi,
     - ``closed-inner``: the same path with the inner power loop closed before
       the divider, C_P*Gv_i/(1 + C_P*G_power,i) * Z_j/(Z_i+Z_j).
     """
-    _check_index(grid, i)
+    check_converter_index(grid, i)
     if mode not in OUTER_PLANT_MODES:
         raise GridModelError(f"unknown outer-plant mode {mode!r}; pick one of {OUTER_PLANT_MODES}")
     conv = grid.converters[i]

@@ -6,7 +6,13 @@ nominal bus voltage, which pins the current sum between events; a load step
 therefore enters as a state jump whose split follows the inductive divider.
 Between controller updates the plant advances by exact zero-order-hold
 discretization (matrix exponential), so integration error never contaminates
-transient scores.
+transient scores.  The input is held over the plant sub-steps of a control
+period, so its contribution ``bd @ u`` is formed once per control tick and each
+sub-step is ``x = ad @ x + bd_u``, computed in place in one preallocated state
+array whose columns are the result's voltage and current series.  The bus
+voltage is the dot product ``c_vg @ x`` of each row: a batched product would
+round some rows differently.  The inputs are recorded once per tick and
+repeated over the sub-steps at the end.
 
 Controllers run on two cadences backed by two sampled channels.  Telemetry
 (the neighbor power feeding the cascade reference arithmetic) flows at the
@@ -177,10 +183,9 @@ def run(scenario: Scenario) -> SimResult:
     units = _make_controllers(scenario)
 
     time_grid = np.arange(1, n_rows + 1) * scenario.plant_dt
-    term = np.empty((n_rows, 2))
-    curr = np.empty((n_rows, 2))
+    states = np.empty((n_rows, 4))   # x = [V1, V2, I1, I2] after each sub-step
+    inputs = np.empty((n_ctl, 2))    # u held over each control period
     bus = np.empty(n_rows)
-    refs = np.empty((n_rows, 2))
 
     x = np.zeros(4)
     load_now = 0.0
@@ -190,12 +195,12 @@ def run(scenario: Scenario) -> SimResult:
     # i receives, its neighbor's snapshot from the previous control tick
     # (telemetry) or secondary tick (coordination); both start at zero
     telemetry = coordination = ((0.0, 0.0), (0.0, 0.0))
-    row = 0
 
     for k in range(n_ctl):
         t = k * scenario.control_dt
         while pending and t >= pending[0][0] - 1e-12:
             _, new_load = pending.pop(0)
+            x = x.copy()   # x is the last row of states
             jump = (new_load - load_now) / v_nom
             x[2] += l2 / (l1 + l2) * jump   # inductive divider split
             x[3] += l1 / (l1 + l2) * jump
@@ -210,24 +215,28 @@ def run(scenario: Scenario) -> SimResult:
         snapshots = ((v1, i1), (v2, i2))
         secondary = (k % n_sec == 0)
         slow = coordination if secondary else (None, None)
-        u = np.array([
+        inputs[k] = [
             units[i].step(snapshots[i], telemetry[i], slow[i],
                           scenario.control_dt, scenario.secondary_dt)
-            for i in range(2)])
+            for i in range(2)]
         telemetry = snapshots[::-1]
         if secondary:
             coordination = telemetry
 
-        for _ in range(n_sub):
-            x = ad @ x + bd @ u
-            term[row] = x[0:2]
-            curr[row] = x[2:4]
-            bus[row] = c_vg @ x
-            refs[row] = u
-            row += 1
-        if not np.all(np.isfinite(x)):
-            raise SimulationDiverged(time_grid[row - 1])
+        # x = ad @ x + bd @ u per sub-step, computed in place in the state
+        # rows; ndarray.dot gives the same floats as @ at less call overhead
+        bd_u = bd.dot(inputs[k])
+        for row in range(k * n_sub, (k + 1) * n_sub):
+            x_next = states[row]
+            ad.dot(x, out=x_next)
+            x_next += bd_u
+            bus[row] = c_vg.dot(x_next)
+            x = x_next
+        if not np.isfinite(x).all():
+            raise SimulationDiverged(time_grid[row])
 
+    term = states[:, 0:2]
+    curr = states[:, 2:4]
     weights = compute_weights(grid)
     return SimResult(
         time=time_grid,
@@ -236,7 +245,7 @@ def run(scenario: Scenario) -> SimResult:
         terminal_voltage=term,
         bus_voltage=bus,
         regulated_voltage=term.mean(axis=1),
-        voltage_reference=refs,
+        voltage_reference=np.repeat(inputs, n_sub, axis=0),
         weights=weights,
         events=scenario.load.steps,
         activation_time=scenario.activation_time,

@@ -1,10 +1,14 @@
 """End-to-end CLI runs: files, exit codes, manifests, reproducibility."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from dcgridlab.cli import main
+from dcgridlab.cli import RunManifest, main, write_csv
+from dcgridlab.config import load_config
+from dcgridlab.sim import run
 
 FAST_SCENARIO = """
 [scenario]
@@ -75,7 +79,7 @@ class TestValidationErrors:
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and "exactly 2" in errors[0].getMessage()
 
-    @pytest.mark.parametrize("plant", ["power", "voltage"])
+    @pytest.mark.parametrize("plant", ["power", "voltage", "unity"])
     @pytest.mark.parametrize("converter", ["2", "-1"])
     def test_converter_index_out_of_range(self, tmp_path, caplog, plant, converter):
         assert main(["bode", "--plant", plant, "--converter", converter,
@@ -86,6 +90,35 @@ class TestValidationErrors:
     def test_off_grid_event_time_rejected(self, tmp_path):
         cfgp = write(tmp_path, "[scenario]\nload_steps = 1.0004:2000.0\n")
         assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+
+
+def g12(v) -> str:
+    return format(v, ".12g") if isinstance(v, float) else str(v)
+
+
+class TestWriteCsv:
+    MANIFEST = RunManifest(tool="dcgrid-lab", version="0", subcommand="test",
+                           config_sha256="0" * 64)
+
+    def test_cells_follow_the_12g_rule(self, tmp_path):
+        rows = [(-0.0, 5e-324, 1e22, 123456789012.5, math.inf, -math.inf,
+                 math.nan, 7, "proposed"),
+                (0.1, -2.5e-7, 1.0, 3.0, -1e300, 2.0 / 3.0, 1e-320, -3, "t=1s")]
+        header = tuple(f"c{j}" for j in range(len(rows[0])))
+        path = tmp_path / "t.csv"
+        write_csv(path, self.MANIFEST, header, zip(*rows), note="n")
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        lines = data.decode("utf-8").split("\n")[:-1]
+        assert lines[:3] == [self.MANIFEST.comment_line(), "# n", ",".join(header)]
+        assert lines[3:] == [",".join(g12(v) for v in row) for row in rows]
+        assert lines[3].startswith("-0,4.94065645841e-324,1e+22,123456789012,")
+        assert ",inf,-inf,nan,7,proposed" in lines[3]
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", self.MANIFEST, ("a", "b"),
+                      ([1.0, 2.0], [1.0]))
 
 
 class TestRootlocus:
@@ -141,6 +174,26 @@ class TestSimulate:
         lines = (out / "timeseries.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "t_s"
         assert len(lines) == 2 + 30000  # manifest + header + rows
+
+    def test_lines_are_the_12g_rows_of_the_result(self, tmp_path):
+        cfgp = write(tmp_path, FAST_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        result = run(load_config(cfgp).scenario())
+        series = {"t_s": result.time, "dVg_bus_v": result.bus_voltage,
+                  "Vreg_v": result.regulated_voltage}
+        for j in range(2):
+            series[f"dP{j + 1}_w"] = result.power[:, j]
+            series[f"I{j + 1}_a"] = result.current[:, j]
+            series[f"Vterm{j + 1}_v"] = result.terminal_voltage[:, j]
+            series[f"ref{j + 1}_v"] = result.voltage_reference[:, j]
+        lines = (out / "timeseries.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        assert sorted(header) == sorted(series)
+        table = np.column_stack([series[name] for name in header]).tolist()
+        assert len(lines) == 2 + len(table)
+        for got, row in zip(lines[2:], table):
+            assert got == ",".join(g12(v) for v in row)
 
     def test_reruns_identical_bytes(self, tmp_path):
         cfgp = write(tmp_path, FAST_SCENARIO)

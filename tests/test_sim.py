@@ -11,9 +11,11 @@ import pytest
 from dcgridlab.config import CONVENTIONAL_HIGH_PI, load_config
 from dcgridlab.control import CascadeScheme, ConventionalScheme, PiGains
 from dcgridlab.grid import default_grid
+from dcgridlab.lti import zoh
 from dcgridlab.sim import (LoadProfile, Scenario, SimResult, SimulationDiverged,
-                           SimulationError, itae_current, itae_voltage, run,
-                           settling_time, voltage_settling)
+                           SimulationError, _make_controllers, _plant_matrices,
+                           itae_current, itae_voltage, run, settling_time,
+                           voltage_settling)
 
 
 def zero_gain_cascade():
@@ -283,12 +285,24 @@ class TestSettling:
 
 
 PINNED = Path(__file__).with_name("pinned_series.json")
+SERIES = ("time", "power", "current", "terminal_voltage", "bus_voltage",
+          "regulated_voltage", "voltage_reference")
+
+
+def fast_scenario(case: str) -> Scenario:
+    """The 3 s scenario of test_cli.FAST_SCENARIO under one compare case."""
+    cfg = load_config(None)
+    scheme = cfg.scheme() if case == "cascade" else ConventionalScheme(
+        droop_resistance=cfg.droop_ohm, voltage_pi=CONVENTIONAL_HIGH_PI,
+        current_pi=cfg.current_pi)
+    return dataclasses.replace(
+        cfg.scenario(scheme=scheme), activation_time=0.5, duration=3.0,
+        load=LoadProfile(((0.2, 2000.0), (1.0, 4000.0))))
 
 
 def pinned_columns(result: SimResult) -> dict[str, np.ndarray]:
     cols = {}
-    for name in ("power", "current", "terminal_voltage", "bus_voltage",
-                 "regulated_voltage", "voltage_reference"):
+    for name in SERIES[1:]:
         arr = getattr(result, name)
         if arr.ndim == 1:
             cols[name] = arr
@@ -304,14 +318,7 @@ def test_series_match_pinned_reference(case):
     # the engine before its controllers moved to plain-float state.  Rows and
     # peaks agree to 1e-12 of the column peak, sums to 1e-12 of peak * rows.
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
-    cfg = load_config(None)
-    scheme = cfg.scheme() if case == "cascade" else ConventionalScheme(
-        droop_resistance=cfg.droop_ohm, voltage_pi=CONVENTIONAL_HIGH_PI,
-        current_pi=cfg.current_pi)
-    scenario = dataclasses.replace(
-        cfg.scenario(scheme=scheme), activation_time=0.5, duration=3.0,
-        load=LoadProfile(((0.2, 2000.0), (1.0, 4000.0))))
-    result = run(scenario)
+    result = run(fast_scenario(case))
     want = pinned[case]
     assert len(result.time) == want["n_rows"]
     cols = pinned_columns(result)
@@ -322,3 +329,70 @@ def test_series_match_pinned_reference(case):
         assert abs(np.abs(got).max() - ref["peak"]) <= tol, name
         assert abs(got.sum() - ref["sum"]) <= tol * len(got), name
         assert np.max(np.abs(got[::pinned["stride"]] - ref["rows"])) <= tol, name
+
+
+def stepwise_reference(scenario: Scenario) -> dict[str, np.ndarray]:
+    """The engine loop with the plant stepped as ``ad @ x + bd @ u`` and every
+    series recorded row by row."""
+    grid = scenario.grid
+    v_nom = grid.nominal_bus_voltage
+    l1 = grid.converters[0].cable.inductance
+    l2 = grid.converters[1].cable.inductance
+    a, b, c_vg = _plant_matrices(grid)
+    ad, bd = zoh(a, b, scenario.plant_dt)
+    n_sub = int(round(scenario.control_dt / scenario.plant_dt))
+    n_sec = int(round(scenario.secondary_dt / scenario.control_dt))
+    n_ctl = int(round(scenario.duration / scenario.control_dt))
+    n_rows = n_ctl * n_sub
+    units = _make_controllers(scenario)
+    term, curr, refs = (np.empty((n_rows, 2)) for _ in range(3))
+    bus = np.empty(n_rows)
+    x = np.zeros(4)
+    load_now = 0.0
+    pending = list(scenario.load.steps)
+    telemetry = coordination = ((0.0, 0.0), (0.0, 0.0))
+    row = 0
+    for k in range(n_ctl):
+        t = k * scenario.control_dt
+        while pending and t >= pending[0][0] - 1e-12:
+            _, new_load = pending.pop(0)
+            jump = (new_load - load_now) / v_nom
+            x[2] += l2 / (l1 + l2) * jump
+            x[3] += l1 / (l1 + l2) * jump
+            load_now = new_load
+        if t >= scenario.activation_time - 1e-12:
+            for unit in units:
+                unit.active = True
+        v1, v2, i1, i2 = x.tolist()
+        snapshots = ((v1, i1), (v2, i2))
+        secondary = (k % n_sec == 0)
+        slow = coordination if secondary else (None, None)
+        u = np.array([units[i].step(snapshots[i], telemetry[i], slow[i],
+                                    scenario.control_dt, scenario.secondary_dt)
+                      for i in range(2)])
+        telemetry = snapshots[::-1]
+        if secondary:
+            coordination = telemetry
+        for _ in range(n_sub):
+            x = ad @ x + bd @ u
+            term[row] = x[0:2]
+            curr[row] = x[2:4]
+            bus[row] = c_vg @ x
+            refs[row] = u
+            row += 1
+    return {"time": np.arange(1, n_rows + 1) * scenario.plant_dt,
+            "power": v_nom * curr, "current": curr, "terminal_voltage": term,
+            "bus_voltage": bus, "regulated_voltage": term.mean(axis=1),
+            "voltage_reference": refs}
+
+
+@pytest.mark.parametrize("case", ["cascade", "conventional-high"])
+def test_run_bit_identical_to_stepwise_reference(case):
+    # the input contribution is formed once per control tick, the states go
+    # into one array: the same floats in the same order as stepping the plant
+    # with ``bd @ u`` at every sub-step
+    scenario = dataclasses.replace(fast_scenario(case), duration=1.5)
+    result = run(scenario)
+    want = stepwise_reference(scenario)
+    for name in SERIES:
+        assert np.array_equal(getattr(result, name), want[name]), name
