@@ -8,30 +8,28 @@ transient metrics.
 
 __version__ = "0.1.0"
 
-from .control import (CascadeScheme, ConventionalScheme, PiGains,
-                      compute_weights, pi_step)
+from .control import (CascadeScheme, ConventionalScheme, PiGains, pi_step,
+                      weights_from_ratings)
 from .grid import (CableParams, ConverterParams, GridConfig, default_grid,
                    power_plant_tf, total_bus_voltage, voltage_loop_plant_tf)
-from .lti import (FrequencyPoint, Polynomial, StateSpace, TransferFunction,
-                  analytic_phase, bandwidth_3db, freq_response, gain_crossover,
-                  phase_margin, poles, poly_mul, realize, tf, tf_feedback,
-                  tf_series)
+from .lti import (Polynomial, TransferFunction, analytic_phase, bandwidth_3db,
+                  freq_response, gain_crossover, phase_margin, poles, tf,
+                  tf_feedback, tf_series)
 from .rootlocus import (ImpedanceSweep, LocusResult, max_resistance_bound,
                         sweep_power_loop, sweep_voltage_loop)
-from .sim import (ItaeReport, LoadProfile, Scenario, SimResult, itae_current,
-                  itae_voltage, run, settling_time)
+from .sim import (LoadProfile, Scenario, SimResult, itae_current, itae_voltage,
+                  run, settling_time)
 from .tuning import TunedController, TuningSpec, design_pi, verify_design
 
 __all__ = [
     "__version__", "CableParams", "CascadeScheme", "ConventionalScheme",
-    "ConverterParams", "FrequencyPoint", "GridConfig", "ImpedanceSweep",
-    "ItaeReport", "LoadProfile", "LocusResult", "PiGains", "Polynomial",
-    "Scenario", "SimResult", "StateSpace", "TransferFunction",
-    "TunedController", "TuningSpec", "analytic_phase", "bandwidth_3db",
-    "compute_weights", "default_grid", "design_pi", "freq_response",
+    "ConverterParams", "GridConfig", "ImpedanceSweep", "LoadProfile",
+    "LocusResult", "PiGains", "Polynomial", "Scenario", "SimResult",
+    "TransferFunction", "TunedController", "TuningSpec", "analytic_phase",
+    "bandwidth_3db", "default_grid", "design_pi", "freq_response",
     "gain_crossover", "itae_current", "itae_voltage", "max_resistance_bound",
-    "phase_margin", "pi_step", "poles", "poly_mul", "power_plant_tf",
-    "realize", "run", "settling_time", "sweep_power_loop",
-    "sweep_voltage_loop", "tf", "tf_feedback", "tf_series",
-    "total_bus_voltage", "verify_design", "voltage_loop_plant_tf",
+    "phase_margin", "pi_step", "poles", "power_plant_tf", "run",
+    "settling_time", "sweep_power_loop", "sweep_voltage_loop", "tf",
+    "tf_feedback", "tf_series", "total_bus_voltage", "verify_design",
+    "voltage_loop_plant_tf", "weights_from_ratings",
 ]

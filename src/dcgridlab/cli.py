@@ -26,13 +26,14 @@ from . import __version__
 from .config import (CONVENTIONAL_HIGH_PI, CONVENTIONAL_LOW_PI, ConfigError,
                      RunConfig, load_config, render_config)
 from .control import CascadeScheme, ConventionalScheme, weights_from_ratings
-from .grid import (GridModelError, check_converter_index, power_plant_tf,
+from .grid import (GridModelError, check_converter_index, pi_tf, power_plant_tf,
                    voltage_loop_plant_tf)
-from .lti import NoCrossoverError, freq_response, tf_constant, tf_series
+from .lti import (NoCrossoverError, TransferFunction, freq_response, tf_constant,
+                  tf_series)
 from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
-from .sim import (DEFAULT_ITAE_WINDOW, ItaeReport, SimResult, SimulationError,
-                  itae_current, itae_voltage, run, voltage_settling)
-from .tuning import InfeasibleDesignError, TuningSpec, design_pi, pi_tf, verify_design
+from .sim import (DEFAULT_ITAE_WINDOW, SimResult, SimulationError, itae_current,
+                  itae_voltage, run, voltage_settling)
+from .tuning import InfeasibleDesignError, TuningSpec, design_pi, verify_design
 
 log = logging.getLogger("dcgridlab")
 
@@ -111,6 +112,13 @@ def write_csv(path: Path, manifest: RunManifest, header: Sequence[str],
             fh.write(line * len(chunk[0]) % cells)
 
 
+def _write_bode(path: Path, manifest: RunManifest, g: TransferFunction,
+                note: Optional[str] = None) -> None:
+    omegas = np.logspace(-2, 5, 400)
+    write_csv(path, manifest, ("omega_rad_s", "magnitude_db", "phase_deg"),
+              (omegas, *freq_response(g, omegas)), note=note)
+
+
 def _json_safe(value):
     # keep the files standard JSON: non-finite numbers become null
     if isinstance(value, float) and not math.isfinite(value):
@@ -185,10 +193,7 @@ def cmd_tune(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
             ("voltage", tf_series(pi_tf(chosen.gains),
                                   voltage_loop_plant_tf(cfg.grid, 0, power.gains,
                                                         mode=mode)))):
-        pts = freq_response(loop, np.logspace(-2, 5, 400))
-        write_csv(outdir / f"bode_{name}_loop.csv", manifest,
-                  ("omega_rad_s", "magnitude_db", "phase_deg"),
-                  zip(*((p.omega, p.magnitude_db, p.phase_deg) for p in pts)))
+        _write_bode(outdir / f"bode_{name}_loop.csv", manifest, loop)
     print(f"power loop: kp={power.gains.kp:.6g} ki={power.gains.ki:.6g} "
           f"(crossover {power.achieved_crossover:.4g} rad/s, "
           f"margin {power.achieved_margin:.4g} deg)")
@@ -205,16 +210,12 @@ def _score_events(cfg: RunConfig, result: SimResult) -> list[dict]:
     scored = []
     for t0 in events:
         nxt = min(b for b in boundaries if b > t0)
-        settle_window = nxt - t0
-        report = ItaeReport(itae_v=itae_voltage(result, t0, DEFAULT_ITAE_WINDOW),
-                            itae_i=itae_current(result, t0, DEFAULT_ITAE_WINDOW),
-                            window_start=t0, window_length=DEFAULT_ITAE_WINDOW)
         scored.append({
-            "event_time_s": report.window_start,
-            "itae_v": report.itae_v,
-            "itae_i": report.itae_i,
-            "itae_window_s": report.window_length,
-            "settling_v_s": voltage_settling(result, t0, settle_window),
+            "event_time_s": t0,
+            "itae_v": itae_voltage(result, t0, DEFAULT_ITAE_WINDOW),
+            "itae_i": itae_current(result, t0, DEFAULT_ITAE_WINDOW),
+            "itae_window_s": DEFAULT_ITAE_WINDOW,
+            "settling_v_s": voltage_settling(result, t0, nxt - t0),
         })
     return scored
 
@@ -349,7 +350,6 @@ def cmd_bode(cfg: RunConfig, outdir: Path, plant_name: str, converter: int,
              mode: Optional[str]) -> int:
     manifest = _manifest(cfg, "bode")
     mode = mode or cfg.tuning.outer_plant_mode
-    check_converter_index(cfg.grid, converter)   # every plant, unity included
     annotation = None
     if plant_name == "unity":
         g = tf_constant(1.0)
@@ -362,25 +362,19 @@ def cmd_bode(cfg: RunConfig, outdir: Path, plant_name: str, converter: int,
         annotation = verify_design(power_plant_tf(cfg.grid, converter), cfg.power_pi,
                                    TuningSpec(cfg.tuning.power_crossover,
                                               cfg.tuning.power_margin))
-    elif plant_name == "voltage-loop":
+    else:   # voltage-loop; argparse rejects any other --plant
         plant = voltage_loop_plant_tf(cfg.grid, converter, cfg.power_pi, mode=mode)
         g = tf_series(pi_tf(cfg.voltage_pi), plant)
         annotation = verify_design(plant, cfg.voltage_pi,
                                    TuningSpec(cfg.tuning.voltage_crossover,
                                               cfg.tuning.voltage_margin))
-    else:
-        log.error("unknown plant selector %r", plant_name)
-        return EXIT_VALIDATION
 
     note = None
     if annotation is not None and annotation.ok:
         note = (f"crossover_rad_s={_fmt(annotation.crossover)} "
                 f"margin_deg={_fmt(annotation.margin)}")
-    pts = freq_response(g, np.logspace(-2, 5, 400))
     path = outdir / f"bode_{plant_name}.csv"
-    write_csv(path, manifest, ("omega_rad_s", "magnitude_db", "phase_deg"),
-              zip(*((p.omega, p.magnitude_db, p.phase_deg) for p in pts)),
-              note=note)
+    _write_bode(path, manifest, g, note)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -436,6 +430,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         log.error("config error: %s", exc)
         return EXIT_VALIDATION
     try:
+        if args.subcommand == "bode":
+            # before _prepare_outdir, so a rejected request writes nothing;
+            # checked for every plant, unity included
+            check_converter_index(cfg.grid, args.converter)
         outdir = _prepare_outdir(cfg, args.out)
         if args.subcommand == "tune":
             return cmd_tune(cfg, outdir, args.mode)

@@ -262,6 +262,11 @@ def load_config(path: Optional[str] = None) -> RunConfig:
             raw=raw,
         )
         cfg.scenario()  # validates the timing relations eagerly
+        if cfg.activation_time >= cfg.duration:
+            # every scored event starts at activation, so none would fit
+            raise ConfigError(
+                f"scenario.activation_time {cfg.activation_time!r} s must be "
+                f"less than scenario.duration {cfg.duration!r} s")
     except ConfigError:
         raise
     except Exception as exc:

@@ -75,10 +75,6 @@ def weights_from_ratings(ratings: Sequence[float]) -> tuple[float, ...]:
     return tuple(r / total for r in ratings)
 
 
-def compute_weights(grid: GridConfig) -> tuple[float, ...]:
-    return weights_from_ratings(grid.rated_powers)
-
-
 @dataclass(frozen=True)
 class ConventionalScheme:
     """Droop primary plus parallel secondary voltage/current compensation."""
@@ -129,7 +125,7 @@ class ConventionalController:
 
     def __init__(self, scheme: ConventionalScheme, grid: GridConfig, index: int):
         self.scheme = scheme
-        self.weight = compute_weights(grid)[index]
+        self.weight = weights_from_ratings(grid.rated_powers)[index]
         self.clamp = 0.1 * grid.nominal_bus_voltage
         self.active = False
         self.v_integrator, self.v_prev_error = 0.0, None

@@ -97,6 +97,19 @@ def converter_voltage_tf(conv: ConverterParams) -> TransferFunction:
     return tf([1.0], [1.0, conv.voltage_loop_tau])
 
 
+def cable_admittance_tf(grid: GridConfig, conv: ConverterParams) -> TransferFunction:
+    """Power per volt across a cable at the nominal bus voltage: V/(R + L*s)."""
+    return tf([grid.nominal_bus_voltage],
+              [conv.cable.resistance, conv.cable.inductance])
+
+
+def pi_tf(gains) -> TransferFunction:
+    """PI controller kp + ki/s as a transfer function (pure gain when ki = 0)."""
+    if gains.ki == 0.0:
+        return tf([gains.kp], [1.0])
+    return tf([gains.ki, gains.kp], [0.0, 1.0])
+
+
 def power_plant_tf(grid: GridConfig, i: int) -> TransferFunction:
     """Open-loop power plant of converter i against a stiff bus.
 
@@ -105,10 +118,7 @@ def power_plant_tf(grid: GridConfig, i: int) -> TransferFunction:
     """
     check_converter_index(grid, i)
     conv = grid.converters[i]
-    gv = converter_voltage_tf(conv)
-    cable_adm = tf([grid.nominal_bus_voltage],
-                   [conv.cable.resistance, conv.cable.inductance])
-    return tf_series(gv, cable_adm)
+    return tf_series(converter_voltage_tf(conv), cable_admittance_tf(grid, conv))
 
 
 def bus_voltage_source_weights(grid: GridConfig) -> tuple[TransferFunction, TransferFunction]:
@@ -180,14 +190,9 @@ def voltage_loop_plant_tf(grid: GridConfig, i: int, power_pi,
     zi = conv.cable.impedance()
     zj = other.cable.impedance()
     divider = TransferFunction(zj, zi + zj)
-    c_p = tf([power_pi.ki, power_pi.kp], [0.0, 1.0]) if power_pi.ki != 0 \
-        else tf([power_pi.kp], [1.0])
-    gv = converter_voltage_tf(conv)
+    forward = tf_series(pi_tf(power_pi), converter_voltage_tf(conv))
     if mode == "as-written":
-        return tf_series(tf_series(c_p, gv), divider)
+        return tf_series(forward, divider)
     # closed-inner: wrap the power feedback around C_P*Gv before the divider
-    forward = tf_series(c_p, gv)
-    power_feedback = tf([grid.nominal_bus_voltage],
-                        [conv.cable.resistance, conv.cable.inductance])
-    inner = tf_feedback(forward, power_feedback)
+    inner = tf_feedback(forward, cable_admittance_tf(grid, conv))
     return tf_series(inner, divider)

@@ -1,6 +1,5 @@
 """Rational LTI building blocks: polynomials, transfer functions, frequency
-response, pole extraction, state-space realization, and zero-order-hold
-discretization.
+response, pole extraction, and zero-order-hold discretization.
 
 Everything lives in the continuous (s) domain until ``zoh`` samples it.
 Polynomial coefficients are stored in ascending powers of s.  All types are
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,10 +20,6 @@ from scipy.linalg import expm
 
 class LtiError(Exception):
     """Base error for LTI algebra failures."""
-
-
-class ImproperSystemError(LtiError):
-    """Raised when a state-space realization of an improper system is requested."""
 
 
 class DegenerateLoopError(LtiError):
@@ -81,7 +76,8 @@ class Polynomial:
         return acc
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return poly_mul(self, other)
+        """Polynomial product; coefficients are the convolution of the inputs."""
+        return Polynomial(np.convolve(self.coeffs, other.coeffs))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -107,11 +103,6 @@ class Polynomial:
                     root = root - step
             polished.append(root)
         return np.array(polished, dtype=complex)
-
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Polynomial product; coefficients are the convolution of the inputs."""
-    return Polynomial(np.convolve(a.coeffs, b.coeffs))
 
 
 def _deflate(poly: Polynomial, roots: list[complex]) -> Optional[Polynomial]:
@@ -166,10 +157,6 @@ class TransferFunction:
         if self.den.is_zero:
             raise LtiError("denominator is identically zero")
 
-    @property
-    def is_proper(self) -> bool:
-        return self.num.degree <= self.den.degree or self.num.is_zero
-
     def __call__(self, s: complex) -> complex:
         return self.num(s) / self.den(s)
 
@@ -178,9 +165,6 @@ class TransferFunction:
         if d == 0:
             return math.inf if self.num(0.0) != 0 else math.nan
         return (self.num(0.0) / d).real
-
-    def __mul__(self, other: "TransferFunction") -> "TransferFunction":
-        return tf_series(self, other)
 
 
 def tf(num: Sequence[float], den: Sequence[float]) -> TransferFunction:
@@ -218,16 +202,6 @@ def poles(g: TransferFunction) -> list[complex]:
 # frequency response
 
 
-@dataclass(frozen=True)
-class FrequencyPoint:
-    """One sample of a frequency response (phase unwrapped, in degrees)."""
-
-    omega: float
-    magnitude_db: float
-    phase_deg: float
-    at_pole: bool = field(default=False)
-
-
 def _branch_angle(root: complex, w: float) -> float:
     # Continuous-in-w branch of angle(jw - root).  Left-half-plane and
     # imaginary-axis roots use the principal value (continuous for w > 0
@@ -253,19 +227,18 @@ def analytic_phase(g: TransferFunction, omega: float) -> float:
     return phase
 
 
-def freq_response(g: TransferFunction, omegas: Sequence[float]) -> list[FrequencyPoint]:
+def freq_response(g: TransferFunction,
+                  omegas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Magnitude (dB) and unwrapped phase (deg) at strictly positive frequencies.
 
     Phase is cumulatively unwrapped along the grid and anchored at the lowest
     frequency with the analytic phase of g there, so margins read from the
     result use absolute phase.  Evaluation on top of an imaginary-axis pole
-    yields a flagged point instead of a crash.
+    yields an ``inf`` magnitude (and a held phase) instead of a crash.
     """
     w = np.asarray(list(omegas), dtype=float)
-    if len(w) == 0:
-        return []
-    if np.any(w <= 0) or np.any(np.diff(w) < 0):
-        raise ValueError("frequencies must be strictly positive and ascending")
+    if len(w) == 0 or np.any(w <= 0) or np.any(np.diff(w) < 0):
+        raise ValueError("frequencies must be nonempty, strictly positive and ascending")
     den_scale = max(abs(c) for c in g.den.coeffs)
     resp = np.empty(len(w), dtype=complex)
     flagged = np.zeros(len(w), dtype=bool)
@@ -281,10 +254,7 @@ def freq_response(g: TransferFunction, omegas: Sequence[float]) -> list[Frequenc
     raw[flagged] = 0.0
     unwrapped = np.unwrap(raw)
     unwrapped += analytic_phase(g, w[0]) - unwrapped[0]
-    return [
-        FrequencyPoint(float(wi), float(m), float(math.degrees(p)), bool(f))
-        for wi, m, p, f in zip(w, mag_db, unwrapped, flagged)
-    ]
+    return mag_db, np.degrees(unwrapped)
 
 
 def _log_grid(omega_min: float, omega_max: float, n: int) -> np.ndarray:
@@ -356,54 +326,7 @@ def phase_margin(g: TransferFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# state-space realization
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Controllable-canonical realization (a: n x n, b: n x 1, c: 1 x n, d scalar)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: float
-
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
-
-    def response(self, s: complex) -> complex:
-        n = self.order
-        if n == 0:
-            return complex(self.d)
-        m = s * np.eye(n) - self.a
-        x = np.linalg.solve(m, self.b)
-        return complex((self.c @ x)[0, 0] + self.d)
-
-
-def realize(g: TransferFunction) -> StateSpace:
-    """Controllable-canonical state-space realization of a proper system."""
-    if not g.is_proper:
-        raise ImproperSystemError(
-            f"cannot realize improper system (num degree {g.num.degree} > "
-            f"den degree {g.den.degree})")
-    den = g.den.coeffs
-    n = len(den) - 1
-    lead = den[-1]
-    a_norm = [c / lead for c in den[:-1]]          # monic denominator
-    num_p = list(g.num.coeffs) + [0.0] * (n + 1 - len(g.num.coeffs))
-    num_n = [c / lead for c in num_p]
-    d = num_n[n]
-    c_row = [num_n[i] - d * a_norm[i] for i in range(n)]
-    if n == 0:
-        return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), float(d))
-    a = np.zeros((n, n))
-    a[:-1, 1:] = np.eye(n - 1)
-    a[-1, :] = [-x for x in a_norm]
-    b = np.zeros((n, 1))
-    b[-1, 0] = 1.0
-    c = np.array([c_row])
-    return StateSpace(a, b, c, float(d))
+# discretization
 
 
 def zoh(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -417,16 +340,3 @@ def zoh(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray
     big[:n, n:] = b * dt
     e = expm(big)
     return e[:n, :n], e[:n, n:]
-
-
-def step_response(ss: StateSpace, dt: float, n_steps: int) -> np.ndarray:
-    """Unit-step output samples at t = dt..n_steps*dt via exact discretization."""
-    if ss.order == 0:
-        return np.full(n_steps, ss.d)
-    ad, bd = zoh(ss.a, ss.b, dt)
-    x = np.zeros((ss.order, 1))
-    out = np.empty(n_steps)
-    for k in range(n_steps):
-        x = ad @ x + bd
-        out[k] = (ss.c @ x)[0, 0] + ss.d
-    return out

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import PiGains
-from .grid import CableParams, GridConfig, power_plant_tf, voltage_loop_plant_tf
+from .grid import (CableParams, GridConfig, pi_tf, power_plant_tf,
+                   voltage_loop_plant_tf)
 from .lti import poles, tf_constant, tf_feedback, tf_series
-from .tuning import pi_tf
 
 
 class SweepError(Exception):

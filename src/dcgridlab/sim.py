@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .control import (CascadeController, CascadeScheme, ConventionalController,
-                      ConventionalScheme, compute_weights)
+                      ConventionalScheme, weights_from_ratings)
 from .grid import GridConfig
 from .lti import zoh
 
@@ -98,12 +98,14 @@ class Scenario:
             raise SimulationError("control_dt must be a multiple of plant_dt")
         if not _is_multiple(self.secondary_dt, self.control_dt):
             raise SimulationError("secondary_dt must be a multiple of control_dt")
-        # the engine acts only on control ticks, so an off-grid time would
-        # silently move to the next tick
+        # the engine acts only on control ticks from t = 0, so an off-grid
+        # time would silently move to the next tick and a negative one to 0
         timed = [("activation_time", self.activation_time),
                  ("duration", self.duration)]
         timed += [("load step time", t) for t, _ in self.load.steps]
         for name, t in timed:
+            if t < 0:
+                raise SimulationError(f"{name} {t!r} s is negative")
             if not (math.isfinite(t) and _is_multiple(t, self.control_dt)):
                 raise SimulationError(
                     f"{name} {t!r} s is not a multiple of control_dt "
@@ -237,7 +239,6 @@ def run(scenario: Scenario) -> SimResult:
 
     term = states[:, 0:2]
     curr = states[:, 2:4]
-    weights = compute_weights(grid)
     return SimResult(
         time=time_grid,
         power=v_nom * curr,
@@ -246,7 +247,7 @@ def run(scenario: Scenario) -> SimResult:
         bus_voltage=bus,
         regulated_voltage=term.mean(axis=1),
         voltage_reference=np.repeat(inputs, n_sub, axis=0),
-        weights=weights,
+        weights=weights_from_ratings(grid.rated_powers),
         events=scenario.load.steps,
         activation_time=scenario.activation_time,
     )
@@ -256,18 +257,6 @@ def run(scenario: Scenario) -> SimResult:
 # transient scoring
 
 DEFAULT_ITAE_WINDOW = 2.0
-
-
-@dataclass(frozen=True)
-class ItaeReport:
-    itae_v: float        # V * s^2
-    itae_i: float        # A * s^2
-    window_start: float
-    window_length: float
-
-    def __post_init__(self):
-        if self.itae_v < 0 or self.itae_i < 0:
-            raise SimulationError("ITAE scores are non-negative by construction")
 
 
 def _window_slice(result: SimResult, start: float, length: float) -> np.ndarray:

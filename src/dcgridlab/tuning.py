@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .control import PiGains
+from .grid import pi_tf
 from .lti import (NoCrossoverError, TransferFunction, analytic_phase,
-                  gain_crossover, phase_margin, tf, tf_series)
+                  gain_crossover, phase_margin, tf_series)
 
 
 class InfeasibleDesignError(Exception):
@@ -56,13 +57,6 @@ class DesignReport:
     crossover_delta: Optional[float]
     margin_delta: Optional[float]
     reason: str = ""
-
-
-def pi_tf(gains: PiGains) -> TransferFunction:
-    """PI controller kp + ki/s as a transfer function (pure gain when ki = 0)."""
-    if gains.ki == 0.0:
-        return tf([gains.kp], [1.0])
-    return tf([gains.ki, gains.kp], [0.0, 1.0])
 
 
 def design_pi(plant: TransferFunction, spec: TuningSpec) -> TunedController:

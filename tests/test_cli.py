@@ -82,14 +82,38 @@ class TestValidationErrors:
     @pytest.mark.parametrize("plant", ["power", "voltage", "unity"])
     @pytest.mark.parametrize("converter", ["2", "-1"])
     def test_converter_index_out_of_range(self, tmp_path, caplog, plant, converter):
+        out = tmp_path / "o"
         assert main(["bode", "--plant", plant, "--converter", converter,
-                     "--out", str(tmp_path / "o")]) == 1
+                     "--out", str(out)]) == 1
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and "out of range" in errors[0].getMessage()
+        assert not out.exists()   # a rejected request writes nothing
 
     def test_off_grid_event_time_rejected(self, tmp_path):
         cfgp = write(tmp_path, "[scenario]\nload_steps = 1.0004:2000.0\n")
         assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+
+    def test_negative_event_time_rejected(self, tmp_path, caplog):
+        # a step at -1 s used to act at t = 0 and exit 0
+        cfgp = write(tmp_path, "[scenario]\nload_steps = -1.0:2000.0\n")
+        assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "is negative" in errors[0].getMessage()
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
+    @pytest.mark.parametrize("activation", ["25.0", "30.0"])
+    def test_activation_at_or_after_horizon_rejected(self, tmp_path, caplog,
+                                                     subcommand, activation):
+        # used to die with a ValueError traceback while scoring the events
+        cfgp = write(tmp_path, f"[scenario]\nactivation_time = {activation}\n")
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfgp, "--out", str(out)]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        message = errors[0].getMessage()
+        assert f"activation_time {activation}" in message
+        assert "duration 25.0" in message
+        assert not out.exists()
 
 
 def g12(v) -> str:

@@ -6,15 +6,15 @@ import pytest
 
 from dcgridlab.control import (CascadeController, CascadeScheme, ControlError,
                                ConventionalController, ConventionalScheme,
-                               PiGains, compute_weights, pi_step,
-                               weights_from_ratings)
+                               PiGains, pi_step, weights_from_ratings)
 from dcgridlab.grid import default_grid
 from dcgridlab.sim import LoadProfile, Scenario, run
 
 
 class TestWeights:
     def test_bench_ratings(self):
-        assert compute_weights(default_grid()) == pytest.approx((2 / 3, 1 / 3))
+        assert weights_from_ratings(default_grid().rated_powers) == \
+            pytest.approx((2 / 3, 1 / 3))
 
     def test_equal_ratings(self):
         assert weights_from_ratings([3000.0, 3000.0]) == pytest.approx((0.5, 0.5))

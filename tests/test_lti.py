@@ -1,4 +1,4 @@
-"""Polynomial/transfer-function algebra, frequency response, poles, realization."""
+"""Polynomial/transfer-function algebra, frequency response, poles, ZOH."""
 
 import math
 
@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
-from dcgridlab.lti import (DegenerateLoopError, ImproperSystemError,
-                           NoCrossoverError, Polynomial, analytic_phase,
-                           bandwidth_3db, cancel_common_factors, freq_response,
-                           gain_crossover, phase_margin, poles, poly_mul,
-                           realize, step_response, tf, tf_constant,
-                           tf_feedback, tf_series)
+from dcgridlab.grid import default_grid
+from dcgridlab.lti import (DegenerateLoopError, NoCrossoverError, Polynomial,
+                           analytic_phase, bandwidth_3db, cancel_common_factors,
+                           freq_response, gain_crossover, phase_margin, poles,
+                           tf, tf_constant, tf_feedback, tf_series, zoh)
+from dcgridlab.sim import _plant_matrices
 
 # bench power plant: 400/((1 + 0.005 s)(0.5 + 0.003 s))
 PLANT = tf([400.0], np.convolve([1.0, 0.005], [0.5, 0.003])[::-1][::-1])
@@ -20,7 +21,7 @@ PLANT = tf([400.0], np.convolve([1.0, 0.005], [0.5, 0.003])[::-1][::-1])
 
 def _plant():
     num = Polynomial([400.0])
-    den = poly_mul(Polynomial([1.0, 0.005]), Polynomial([0.5, 0.003]))
+    den = Polynomial([1.0, 0.005]) * Polynomial([0.5, 0.003])
     return tf(num.coeffs, den.coeffs)
 
 
@@ -44,20 +45,20 @@ class TestPolynomial:
 
     def test_mul_identity(self):
         cable = Polynomial([0.5, 0.003])
-        assert poly_mul(Polynomial([1.0]), cable).coeffs == cable.coeffs
+        assert (Polynomial([1.0]) * cable).coeffs == cable.coeffs
 
     def test_mul_difference_of_squares(self):
-        out = poly_mul(Polynomial([1.0, 1.0]), Polynomial([1.0, -1.0]))
+        out = Polynomial([1.0, 1.0]) * Polynomial([1.0, -1.0])
         assert out.coeffs == (1.0, 0.0, -1.0)
 
     def test_mul_cable_squared(self):
         # hand convolution: (0.5 + 0.003 s)^2 = 0.25 + 0.003 s + 9e-6 s^2
-        out = poly_mul(Polynomial([0.5, 0.003]), Polynomial([0.5, 0.003]))
+        out = Polynomial([0.5, 0.003]) * Polynomial([0.5, 0.003])
         assert out.coeffs == pytest.approx((0.25, 0.003, 9e-6))
 
     def test_degree_adds(self):
         a, b = Polynomial([1.0, 2.0, 3.0]), Polynomial([4.0, 5.0])
-        assert poly_mul(a, b).degree == a.degree + b.degree
+        assert (a * b).degree == a.degree + b.degree
 
 
 class TestSeriesAndFeedback:
@@ -134,27 +135,25 @@ class TestSeriesAndFeedback:
 
 class TestFrequencyResponse:
     def test_unity_everywhere(self):
-        pts = freq_response(tf_constant(1.0), [0.1, 1.0, 10.0])
-        for p in pts:
-            assert p.magnitude_db == pytest.approx(0.0, abs=1e-12)
-            assert p.phase_deg == pytest.approx(0.0, abs=1e-9)
+        mag, phase = freq_response(tf_constant(1.0), [0.1, 1.0, 10.0])
+        assert len(mag) == len(phase) == 3
+        assert mag == pytest.approx([0.0] * 3, abs=1e-12)
+        assert phase == pytest.approx([0.0] * 3, abs=1e-9)
 
     def test_integrator_at_one(self):
-        (p,) = freq_response(tf([1.0], [0.0, 1.0]), [1.0])
-        assert p.magnitude_db == pytest.approx(0.0, abs=1e-9)
-        assert p.phase_deg == pytest.approx(-90.0)
+        mag, phase = freq_response(tf([1.0], [0.0, 1.0]), [1.0])
+        assert mag[0] == pytest.approx(0.0, abs=1e-9)
+        assert phase[0] == pytest.approx(-90.0)
 
     def test_unwrap_adjacent_below_180(self):
-        g = _plant()
-        pts = freq_response(g, np.logspace(-2, 5, 200))
-        ph = np.array([p.phase_deg for p in pts])
+        _, ph = freq_response(_plant(), np.logspace(-2, 5, 200))
         assert np.all(np.abs(np.diff(ph)) < 180.0)
 
     def test_imaginary_axis_pole_flagged(self):
         g = tf([1.0], [1.0, 0.0, 1.0])  # poles at +-1j
-        pts = freq_response(g, [0.5, 1.0, 2.0])
-        assert pts[1].at_pole
-        assert not pts[0].at_pole and not pts[2].at_pole
+        mag, phase = freq_response(g, [0.5, 1.0, 2.0])
+        assert mag[1] == math.inf
+        assert np.isfinite(mag[[0, 2]]).all() and np.isfinite(phase).all()
 
     def test_requires_positive_ascending(self):
         with pytest.raises(ValueError):
@@ -237,39 +236,22 @@ class TestPoles:
             assert_roots_paired(got, want)
 
 
-class TestRealization:
-    def test_first_order_lag(self):
-        tau = 0.01
-        ss = realize(tf([1.0], [1.0, tau]))
-        assert ss.order == 1
-        for w in (0.1, 1.0, 100.0):
-            want = 1.0 / (1.0 + tau * 1j * w)
-            assert ss.response(1j * w) == pytest.approx(want, rel=1e-12)
+class TestZoh:
+    def test_first_order_lag_closed_form(self):
+        # dx/dt = (u - x)/tau held over dt: ad = exp(-dt/tau), bd = 1 - ad
+        tau, dt = 0.005, 1e-4
+        ad, bd = zoh(np.array([[-1.0 / tau]]), np.array([[1.0 / tau]]), dt)
+        assert ad.shape == bd.shape == (1, 1)
+        assert ad[0, 0] == pytest.approx(math.exp(-dt / tau), rel=1e-12)
+        assert bd[0, 0] == pytest.approx(-math.expm1(-dt / tau), rel=1e-12)
 
-    def test_constant_gain(self):
-        ss = realize(tf_constant(3.5))
-        assert ss.order == 0
-        assert ss.d == pytest.approx(3.5)
-
-    def test_improper_rejected(self):
-        with pytest.raises(ImproperSystemError):
-            realize(tf([0.0, 0.0, 1.0], [1.0, 1.0]))
-
-    def test_plant_realization_and_step_final_value(self):
-        g = _plant()
-        ss = realize(g)
-        assert ss.order == 2
-        for w in np.logspace(-2, 4, 50):
-            assert ss.response(1j * w) == pytest.approx(g(1j * w), rel=1e-9)
-        # final value of the unit step equals the 800 W/V DC gain
-        y = step_response(ss, dt=1e-4, n_steps=6000)  # 0.6 s >> time constants
-        assert y[-1] == pytest.approx(800.0, rel=1e-6)
-
-    def test_biproper_feedthrough(self):
-        g = tf([1.0, 2.0], [2.0, 1.0])
-        ss = realize(g)
-        assert ss.d == pytest.approx(2.0)
-        assert ss.response(1j * 3.0) == pytest.approx(g(1j * 3.0), rel=1e-12)
+    def test_grid_plant_matches_scipy_cont2discrete(self):
+        a, b, _ = _plant_matrices(default_grid())
+        ad, bd = zoh(a, b, 1e-4)
+        want_ad, want_bd, *_ = signal.cont2discrete(
+            (a, b, np.eye(4), np.zeros((4, 2))), 1e-4, method="zoh")
+        assert ad == pytest.approx(want_ad, rel=1e-12, abs=0.0)
+        assert bd == pytest.approx(want_bd, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +311,3 @@ def test_property_poles_match_companion_oracle(g):
     comp[:, -1] = -monic[1:][::-1]
     want = np.linalg.eigvals(comp)
     assert_roots_paired(got, want)
-
-
-@settings(max_examples=30, deadline=None)
-@given(stable_tfs())
-def test_property_realization_matches_response(g):
-    ss = realize(g)
-    for w in np.logspace(-2, 3, 50):
-        assert ss.response(1j * w) == pytest.approx(g(1j * w), rel=1e-9, abs=1e-12)
-
-
-@settings(max_examples=15, deadline=None)
-@given(stable_tfs())
-def test_property_step_dc_gain(g):
-    ss = realize(g)
-    # ten times the combined time constants; covers clustered poles whose
-    # transients decay like t * exp(-t/tau)
-    horizon = 10.0 * sum(1.0 / abs(p.real) for p in poles(g))
-    y = step_response(ss, dt=horizon / 2000.0, n_steps=2000)
-    assert y[-1] == pytest.approx(g.dc_gain(), rel=1e-3, abs=1e-9)

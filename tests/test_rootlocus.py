@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from dcgridlab.config import POWER_PI, VOLTAGE_PI
-from dcgridlab.grid import default_grid, power_plant_tf
-from dcgridlab.lti import poles, realize, step_response, tf_constant, tf_feedback, tf_series
+from dcgridlab.grid import default_grid, pi_tf, power_plant_tf
+from dcgridlab.lti import poles, tf_constant, tf_feedback, tf_series
 from dcgridlab.rootlocus import (ImpedanceSweep, SweepError,
                                  max_resistance_bound, sweep_power_loop,
                                  sweep_voltage_loop)
-from dcgridlab.tuning import pi_tf
 
 RATIO = 0.5 / 0.003
 
@@ -105,6 +105,13 @@ class TestVoltageLoopSweep:
                                np.sort_complex(np.conj(ps)), rtol=1e-9, atol=1e-9)
 
 
+def step_samples(g, dt, n_steps):
+    """Unit-step output at t = dt..n_steps*dt, from scipy as an independent oracle."""
+    _, y = signal.step((g.num.coeffs[::-1], g.den.coeffs[::-1]),
+                       T=np.arange(1, n_steps + 1) * dt)
+    return y
+
+
 class TestStabilityTimeDomainConsistency:
     def test_classification_matches_step_decay(self, grid, power_locus):
         # three sampled sweep points: a classified-stable loop's closed-loop
@@ -115,7 +122,7 @@ class TestStabilityTimeDomainConsistency:
             g = _grid_with_first_cable(grid, step.resistance, step.inductance)
             loop = tf_series(pi_tf(POWER_PI), power_plant_tf(g, 0))
             closed = tf_feedback(loop, tf_constant(1.0))
-            y = step_response(realize(closed), dt=1e-4, n_steps=40000)
+            y = step_samples(closed, dt=1e-4, n_steps=40000)
             tail = np.abs(y[-100:] - closed.dc_gain())
             head = np.abs(y[:100] - closed.dc_gain())
             assert step.stable
@@ -129,7 +136,7 @@ class TestStabilityTimeDomainConsistency:
         loop = tf_series(pi_tf(bad), power_plant_tf(grid, 0))
         closed = tf_feedback(loop, tf_constant(1.0))
         assert any(p.real > 0 for p in poles(closed))
-        y = step_response(realize(closed), dt=1e-4, n_steps=20000)
+        y = step_samples(closed, dt=1e-4, n_steps=20000)
         assert np.abs(y[-1]) > 10 * np.abs(y[100])
 
 

@@ -86,6 +86,16 @@ class TestValidation:
         with pytest.raises(SimulationError, match="activation_time 2.0005"):
             dataclasses.replace(scenario, activation_time=2.0005)
 
+    # the engine starts at t = 0, so a negative time would act at t = 0
+    def test_negative_load_step_rejected(self):
+        with pytest.raises(SimulationError, match="load step time -1.0 s is negative"):
+            open_loop_scenario(((-1.0, 2000.0),))
+
+    def test_negative_activation_rejected(self):
+        scenario = open_loop_scenario(((1.0, 2000.0),))
+        with pytest.raises(SimulationError, match="activation_time -2.0 s is negative"):
+            dataclasses.replace(scenario, activation_time=-2.0)
+
     def test_off_grid_duration_rejected(self):
         # 2.99951 s used to run 30000 rows, to 3.0 s
         scenario = open_loop_scenario(((1.0, 2000.0),), duration=3.0)

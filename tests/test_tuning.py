@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcgridlab.control import PiGains
-from dcgridlab.grid import default_grid, power_plant_tf, voltage_loop_plant_tf
+from dcgridlab.grid import default_grid, pi_tf, power_plant_tf, voltage_loop_plant_tf
 from dcgridlab.lti import tf, tf_series
 from dcgridlab.tuning import (InfeasibleDesignError, TuningSpec, design_pi,
-                              pi_tf, verify_design)
+                              verify_design)
 
 
 @pytest.fixture(scope="module")
