@@ -26,8 +26,8 @@ from . import __version__
 from .config import (CONVENTIONAL_HIGH_PI, CONVENTIONAL_LOW_PI, ConfigError,
                      RunConfig, load_config, render_config)
 from .control import CascadeScheme, ConventionalScheme, weights_from_ratings
-from .grid import (GridModelError, check_converter_index, pi_tf, power_plant_tf,
-                   voltage_loop_plant_tf)
+from .grid import (OUTER_PLANT_MODES, GridModelError, check_converter_index,
+                   pi_tf, power_plant_tf, voltage_loop_plant_tf)
 from .lti import (NoCrossoverError, TransferFunction, freq_response, tf_constant,
                   tf_series)
 from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
@@ -48,27 +48,25 @@ COMPARE_CASES = ("conventional-low", "conventional-high", "proposed")
 class RunManifest:
     """Provenance stamp carried by every output file."""
 
-    tool: str
     version: str
     subcommand: str
     config_sha256: str
-    deterministic: bool = True
 
     def as_dict(self) -> dict:
-        return {"tool": self.tool, "version": self.version,
+        return {"tool": "dcgrid-lab", "version": self.version,
                 "subcommand": self.subcommand,
                 "config_sha256": self.config_sha256,
-                "deterministic": self.deterministic}
+                "deterministic": True}
 
     def comment_line(self) -> str:
-        return (f"# {self.tool} {self.version} {self.subcommand} "
+        return (f"# dcgrid-lab {self.version} {self.subcommand} "
                 f"config={self.config_sha256[:12]}")
 
 
 def _manifest(cfg: RunConfig, subcommand: str) -> RunManifest:
     digest = hashlib.sha256(render_config(cfg).encode("utf-8")).hexdigest()
-    return RunManifest(tool="dcgrid-lab", version=__version__,
-                       subcommand=subcommand, config_sha256=digest)
+    return RunManifest(version=__version__, subcommand=subcommand,
+                       config_sha256=digest)
 
 
 def _fmt(x) -> str:
@@ -169,7 +167,7 @@ def cmd_tune(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
         "achieved_margin_deg": power.achieved_margin,
     }}
     chosen = None
-    for m in ("as-written", "closed-inner"):
+    for m in OUTER_PLANT_MODES:
         plant = voltage_loop_plant_tf(cfg.grid, 0, power.gains, mode=m)
         try:
             tuned = design_pi(plant, voltage_spec)
@@ -204,8 +202,7 @@ def cmd_tune(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
 
 
 def _score_events(cfg: RunConfig, result: SimResult) -> list[dict]:
-    events = [cfg.activation_time]
-    events += [t for t, _ in cfg.load_steps if t > cfg.activation_time]
+    events = cfg.scored_events()
     boundaries = sorted(events) + [cfg.duration]
     scored = []
     for t0 in events:
@@ -397,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="design power and bus-voltage PI gains")
     common(p)
-    p.add_argument("--mode", choices=("as-written", "closed-inner"), default=None,
+    p.add_argument("--mode", choices=OUTER_PLANT_MODES, default=None,
                    help="outer-loop plant composition")
 
     p = sub.add_parser("simulate", help="run one scenario and score its transients")
@@ -408,14 +405,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rootlocus", help="cable-impedance pole sweep of both loops")
     common(p)
-    p.add_argument("--mode", choices=("as-written", "closed-inner"), default=None)
+    p.add_argument("--mode", choices=OUTER_PLANT_MODES, default=None)
 
     p = sub.add_parser("bode", help="export a frequency response as CSV")
     common(p)
     p.add_argument("--plant", default="power",
                    choices=("power", "voltage", "power-loop", "voltage-loop", "unity"))
     p.add_argument("--converter", type=int, default=0)
-    p.add_argument("--mode", choices=("as-written", "closed-inner"), default=None)
+    p.add_argument("--mode", choices=OUTER_PLANT_MODES, default=None)
     return parser
 
 

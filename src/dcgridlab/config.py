@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .control import CascadeScheme, ConventionalScheme, PiGains, weights_from_ratings
-from .grid import CableParams, ConverterParams, GridConfig
+from .grid import (OUTER_PLANT_MODES, CableParams, ConverterParams, GridConfig,
+                   default_grid)
 from .rootlocus import ImpedanceSweep
-from .sim import LoadProfile, Scenario
+from .sim import DEFAULT_ITAE_WINDOW, LoadProfile, Scenario
 
 
 class ConfigError(Exception):
@@ -30,14 +31,20 @@ CONVENTIONAL_LOW_PI = PiGains(kp=0.2, ki=1.0)
 CONVENTIONAL_HIGH_PI = PiGains(kp=1.0, ki=20.0)
 CONVENTIONAL_CURRENT_PI = PiGains(kp=1.0, ki=6.0)
 DEFAULT_DROOP = 0.5
+_GRID = default_grid()
+
+
+def _per_converter(value) -> str:
+    return ", ".join(str(value(c)) for c in _GRID.converters)
+
 
 _DEFAULTS: dict[str, dict[str, str]] = {
     "grid": {
-        "nominal_bus_voltage": "400.0",
-        "rated_powers": "4000.0, 2000.0",
-        "cable_resistances": "0.5, 0.5",
-        "cable_inductances": "0.003, 0.003",
-        "voltage_loop_taus": "0.005, 0.005",
+        "nominal_bus_voltage": str(_GRID.nominal_bus_voltage),
+        "rated_powers": _per_converter(lambda c: c.rated_power),
+        "cable_resistances": _per_converter(lambda c: c.cable.resistance),
+        "cable_inductances": _per_converter(lambda c: c.cable.inductance),
+        "voltage_loop_taus": _per_converter(lambda c: c.voltage_loop_tau),
     },
     "scheme": {
         "kind": "cascade",                  # cascade | conventional
@@ -54,7 +61,7 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "power_margin": "70.0",
         "voltage_crossover": "10.0",
         "voltage_margin": "70.0",
-        "outer_plant_mode": "as-written",   # as-written | closed-inner
+        "outer_plant_mode": "as-written",   # one of grid.OUTER_PLANT_MODES
     },
     "scenario": {
         "activation_time": "5.0",
@@ -62,7 +69,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "plant_dt": "0.0001",
         "control_dt": "0.001",
         "secondary_dt": "0.02",
-        "demand": "0.0",
         "load_steps": "1.0:2000.0, 20.0:6000.0",
     },
     "sweep": {
@@ -133,7 +139,6 @@ class RunConfig:
     plant_dt: float
     control_dt: float
     secondary_dt: float
-    demand: float
     load_steps: tuple[tuple[float, float], ...]
     sweep: ImpedanceSweep
     raw: dict[str, dict[str, str]] = field(repr=False, default_factory=dict)
@@ -157,8 +162,12 @@ class RunConfig:
             plant_dt=self.plant_dt,
             control_dt=self.control_dt,
             secondary_dt=self.secondary_dt,
-            demand=self.demand,
         )
+
+    def scored_events(self) -> list[float]:
+        """Activation and every later load step: the events a run is scored on."""
+        return [self.activation_time] + [t for t, _ in self.load_steps
+                                         if t > self.activation_time]
 
 
 def _merged(path: Optional[str]) -> dict[str, dict[str, str]]:
@@ -214,9 +223,9 @@ def load_config(path: Optional[str] = None) -> RunConfig:
 
     t = raw["tuning"]
     mode = t["outer_plant_mode"].strip()
-    if mode not in ("as-written", "closed-inner"):
-        raise ConfigError(f"tuning.outer_plant_mode: expected as-written or "
-                          f"closed-inner, got {mode!r}")
+    if mode not in OUTER_PLANT_MODES:
+        raise ConfigError(f"tuning.outer_plant_mode: expected "
+                          f"{' or '.join(OUTER_PLANT_MODES)}, got {mode!r}")
     tuning = TuningSection(
         power_crossover=_float(t["power_crossover"], "tuning.power_crossover"),
         power_margin=_float(t["power_margin"], "tuning.power_margin"),
@@ -256,17 +265,19 @@ def load_config(path: Optional[str] = None) -> RunConfig:
             plant_dt=_float(sc["plant_dt"], "scenario.plant_dt"),
             control_dt=_float(sc["control_dt"], "scenario.control_dt"),
             secondary_dt=_float(sc["secondary_dt"], "scenario.secondary_dt"),
-            demand=_float(sc["demand"], "scenario.demand"),
             load_steps=_load_steps(sc["load_steps"], "scenario.load_steps"),
             sweep=sweep,
             raw=raw,
         )
-        cfg.scenario()  # validates the timing relations eagerly
-        if cfg.activation_time >= cfg.duration:
-            # every scored event starts at activation, so none would fit
-            raise ConfigError(
-                f"scenario.activation_time {cfg.activation_time!r} s must be "
-                f"less than scenario.duration {cfg.duration!r} s")
+        end = cfg.scenario().end_time  # validates the timing relations eagerly
+        # the scoring's own bound (sim._window_slice), checked before any output
+        for i, t0 in enumerate(cfg.scored_events()):
+            if t0 + DEFAULT_ITAE_WINDOW > end + 1e-12:
+                event = "scenario.activation_time" if i == 0 else "load step at"
+                raise ConfigError(
+                    f"{event} {t0!r} s: its ITAE window [{t0:g}, "
+                    f"{t0 + DEFAULT_ITAE_WINDOW:g}] s ends after "
+                    f"scenario.duration {cfg.duration!r} s")
     except ConfigError:
         raise
     except Exception as exc:

@@ -166,11 +166,9 @@ class CascadeController:
     power.  Powers are cable currents times the nominal bus voltage.
     """
 
-    def __init__(self, scheme: CascadeScheme, grid: GridConfig, index: int,
-                 demand: float = 0.0):
+    def __init__(self, scheme: CascadeScheme, grid: GridConfig, index: int):
         self.scheme = scheme
         self.weight = scheme.weights[index]
-        self.demand = demand
         self.v_nom = grid.nominal_bus_voltage
         conv = grid.converters[index]
         self.power_clamp = 2.0 * conv.rated_power
@@ -199,7 +197,7 @@ class CascadeController:
                 -self.power_clamp, self.power_clamp)
             self.outer_prev_error = v_err
         ref = self.weight * (own_power + self.v_nom * neighbor_fast[1]
-                             + self.voltage_correction + self.demand)
+                             + self.voltage_correction)
         ref = min(max(ref, -self.power_clamp), self.power_clamp)
         p_err = ref - own_power
         out, self.inner_integrator = pi_step(

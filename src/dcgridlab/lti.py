@@ -26,20 +26,21 @@ class DegenerateLoopError(LtiError):
     """Raised when a feedback interconnection has an identically zero denominator."""
 
 
+# Search grid for crossover hunting: brackets every time constant the bench
+# produces (converter loops ~5 ms, cables ~6 ms, secondary loops ~0.1 s).
+CROSSOVER_OMEGA_MIN = 1e-2
+CROSSOVER_OMEGA_MAX = 1e5
+_CROSSOVER_GRID = np.logspace(math.log10(CROSSOVER_OMEGA_MIN),
+                              math.log10(CROSSOVER_OMEGA_MAX), 400)
+
+
 class NoCrossoverError(LtiError):
     """Raised when no unity-gain crossing exists on the searched frequency range."""
 
-    def __init__(self, message: str, omega_min: float, omega_max: float):
-        super().__init__(message)
-        self.omega_min = omega_min
-        self.omega_max = omega_max
+    omega_min, omega_max = CROSSOVER_OMEGA_MIN, CROSSOVER_OMEGA_MAX
 
-
-# Default search grid for crossover hunting: brackets every time constant the
-# bench produces (converter loops ~5 ms, cables ~6 ms, secondary loops ~0.1 s).
-CROSSOVER_OMEGA_MIN = 1e-2
-CROSSOVER_OMEGA_MAX = 1e5
-CROSSOVER_GRID_POINTS = 400
+    def __init__(self, message: str):
+        super().__init__(f"{message} on [{self.omega_min:g}, {self.omega_max:g}] rad/s")
 
 
 def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -114,9 +115,9 @@ def _deflate(poly: Polynomial, roots: list[complex]) -> Optional[Polynomial]:
     return Polynomial(np.atleast_1d(quotient)[::-1])
 
 
-def cancel_common_factors(num: Polynomial, den: Polynomial,
-                          rtol: float = 1e-9) -> tuple[Polynomial, Polynomial]:
-    """Cancel numerator/denominator roots that agree within ``rtol`` relative.
+def cancel_common_factors(num: Polynomial,
+                          den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Cancel numerator/denominator roots that agree within 1e-9 relative.
 
     Cancellation is deliberately strict: near-but-not-equal pole/zero pairs are
     kept so near-unstable hidden modes stay visible.  The surviving factors are
@@ -131,7 +132,7 @@ def cancel_common_factors(num: Polynomial, den: Polynomial,
     for z in num.roots():
         hit = None
         for i, p in enumerate(zd):
-            if abs(z - p) <= rtol * max(1.0, abs(z), abs(p)):
+            if abs(z - p) <= 1e-9 * max(1.0, abs(z), abs(p)):
                 hit = i
                 break
         if hit is not None:
@@ -257,10 +258,6 @@ def freq_response(g: TransferFunction,
     return mag_db, np.degrees(unwrapped)
 
 
-def _log_grid(omega_min: float, omega_max: float, n: int) -> np.ndarray:
-    return np.logspace(math.log10(omega_min), math.log10(omega_max), n)
-
-
 def _bisect_db(g: TransferFunction, level_db: float, wa: float, wb: float) -> float:
     """Bisection on log-frequency for 20*log10|g(jw)| == level_db."""
     fa = 20.0 * math.log10(abs(g(1j * wa))) - level_db
@@ -278,16 +275,14 @@ def _bisect_db(g: TransferFunction, level_db: float, wa: float, wb: float) -> fl
     return math.exp(0.5 * (la + lb))
 
 
-def gain_crossover(g: TransferFunction,
-                   omega_min: float = CROSSOVER_OMEGA_MIN,
-                   omega_max: float = CROSSOVER_OMEGA_MAX) -> float:
+def gain_crossover(g: TransferFunction) -> float:
     """Lowest frequency where |g(jw)| crosses unity (0 dB).
 
     A log grid brackets the crossing, bisection refines it to better than
     1e-6 dB.  Raises :class:`NoCrossoverError` when the magnitude never
     crosses 0 dB on the range.
     """
-    grid = _log_grid(omega_min, omega_max, CROSSOVER_GRID_POINTS)
+    grid = _CROSSOVER_GRID
     db = np.array([20.0 * math.log10(max(abs(g(1j * w)), 1e-300)) for w in grid])
     sign = np.sign(db)
     for i in range(len(grid) - 1):
@@ -295,28 +290,22 @@ def gain_crossover(g: TransferFunction,
             return float(grid[i])
         if sign[i] != sign[i + 1]:
             return float(_bisect_db(g, 0.0, grid[i], grid[i + 1]))
-    raise NoCrossoverError(
-        f"no 0 dB crossing of |g(jw)| on [{omega_min:g}, {omega_max:g}] rad/s",
-        omega_min, omega_max)
+    raise NoCrossoverError("no 0 dB crossing of |g(jw)|")
 
 
-def bandwidth_3db(g: TransferFunction,
-                  omega_min: float = CROSSOVER_OMEGA_MIN,
-                  omega_max: float = CROSSOVER_OMEGA_MAX) -> float:
+def bandwidth_3db(g: TransferFunction) -> float:
     """Lowest frequency where the gain has fallen 3 dB below the DC gain."""
     dc = g.dc_gain()
     if not math.isfinite(dc) or dc == 0.0:
         raise LtiError("3 dB bandwidth needs a finite nonzero DC gain")
     level = 20.0 * math.log10(abs(dc)) - 3.0
-    grid = _log_grid(omega_min, omega_max, CROSSOVER_GRID_POINTS)
+    grid = _CROSSOVER_GRID
     db = np.array([20.0 * math.log10(max(abs(g(1j * w)), 1e-300)) for w in grid])
     above = db - level
     for i in range(len(grid) - 1):
         if above[i] >= 0 > above[i + 1]:
             return float(_bisect_db(g, level, grid[i], grid[i + 1]))
-    raise NoCrossoverError(
-        f"gain never falls 3 dB below DC on [{omega_min:g}, {omega_max:g}] rad/s",
-        omega_min, omega_max)
+    raise NoCrossoverError("gain never falls 3 dB below DC")
 
 
 def phase_margin(g: TransferFunction) -> float:

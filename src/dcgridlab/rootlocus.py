@@ -3,15 +3,17 @@
 The first converter's cable resistance sweeps over a range with a fixed R/L
 ratio (so the inductance scales along); controller gains stay at their
 nominal design.  For each step the loop is rebuilt, its closed-loop poles are
-extracted, and stability is classified.  Pole trajectories across steps are
-matched greedily by nearest neighbor so they can be plotted as continuous
-branches.
+extracted, and stability is classified.  Pole trajectories are matched step
+to step by the assignment of least total distance so they can be plotted as
+continuous branches.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +34,7 @@ class ImpedanceSweep:
     r_min: float             # ohm
     r_max: float             # ohm
     ratio_r_over_l: float    # ohm per henry
-    steps: int = 50
+    steps: int
 
     def __post_init__(self):
         if not 0 < self.r_min < self.r_max:
@@ -67,42 +69,41 @@ class LocusResult:
         return max(self.steps[-1].poles, key=lambda p: p.real)
 
     def trajectories(self) -> np.ndarray:
-        """Pole paths as an (n_steps, n_poles) array, matched step to step."""
-        paths, _ = self._pair()
-        return paths
+        """Pole paths as a read-only (n_steps, n_poles) array, matched step to step."""
+        return self._pairing[0]
 
     def pairing_ambiguities(self) -> list[tuple[int, int]]:
-        """(step, branch) points where nearest-neighbor pairing was unclear.
+        """(step, branch) points where the pairing was unclear.
 
-        Flags steps where a branch's second-best candidate was nearly as
-        close as the chosen one, which happens when trajectories cross.
+        Flags a branch when another candidate lies within twice the distance
+        to the one assigned to it, which happens when trajectories cross.
         """
-        _, flags = self._pair()
-        return flags
+        return list(self._pairing[1])
 
-    def _pair(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    @cached_property
+    def _pairing(self) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
         n = len(self.steps[0].poles)
         if any(len(s.poles) != n for s in self.steps):
             raise SweepError("pole count changes along the sweep; cannot pair")
+        # Every assignment is scored: n! is 120 for the largest loop here (5
+        # poles).  scipy.optimize.linear_sum_assignment gives the same optimum
+        # but importing scipy.optimize adds ~20 MB to the process.
+        assignments = np.array(list(itertools.permutations(range(n))), dtype=int)
+        branch = np.arange(n)
         paths = np.empty((len(self.steps), n), dtype=complex)
         paths[0] = self.steps[0].poles
-        flags: list[tuple[int, int]] = []
+        flags = []
         for k, step in enumerate(self.steps[1:], start=1):
-            remaining = list(step.poles)
-            row = np.empty(n, dtype=complex)
-            for j in range(n):
-                prev = paths[k - 1, j]
-                dists = sorted(range(len(remaining)),
-                               key=lambda i: abs(remaining[i] - prev))
-                best = dists[0]
-                if len(dists) > 1:
-                    d0 = abs(remaining[best] - prev)
-                    d1 = abs(remaining[dists[1]] - prev)
-                    if d1 < 2.0 * d0:
-                        flags.append((k, j))
-                row[j] = remaining.pop(best)
-            paths[k] = row
-        return paths, flags
+            candidates = np.array(step.poles, dtype=complex)
+            dist = np.abs(paths[k - 1][:, None] - candidates[None, :])
+            chosen = assignments[np.argmin(dist[branch, assignments].sum(axis=1))]
+            paths[k] = candidates[chosen]
+            assigned = dist[branch, chosen]
+            dist[branch, chosen] = np.inf
+            unclear = np.nonzero(dist.min(axis=1) < 2.0 * assigned)[0]
+            flags += [(k, int(j)) for j in unclear]
+        paths.flags.writeable = False
+        return paths, tuple(flags)
 
 
 def _grid_with_first_cable(grid: GridConfig, r: float, l: float) -> GridConfig:

@@ -65,10 +65,6 @@ class LoadProfile:
         if any(p < 0 for _, p in self.steps):
             raise SimulationError("load powers must be >= 0")
 
-    @property
-    def last_event_time(self) -> float:
-        return self.steps[-1][0] if self.steps else 0.0
-
 
 Scheme = Union[ConventionalScheme, CascadeScheme]
 
@@ -80,10 +76,9 @@ class Scenario:
     load: LoadProfile
     activation_time: float
     duration: float
-    plant_dt: float = 1e-4
-    control_dt: float = 1e-3
-    secondary_dt: float = 0.02
-    demand: float = 0.0
+    plant_dt: float
+    control_dt: float
+    secondary_dt: float
 
     def __post_init__(self):
         if self.plant_dt <= 0 or self.control_dt <= 0 or self.secondary_dt <= 0:
@@ -92,7 +87,7 @@ class Scenario:
             raise SimulationError("plant_dt must not exceed control_dt")
         if self.control_dt > self.secondary_dt:
             raise SimulationError("control_dt must not exceed secondary_dt")
-        if self.duration <= self.load.last_event_time:
+        if self.duration <= max((t for t, _ in self.load.steps), default=0.0):
             raise SimulationError("duration must exceed the last load event")
         if not _is_multiple(self.control_dt, self.plant_dt):
             raise SimulationError("control_dt must be a multiple of plant_dt")
@@ -110,6 +105,12 @@ class Scenario:
                 raise SimulationError(
                     f"{name} {t!r} s is not a multiple of control_dt "
                     f"{self.control_dt!r} s")
+
+    @property
+    def end_time(self) -> float:
+        """Time of the last sample :func:`run` produces."""
+        return (round(self.duration / self.control_dt)
+                * round(self.control_dt / self.plant_dt) * self.plant_dt)
 
 
 def _is_multiple(value: float, step: float) -> bool:
@@ -129,12 +130,6 @@ class SimResult:
     regulated_voltage: np.ndarray    # (n,)    mean terminal deviation, V
     voltage_reference: np.ndarray    # (n, 2)  commanded reference deviations, V
     weights: tuple[float, ...]
-    events: tuple[tuple[float, float], ...]
-    activation_time: float
-
-    def window(self, start: float, length: float) -> np.ndarray:
-        """Boolean mask selecting start < t <= start+length."""
-        return (self.time > start + 1e-12) & (self.time <= start + length + 1e-12)
 
 
 def _plant_matrices(grid: GridConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,8 +157,8 @@ def _plant_matrices(grid: GridConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _make_controllers(scenario: Scenario):
     if isinstance(scenario.scheme, CascadeScheme):
-        return [CascadeController(scenario.scheme, scenario.grid, i,
-                                  demand=scenario.demand) for i in range(2)]
+        return [CascadeController(scenario.scheme, scenario.grid, i)
+                for i in range(2)]
     return [ConventionalController(scenario.scheme, scenario.grid, i)
             for i in range(2)]
 
@@ -248,8 +243,6 @@ def run(scenario: Scenario) -> SimResult:
         regulated_voltage=term.mean(axis=1),
         voltage_reference=np.repeat(inputs, n_sub, axis=0),
         weights=weights_from_ratings(grid.rated_powers),
-        events=scenario.load.steps,
-        activation_time=scenario.activation_time,
     )
 
 
@@ -263,7 +256,8 @@ def _window_slice(result: SimResult, start: float, length: float) -> np.ndarray:
     if start + length > result.time[-1] + 1e-12:
         raise SimulationError(
             f"window [{start:g}, {start + length:g}] exceeds the simulated span")
-    mask = result.window(start, length)
+    t = result.time
+    mask = (t > start + 1e-12) & (t <= start + length + 1e-12)
     if np.count_nonzero(mask) < 2:
         raise SimulationError(
             f"window [{start:g}, {start + length:g}] holds fewer than 2 samples")
@@ -324,14 +318,14 @@ def settling_time(times: np.ndarray, series: np.ndarray, target: float,
 
 
 def voltage_settling(result: SimResult, window_start: float,
-                     window_length: float, band_percent: float = 2.0,
-                     band_floor: float = 0.05) -> float:
+                     window_length: float) -> float:
     """Settling of the regulated (mean terminal) voltage after an event.
 
-    The default absolute floor of 0.05 V matches the steady-state voltage band
-    the comparison uses, so signals that never leave it count as settled at 0.
+    The band is 2 % of the peak deviation with an absolute floor of 0.05 V,
+    the steady-state voltage band the comparison uses, so signals that never
+    leave it count as settled at 0.
     """
     m = _window_slice(result, window_start, window_length)
     times = result.time[m] - window_start
     series = result.regulated_voltage[m]
-    return settling_time(times, series, 0.0, band_percent, band_floor)
+    return settling_time(times, series, 0.0, band_floor=0.05)

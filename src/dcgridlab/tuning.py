@@ -20,7 +20,7 @@ from .lti import (NoCrossoverError, TransferFunction, analytic_phase,
 
 
 class InfeasibleDesignError(Exception):
-    """The requested margin is outside what a PI can deliver on this plant."""
+    """The requested spec is outside what a PI can deliver on this plant."""
 
     def __init__(self, message: str, achievable_min: float, achievable_max: float):
         super().__init__(message)
@@ -63,7 +63,9 @@ def design_pi(plant: TransferFunction, spec: TuningSpec) -> TunedController:
     """Solve C(jwc)*G(jwc) = 1 at angle (margin - 180 deg) for C = kp + ki/s.
 
     The required controller phase theta must lie in (-90, 0] degrees; then
-    |C| = 1/|G(jwc)|, kp = |C| cos(theta), ki = -wc |C| sin(theta).
+    |C| = 1/|G(jwc)|, kp = |C| cos(theta), ki = -wc |C| sin(theta).  The
+    design is rejected when the loop's lowest 0 dB crossing is not wc (|C*G|
+    may touch 1 at wc from below and cross it lower down).
     """
     wc = spec.crossover_omega
     g = plant(1j * wc)
@@ -72,8 +74,8 @@ def design_pi(plant: TransferFunction, spec: TuningSpec) -> TunedController:
             f"plant response at {wc:g} rad/s is zero or singular", 0.0, 0.0)
     g_phase = math.degrees(analytic_phase(plant, wc))
     theta = (-180.0 + spec.phase_margin) - g_phase
+    lo, hi = 90.0 + g_phase, 180.0 + g_phase
     if not -90.0 < theta <= 0.0:
-        lo, hi = 90.0 + g_phase, 180.0 + g_phase
         raise InfeasibleDesignError(
             f"requested margin {spec.phase_margin:g} deg needs controller phase "
             f"{theta:.2f} deg, outside the PI range (-90, 0]; achievable margins "
@@ -82,6 +84,12 @@ def design_pi(plant: TransferFunction, spec: TuningSpec) -> TunedController:
     th = math.radians(theta)
     gains = PiGains(kp=mag * math.cos(th), ki=-wc * mag * math.sin(th))
     report = verify_design(plant, gains, spec)
+    if not report.ok:
+        raise InfeasibleDesignError(f"designed loop: {report.reason}", lo, hi)
+    if abs(report.crossover_delta) > 1e-6 * wc:
+        raise InfeasibleDesignError(
+            f"designed loop first crosses 0 dB at {report.crossover:.6g} rad/s, "
+            f"not at the requested {wc:g} rad/s", lo, hi)
     return TunedController(gains=gains,
                            achieved_crossover=report.crossover,
                            achieved_margin=report.margin)

@@ -115,13 +115,28 @@ class TestValidationErrors:
         assert "duration 25.0" in message
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
+    def test_itae_window_past_horizon_rejected(self, tmp_path, caplog,
+                                               subcommand):
+        # used to write timeseries.csv, then exit 2 while scoring the event
+        cfgp = write(tmp_path, "[scenario]\nactivation_time = 2.0\n"
+                               "duration = 3.0\nload_steps = 0.2:2000.0\n")
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfgp, "--out", str(out)]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        message = errors[0].getMessage()
+        assert "activation_time 2.0" in message
+        assert "[2, 4]" in message and "duration 3.0" in message
+        assert not out.exists()
+
 
 def g12(v) -> str:
     return format(v, ".12g") if isinstance(v, float) else str(v)
 
 
 class TestWriteCsv:
-    MANIFEST = RunManifest(tool="dcgrid-lab", version="0", subcommand="test",
+    MANIFEST = RunManifest(version="0", subcommand="test",
                            config_sha256="0" * 64)
 
     def test_cells_follow_the_12g_rule(self, tmp_path):

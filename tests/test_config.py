@@ -1,5 +1,7 @@
 """Config parsing: defaults, strict keys, typing, echo round-trip."""
 
+import hashlib
+
 import pytest
 
 from dcgridlab.config import ConfigError, load_config, render_config
@@ -26,6 +28,13 @@ class TestDefaults:
         cfg = load_config(write(tmp_path, ""))
         assert render_config(cfg) == render_config(load_config(None))
 
+    def test_rendered_defaults_pinned(self):
+        # the [grid] strings are derived from grid.default_grid(); this is
+        # the hash every bench-default output's manifest carries
+        text = render_config(load_config(None)).encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == (
+            "23eed1add6b92e89ef95d3c53ef162bdea3b7d3929ecb91827853ba03b80b4e1")
+
 
 class TestStrictness:
     def test_unknown_section(self, tmp_path):
@@ -35,6 +44,11 @@ class TestStrictness:
     def test_unknown_key_has_field_path(self, tmp_path):
         with pytest.raises(ConfigError, match="scheme.volt_kp"):
             load_config(write(tmp_path, "[scheme]\nvolt_kp = 1\n"))
+
+    def test_removed_demand_key(self, tmp_path):
+        # an echoed config_effective.ini from before the key was removed
+        with pytest.raises(ConfigError, match="unknown key scenario.demand"):
+            load_config(write(tmp_path, "[scenario]\ndemand = 0.0\n"))
 
     def test_bad_number(self, tmp_path):
         with pytest.raises(ConfigError, match="grid.nominal_bus_voltage"):

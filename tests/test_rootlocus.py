@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 from scipy import signal
+from scipy.optimize import linear_sum_assignment
 
 from dcgridlab.config import POWER_PI, VOLTAGE_PI
 from dcgridlab.grid import default_grid, pi_tf, power_plant_tf
 from dcgridlab.lti import poles, tf_constant, tf_feedback, tf_series
-from dcgridlab.rootlocus import (ImpedanceSweep, SweepError,
-                                 max_resistance_bound, sweep_power_loop,
-                                 sweep_voltage_loop)
+from dcgridlab.rootlocus import (ImpedanceSweep, LocusResult, LocusStep,
+                                 SweepError, max_resistance_bound,
+                                 sweep_power_loop, sweep_voltage_loop)
 
 RATIO = 0.5 / 0.003
 
@@ -86,6 +87,32 @@ class TestPowerLoopSweep:
 
     def test_default_sweep_pairing_is_unambiguous(self, power_locus):
         assert power_locus.pairing_ambiguities() == []
+
+
+class TestPairing:
+    def test_least_total_distance_not_greedy(self):
+        # nearest-first would send 0 -> 0.55 and leave 1 -> -0.6 (total 2.15)
+        locus = LocusResult(steps=(
+            LocusStep(0.1, 0.1 / RATIO, (0j, 1 + 0j), True),
+            LocusStep(0.2, 0.2 / RATIO, (0.55 + 0j, -0.6 + 0j), False)))
+        paths = locus.trajectories()
+        assert paths.tolist() == [[0j, 1 + 0j], [-0.6 + 0j, 0.55 + 0j]]
+        # branch 0's other candidate (0.55) is within twice its 0.6 move
+        assert locus.pairing_ambiguities() == [(1, 0)]
+        assert locus.trajectories() is paths and not paths.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_total_distance_matches_hungarian(self, n):
+        rng = np.random.default_rng(n)
+        steps = tuple(LocusStep(1.0, 1.0, tuple(rng.normal(size=n)
+                                                + 1j * rng.normal(size=n)), True)
+                      for _ in range(20))
+        paths = LocusResult(steps=steps).trajectories()
+        for k in range(1, len(steps)):
+            dist = np.abs(paths[k - 1][:, None] - np.array(steps[k].poles)[None, :])
+            rows, cols = linear_sum_assignment(dist)
+            moved = np.abs(paths[k] - paths[k - 1]).sum()
+            assert moved == pytest.approx(dist[rows, cols].sum(), rel=1e-12)
 
 
 class TestVoltageLoopSweep:

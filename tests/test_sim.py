@@ -104,6 +104,12 @@ class TestValidation:
 
 
 class TestOpenLoop:
+    @pytest.mark.parametrize("duration,plant_dt", [(1.0, 1e-4), (0.3, 5e-4)])
+    def test_end_time_is_the_last_sample(self, duration, plant_dt):
+        # load_config bounds the scoring windows by it before any run
+        scenario = open_loop_scenario((), duration=duration, plant_dt=plant_dt)
+        assert run(scenario).time[-1] == scenario.end_time
+
     def test_all_quiet_stays_zero(self):
         res = run(open_loop_scenario((), duration=1.0))
         assert np.all(res.power == 0.0)
@@ -226,7 +232,7 @@ def synthetic_result(t, term1, term2, i1, i2):
                      terminal_voltage=term, bus_voltage=np.zeros_like(t),
                      regulated_voltage=term.mean(axis=1),
                      voltage_reference=np.zeros_like(term),
-                     weights=(2 / 3, 1 / 3), events=(), activation_time=0.0)
+                     weights=(2 / 3, 1 / 3))
 
 
 class TestItaeMetrics:

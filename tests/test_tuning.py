@@ -59,6 +59,13 @@ class TestDesign:
         assert exc.value.achievable_min == pytest.approx(0.0, abs=1e-9)
         assert exc.value.achievable_max == pytest.approx(90.0, abs=1e-9)
 
+    def test_missed_crossover_rejected(self):
+        # |C*G| only touches 1 at 1.875 rad/s from below; the loop's lowest
+        # crossing is at 0.619 rad/s
+        plant = tf([6.890625], [6.890625, 2.54296875, 1.0])
+        with pytest.raises(InfeasibleDesignError, match="0.6189"):
+            design_pi(plant, TuningSpec(1.875, 114.0))
+
     def test_ki_decreases_with_requested_margin(self, power_plant):
         # more margin demands less lag from the integral term
         kis = [design_pi(power_plant, TuningSpec(100.0, m)).gains.ki
