@@ -33,7 +33,7 @@ from .lti import (NoCrossoverError, TransferFunction, freq_response, tf_constant
 from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
 from .sim import (DEFAULT_ITAE_WINDOW, SimResult, SimulationError, itae_current,
                   itae_voltage, run, voltage_settling)
-from .tuning import InfeasibleDesignError, TuningSpec, design_pi, verify_design
+from .tuning import InfeasibleDesignError, design_pi, verify_design
 
 log = logging.getLogger("dcgridlab")
 
@@ -153,14 +153,12 @@ def cmd_tune(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
     manifest = _manifest(cfg, "tune")
     mode = mode or cfg.tuning.outer_plant_mode
     power_plant = power_plant_tf(cfg.grid, 0)
-    power_spec = TuningSpec(cfg.tuning.power_crossover, cfg.tuning.power_margin)
     try:
-        power = design_pi(power_plant, power_spec)
+        power = design_pi(power_plant, cfg.tuning.power)
     except InfeasibleDesignError as exc:
         log.error("power loop design infeasible: %s", exc)
         return EXIT_NUMERICAL
 
-    voltage_spec = TuningSpec(cfg.tuning.voltage_crossover, cfg.tuning.voltage_margin)
     results = {"power_loop": {
         "kp": power.gains.kp, "ki": power.gains.ki,
         "achieved_crossover_rad_s": power.achieved_crossover,
@@ -170,7 +168,7 @@ def cmd_tune(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
     for m in OUTER_PLANT_MODES:
         plant = voltage_loop_plant_tf(cfg.grid, 0, power.gains, mode=m)
         try:
-            tuned = design_pi(plant, voltage_spec)
+            tuned = design_pi(plant, cfg.tuning.voltage)
             entry = {"kp": tuned.gains.kp, "ki": tuned.gains.ki,
                      "achieved_crossover_rad_s": tuned.achieved_crossover,
                      "achieved_margin_deg": tuned.achieved_margin}
@@ -180,12 +178,11 @@ def cmd_tune(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
             entry = {"infeasible": str(exc)}
         results[f"voltage_loop[{m}]"] = entry
     results["voltage_loop_mode"] = mode
+    write_json(outdir / "gains.json", manifest, results)
     if chosen is None:
         log.error("voltage loop design infeasible in mode %s", mode)
-        write_json(outdir / "gains.json", manifest, results)
         return EXIT_NUMERICAL
 
-    write_json(outdir / "gains.json", manifest, results)
     for name, loop in (
             ("power", tf_series(pi_tf(power.gains), power_plant)),
             ("voltage", tf_series(pi_tf(chosen.gains),
@@ -202,25 +199,19 @@ def cmd_tune(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
 
 
 def _score_events(cfg: RunConfig, result: SimResult) -> list[dict]:
-    events = cfg.scored_events()
-    boundaries = sorted(events) + [cfg.duration]
-    scored = []
-    for t0 in events:
-        nxt = min(b for b in boundaries if b > t0)
-        scored.append({
-            "event_time_s": t0,
-            "itae_v": itae_voltage(result, t0, DEFAULT_ITAE_WINDOW),
-            "itae_i": itae_current(result, t0, DEFAULT_ITAE_WINDOW),
-            "itae_window_s": DEFAULT_ITAE_WINDOW,
-            "settling_v_s": voltage_settling(result, t0, nxt - t0),
-        })
-    return scored
+    return [{"event_time_s": t0,
+             "itae_v": itae_voltage(result, t0, DEFAULT_ITAE_WINDOW),
+             "itae_i": itae_current(result, t0, DEFAULT_ITAE_WINDOW),
+             "itae_window_s": DEFAULT_ITAE_WINDOW,
+             "settling_v_s": voltage_settling(result, t0, span)}
+            for t0, span in cfg.scored_events()]
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
     manifest = _manifest(cfg, "simulate")
     try:
         result = run(cfg.scenario())
+        scored = _score_events(cfg, result)
     except SimulationError as exc:
         log.error("simulation failed: %s", exc)
         return EXIT_NUMERICAL
@@ -234,7 +225,6 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
     write_csv(outdir / "timeseries.csv", manifest,
               ("t_s", "dP1_w", "dP2_w", "dVg_bus_v", "I1_a", "I2_a",
                "Vterm1_v", "Vterm2_v", "Vreg_v", "ref1_v", "ref2_v"), columns)
-    scored = _score_events(cfg, result)
     write_json(outdir / "itae.json", manifest,
                {"scheme": cfg.scheme_kind, "events": scored})
     for entry in scored:
@@ -357,14 +347,11 @@ def cmd_bode(cfg: RunConfig, outdir: Path, plant_name: str, converter: int,
     elif plant_name == "power-loop":
         g = tf_series(pi_tf(cfg.power_pi), power_plant_tf(cfg.grid, converter))
         annotation = verify_design(power_plant_tf(cfg.grid, converter), cfg.power_pi,
-                                   TuningSpec(cfg.tuning.power_crossover,
-                                              cfg.tuning.power_margin))
+                                   cfg.tuning.power)
     else:   # voltage-loop; argparse rejects any other --plant
         plant = voltage_loop_plant_tf(cfg.grid, converter, cfg.power_pi, mode=mode)
         g = tf_series(pi_tf(cfg.voltage_pi), plant)
-        annotation = verify_design(plant, cfg.voltage_pi,
-                                   TuningSpec(cfg.tuning.voltage_crossover,
-                                              cfg.tuning.voltage_margin))
+        annotation = verify_design(plant, cfg.voltage_pi, cfg.tuning.voltage)
 
     note = None
     if annotation is not None and annotation.ok:

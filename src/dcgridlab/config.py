@@ -1,15 +1,22 @@
 """Run configuration: a single INI-style file with strict key checking.
 
-Sections: [grid], [scheme], [tuning], [scenario], [sweep].  Every key has a
-default matching the bench setup, so an empty file reproduces the reference
+Sections: [grid], [scheme], [tuning], [scenario], [sweep].  One table,
+``_SCHEMA``, states every key once with its default and its parser; the
+defaults match the bench setup, so an empty file reproduces the reference
 study.  Unknown sections or keys are errors; a silent typo in a gain name
-would otherwise corrupt a comparison.
+would otherwise corrupt a comparison.  Every number must be finite.  Every
+object the file describes (grid, gains, tuning specs, scenario, sweep) is
+built and checked at load, so a bad file exits before any output is written:
+crossovers must be > 0 and margins lie in (0, 180) degrees, and each scored
+event needs its ITAE window inside the run and at least two plant steps
+before the next scored event.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,6 +25,7 @@ from .grid import (OUTER_PLANT_MODES, CableParams, ConverterParams, GridConfig,
                    default_grid)
 from .rootlocus import ImpedanceSweep
 from .sim import DEFAULT_ITAE_WINDOW, LoadProfile, Scenario
+from .tuning import TuningSpec
 
 
 class ConfigError(Exception):
@@ -38,88 +46,81 @@ def _per_converter(value) -> str:
     return ", ".join(str(value(c)) for c in _GRID.converters)
 
 
-_DEFAULTS: dict[str, dict[str, str]] = {
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
+def _numbers(text: str) -> list[float]:
+    return [_number(x) for x in text.split(",") if x.strip() != ""]
+
+
+def _load_steps(text: str) -> tuple[tuple[float, float], ...]:
+    pairs = [part.split(":") for part in text.split(",") if part.strip() != ""]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"expected time:power pairs, got {text.strip()!r}")
+    return tuple((_number(t), _number(p)) for t, p in pairs)
+
+
+def _choice(*options, fold=str.strip):
+    def parse(text: str) -> str:
+        value = fold(text)
+        if value not in options:
+            raise ValueError(f"expected {' or '.join(options)}, got {value!r}")
+        return value
+    return parse
+
+
+# section -> key -> (default text, parser); a parser raises ValueError on bad text
+_SCHEMA = {
     "grid": {
-        "nominal_bus_voltage": str(_GRID.nominal_bus_voltage),
-        "rated_powers": _per_converter(lambda c: c.rated_power),
-        "cable_resistances": _per_converter(lambda c: c.cable.resistance),
-        "cable_inductances": _per_converter(lambda c: c.cable.inductance),
-        "voltage_loop_taus": _per_converter(lambda c: c.voltage_loop_tau),
+        "nominal_bus_voltage": (str(_GRID.nominal_bus_voltage), _number),
+        "rated_powers": (_per_converter(lambda c: c.rated_power), _numbers),
+        "cable_resistances": (_per_converter(lambda c: c.cable.resistance), _numbers),
+        "cable_inductances": (_per_converter(lambda c: c.cable.inductance), _numbers),
+        "voltage_loop_taus": (_per_converter(lambda c: c.voltage_loop_tau), _numbers),
     },
     "scheme": {
-        "kind": "cascade",                  # cascade | conventional
-        "power_kp": str(POWER_PI.kp),
-        "power_ki": str(POWER_PI.ki),
-        "voltage_kp": str(VOLTAGE_PI.kp),
-        "voltage_ki": str(VOLTAGE_PI.ki),
-        "current_kp": str(CONVENTIONAL_CURRENT_PI.kp),
-        "current_ki": str(CONVENTIONAL_CURRENT_PI.ki),
-        "droop_ohm": str(DEFAULT_DROOP),
+        "kind": ("cascade", _choice("cascade", "conventional",
+                                    fold=lambda text: text.strip().lower())),
+        "power_kp": (str(POWER_PI.kp), _number),
+        "power_ki": (str(POWER_PI.ki), _number),
+        "voltage_kp": (str(VOLTAGE_PI.kp), _number),
+        "voltage_ki": (str(VOLTAGE_PI.ki), _number),
+        "current_kp": (str(CONVENTIONAL_CURRENT_PI.kp), _number),
+        "current_ki": (str(CONVENTIONAL_CURRENT_PI.ki), _number),
+        "droop_ohm": (str(DEFAULT_DROOP), _number),
     },
     "tuning": {
-        "power_crossover": "100.0",
-        "power_margin": "70.0",
-        "voltage_crossover": "10.0",
-        "voltage_margin": "70.0",
-        "outer_plant_mode": "as-written",   # one of grid.OUTER_PLANT_MODES
+        "power_crossover": ("100.0", _number),
+        "power_margin": ("70.0", _number),
+        "voltage_crossover": ("10.0", _number),
+        "voltage_margin": ("70.0", _number),
+        "outer_plant_mode": ("as-written", _choice(*OUTER_PLANT_MODES)),
     },
     "scenario": {
-        "activation_time": "5.0",
-        "duration": "25.0",
-        "plant_dt": "0.0001",
-        "control_dt": "0.001",
-        "secondary_dt": "0.02",
-        "load_steps": "1.0:2000.0, 20.0:6000.0",
+        "activation_time": ("5.0", _number),
+        "duration": ("25.0", _number),
+        "plant_dt": ("0.0001", _number),
+        "control_dt": ("0.001", _number),
+        "secondary_dt": ("0.02", _number),
+        "load_steps": ("1.0:2000.0, 20.0:6000.0", _load_steps),
     },
     "sweep": {
-        "r_min": "0.1",
-        "r_max": "2.0",
-        "ratio_r_over_l": "166.66666666666666",
-        "steps": "50",
+        "r_min": ("0.1", _number),
+        "r_max": ("2.0", _number),
+        "ratio_r_over_l": ("166.66666666666666", _number),
+        "steps": ("50", int),
     },
 }
 
 
-def _floats(raw: str, name: str) -> list[float]:
-    try:
-        return [float(x) for x in raw.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{name}: expected comma-separated numbers, got {raw!r}") from exc
-
-
-def _float(raw: str, name: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: expected a number, got {raw!r}") from exc
-
-
-def _int(raw: str, name: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: expected an integer, got {raw!r}") from exc
-
-
-def _load_steps(raw: str, name: str) -> tuple[tuple[float, float], ...]:
-    steps = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" not in part:
-            raise ConfigError(f"{name}: expected time:power pairs, got {part!r}")
-        t, p = part.split(":", 1)
-        steps.append((_float(t, name), _float(p, name)))
-    return tuple(steps)
-
-
 @dataclass(frozen=True)
 class TuningSection:
-    power_crossover: float
-    power_margin: float
-    voltage_crossover: float
-    voltage_margin: float
+    power: TuningSpec
+    voltage: TuningSpec
     outer_plant_mode: str
 
 
@@ -164,14 +165,17 @@ class RunConfig:
             secondary_dt=self.secondary_dt,
         )
 
-    def scored_events(self) -> list[float]:
-        """Activation and every later load step: the events a run is scored on."""
-        return [self.activation_time] + [t for t, _ in self.load_steps
-                                         if t > self.activation_time]
+    def scored_events(self) -> list[tuple[float, float]]:
+        """(time, span to the next scored event or ``duration``) of activation
+        and every later load step: the events a run is scored on."""
+        times = [self.activation_time] + [t for t, _ in self.load_steps
+                                          if t > self.activation_time]
+        return [(t0, t1 - t0) for t0, t1 in zip(times, times[1:] + [self.duration])]
 
 
 def _merged(path: Optional[str]) -> dict[str, dict[str, str]]:
-    merged = {s: dict(kv) for s, kv in _DEFAULTS.items()}
+    merged = {section: {key: default for key, (default, _) in keys.items()}
+              for section, keys in _SCHEMA.items()}
     if path is None:
         return merged
     parser = configparser.ConfigParser(interpolation=None)
@@ -195,93 +199,59 @@ def _merged(path: Optional[str]) -> dict[str, dict[str, str]]:
 def load_config(path: Optional[str] = None) -> RunConfig:
     """Parse and validate a config file; ``None`` yields the built-in defaults."""
     raw = _merged(path)
-
-    g = raw["grid"]
-    ratings = _floats(g["rated_powers"], "grid.rated_powers")
-    resistances = _floats(g["cable_resistances"], "grid.cable_resistances")
-    inductances = _floats(g["cable_inductances"], "grid.cable_inductances")
-    taus = _floats(g["voltage_loop_taus"], "grid.voltage_loop_taus")
-    if not (len(ratings) == len(resistances) == len(inductances) == len(taus)):
+    parsed = {}
+    for section, keys in _SCHEMA.items():
+        parsed[section] = {}
+        for key, (_, parse) in keys.items():
+            try:
+                parsed[section][key] = parse(raw[section][key])
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+    g, s, t, sc, sw = parsed.values()
+    per_converter = (g["rated_powers"], g["cable_resistances"],
+                     g["cable_inductances"], g["voltage_loop_taus"])
+    if len({len(values) for values in per_converter}) != 1:
         raise ConfigError("grid: rated_powers, cable_resistances, cable_inductances "
                           "and voltage_loop_taus must have the same length")
-    try:
-        converters = tuple(
-            ConverterParams(rated_power=p, voltage_loop_tau=tau,
-                            cable=CableParams(resistance=r, inductance=l))
-            for p, r, l, tau in zip(ratings, resistances, inductances, taus))
-        grid = GridConfig(
-            converters=converters,
-            nominal_bus_voltage=_float(g["nominal_bus_voltage"], "grid.nominal_bus_voltage"),
-        )
-    except Exception as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    s = raw["scheme"]
-    kind = s["kind"].strip().lower()
-    if kind not in ("cascade", "conventional"):
-        raise ConfigError(f"scheme.kind: expected cascade or conventional, got {kind!r}")
-
-    t = raw["tuning"]
-    mode = t["outer_plant_mode"].strip()
-    if mode not in OUTER_PLANT_MODES:
-        raise ConfigError(f"tuning.outer_plant_mode: expected "
-                          f"{' or '.join(OUTER_PLANT_MODES)}, got {mode!r}")
-    tuning = TuningSection(
-        power_crossover=_float(t["power_crossover"], "tuning.power_crossover"),
-        power_margin=_float(t["power_margin"], "tuning.power_margin"),
-        voltage_crossover=_float(t["voltage_crossover"], "tuning.voltage_crossover"),
-        voltage_margin=_float(t["voltage_margin"], "tuning.voltage_margin"),
-        outer_plant_mode=mode,
-    )
-
-    sc = raw["scenario"]
-    sw = raw["sweep"]
-    try:
-        sweep = ImpedanceSweep(
-            r_min=_float(sw["r_min"], "sweep.r_min"),
-            r_max=_float(sw["r_max"], "sweep.r_max"),
-            ratio_r_over_l=_float(sw["ratio_r_over_l"], "sweep.ratio_r_over_l"),
-            steps=_int(sw["steps"], "sweep.steps"),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
-
+    # any failure here is a config error: overflowing timing arithmetic
+    # (duration = 1e308) included
     try:
         cfg = RunConfig(
-            grid=grid,
-            scheme_kind=kind,
-            power_pi=PiGains(_float(s["power_kp"], "scheme.power_kp"),
-                             _float(s["power_ki"], "scheme.power_ki")),
-            voltage_pi=PiGains(_float(s["voltage_kp"], "scheme.voltage_kp"),
-                               _float(s["voltage_ki"], "scheme.voltage_ki")),
-            current_pi=PiGains(_float(s["current_kp"], "scheme.current_kp"),
-                               _float(s["current_ki"], "scheme.current_ki")),
-            droop_ohm=_float(s["droop_ohm"], "scheme.droop_ohm"),
-            tuning=tuning,
-            activation_time=_float(sc["activation_time"], "scenario.activation_time"),
-            duration=_float(sc["duration"], "scenario.duration"),
-            plant_dt=_float(sc["plant_dt"], "scenario.plant_dt"),
-            control_dt=_float(sc["control_dt"], "scenario.control_dt"),
-            secondary_dt=_float(sc["secondary_dt"], "scenario.secondary_dt"),
-            load_steps=_load_steps(sc["load_steps"], "scenario.load_steps"),
-            sweep=sweep,
+            grid=GridConfig(
+                converters=tuple(
+                    ConverterParams(rated_power=p, voltage_loop_tau=tau,
+                                    cable=CableParams(resistance=r, inductance=l))
+                    for p, r, l, tau in zip(*per_converter)),
+                nominal_bus_voltage=g["nominal_bus_voltage"]),
+            scheme_kind=s["kind"],
+            power_pi=PiGains(s["power_kp"], s["power_ki"]),
+            voltage_pi=PiGains(s["voltage_kp"], s["voltage_ki"]),
+            current_pi=PiGains(s["current_kp"], s["current_ki"]),
+            droop_ohm=s["droop_ohm"],
+            tuning=TuningSection(
+                power=TuningSpec(t["power_crossover"], t["power_margin"]),
+                voltage=TuningSpec(t["voltage_crossover"], t["voltage_margin"]),
+                outer_plant_mode=t["outer_plant_mode"]),
+            sweep=ImpedanceSweep(**sw),
             raw=raw,
+            **sc,
         )
         end = cfg.scenario().end_time  # validates the timing relations eagerly
-        # the scoring's own bound (sim._window_slice), checked before any output
-        for i, t0 in enumerate(cfg.scored_events()):
-            if t0 + DEFAULT_ITAE_WINDOW > end + 1e-12:
-                event = "scenario.activation_time" if i == 0 else "load step at"
-                raise ConfigError(
-                    f"{event} {t0!r} s: its ITAE window [{t0:g}, "
-                    f"{t0 + DEFAULT_ITAE_WINDOW:g}] s ends after "
-                    f"scenario.duration {cfg.duration!r} s")
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
+    # the scoring's own bounds (sim._window_slice), checked before any output
+    for i, (t0, span) in enumerate(cfg.scored_events()):
+        event = "scenario.activation_time" if i == 0 else "load step at"
+        if t0 + DEFAULT_ITAE_WINDOW > end + 1e-12:
+            raise ConfigError(
+                f"{event} {t0!r} s: its ITAE window [{t0:g}, "
+                f"{t0 + DEFAULT_ITAE_WINDOW:g}] s ends after "
+                f"scenario.duration {cfg.duration!r} s")
+        if span < (2 - 1e-9) * cfg.plant_dt:
+            raise ConfigError(
+                f"{event} {t0!r} s: the next scored event follows {span:g} s "
+                f"later, under two plant steps of scenario.plant_dt "
+                f"{cfg.plant_dt!r} s, too short to score settling")
     return cfg
 
 

@@ -250,6 +250,7 @@ def run(scenario: Scenario) -> SimResult:
 # transient scoring
 
 DEFAULT_ITAE_WINDOW = 2.0
+SETTLING_BAND = 0.02    # of the largest deviation in the window
 
 
 def _window_slice(result: SimResult, start: float, length: float) -> np.ndarray:
@@ -293,11 +294,10 @@ def itae_current(result: SimResult, window_start: float,
 
 
 def settling_time(times: np.ndarray, series: np.ndarray, target: float,
-                  band_percent: float = 2.0,
                   band_floor: float = 0.0) -> float:
     """Last time the signal exits the band around the target, from the window start.
 
-    The band is ``band_percent`` of the largest deviation seen in the window,
+    The band is ``SETTLING_BAND`` of the largest deviation seen in the window,
     raised to ``band_floor`` when given (guards signals that never deviate
     meaningfully).  Returns ``math.inf`` when the signal is still outside the
     band at the final sample (not settled).
@@ -306,7 +306,7 @@ def settling_time(times: np.ndarray, series: np.ndarray, target: float,
         raise SimulationError("settling_time needs a nonempty series")
     err = np.abs(np.asarray(series) - target)
     peak = float(err.max())
-    band = max(band_percent / 100.0 * peak, band_floor)
+    band = max(SETTLING_BAND * peak, band_floor)
     if band == 0.0:
         return 0.0
     outside = np.nonzero(err > band)[0]

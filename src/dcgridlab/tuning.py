@@ -35,9 +35,9 @@ class TuningSpec:
 
     def __post_init__(self):
         if self.crossover_omega <= 0:
-            raise ValueError("crossover frequency must be positive")
+            raise ValueError(f"crossover {self.crossover_omega!r} rad/s is not positive")
         if not 0 < self.phase_margin < 180:
-            raise ValueError("phase margin must lie in (0, 180) degrees")
+            raise ValueError(f"phase margin {self.phase_margin!r} deg is outside (0, 180)")
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,60 @@ class TestValidationErrors:
         assert not out.exists()
 
 
+def _non_finite_cases():
+    """A nan, inf or -inf in every numeric key of the bench defaults."""
+    for section, keys in load_config(None).raw.items():
+        for key, default in keys.items():
+            if ":" in default:
+                yield from ((section, key, f"1.0:{bad}") for bad in ("nan", "inf", "-inf"))
+            elif "," in default:
+                yield from ((section, key, f"{bad}, 0.5") for bad in ("nan", "inf", "-inf"))
+            elif default[0].isdigit():
+                yield from ((section, key, bad) for bad in ("nan", "inf", "-inf"))
+
+
+class TestRejectedAtLoad:
+    """Each config here used to load; now it exits 1 with one ERROR line and
+    nothing written."""
+
+    def _rejected(self, tmp_path, caplog, argv, text):
+        out = tmp_path / "o"
+        cfgp = write(tmp_path, text)
+        assert main(argv + ["--config", cfgp, "--out", str(out)]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert not out.exists()
+        return errors[0].getMessage()
+
+    def test_every_numeric_key_is_covered(self):
+        assert len({(s, k) for s, k, _ in _non_finite_cases()}) == 26
+
+    @pytest.mark.parametrize("section,key,text", list(_non_finite_cases()))
+    def test_non_finite_number(self, tmp_path, caplog, section, key, text):
+        message = self._rejected(tmp_path, caplog, ["simulate"],
+                                 f"[{section}]\n{key} = {text}\n")
+        assert f"{section}.{key}: " in message
+
+    @pytest.mark.parametrize("argv", [["tune"], ["bode", "--plant", "power-loop"]])
+    @pytest.mark.parametrize("text,match", [
+        ("power_margin = 200", "phase margin 200.0 deg is outside (0, 180)"),
+        ("voltage_crossover = 0", "crossover 0.0 rad/s is not positive")])
+    def test_tuning_spec_out_of_range(self, tmp_path, caplog, argv, text, match):
+        # used to die with a ValueError traceback after creating --out
+        assert match in self._rejected(tmp_path, caplog, argv, f"[tuning]\n{text}\n")
+
+    def test_overflowing_duration(self, tmp_path, caplog):
+        self._rejected(tmp_path, caplog, ["simulate"], "[scenario]\nduration = 1e308\n")
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
+    def test_settling_span_under_two_plant_steps(self, tmp_path, caplog, subcommand):
+        # used to write timeseries.csv, then exit 2 while scoring settling
+        message = self._rejected(
+            tmp_path, caplog, [subcommand],
+            "[scenario]\nplant_dt = 0.001\nload_steps = 1.0:2000.0, 5.001:4000.0\n")
+        assert "activation_time 5.0" in message and "plant_dt 0.001" in message
+
+
 def g12(v) -> str:
     return format(v, ".12g") if isinstance(v, float) else str(v)
 
@@ -191,12 +245,11 @@ class TestBode:
         assert main(["bode", "--plant", "power-loop", "--out", str(out)]) == 0
         lines = (out / "bode_power-loop.csv").read_text().splitlines()
         assert lines[1].startswith("# crossover_rad_s=")
-        from dcgridlab.config import load_config
         from dcgridlab.grid import power_plant_tf
-        from dcgridlab.tuning import TuningSpec, verify_design
+        from dcgridlab.tuning import verify_design
         cfg = load_config(None)
         report = verify_design(power_plant_tf(cfg.grid, 0), cfg.power_pi,
-                               TuningSpec(100.0, 70.0))
+                               cfg.tuning.power)
         fields = dict(part.split("=") for part in lines[1][2:].split())
         assert float(fields["crossover_rad_s"]) == pytest.approx(report.crossover)
         assert float(fields["margin_deg"]) == pytest.approx(report.margin)

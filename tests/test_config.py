@@ -74,6 +74,39 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="duration"):
             load_config(write(tmp_path, "[scenario]\nduration = 10.0\n"))
 
+    @pytest.mark.parametrize("section,key,text", [
+        ("grid", "nominal_bus_voltage", "nan"),
+        ("grid", "cable_resistances", "nan, 0.5"),
+        ("scenario", "load_steps", "1.0:inf"),
+        ("sweep", "steps", "-inf"),
+    ])
+    def test_non_finite_number_names_its_key(self, tmp_path, section, key, text):
+        # every parser path: scalar, list, time:power pair, integer
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+            load_config(write(tmp_path, f"[{section}]\n{key} = {text}\n"))
+
+    @pytest.mark.parametrize("text,match", [
+        ("power_margin = 200", "phase margin 200.0 deg"),
+        ("voltage_margin = 0", "phase margin 0.0 deg"),
+        ("power_crossover = -1", "crossover -1.0 rad/s"),
+        ("voltage_crossover = 0", "crossover 0.0 rad/s"),
+    ])
+    def test_tuning_spec_checked_at_load(self, tmp_path, text, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(write(tmp_path, f"[tuning]\n{text}\n"))
+
+    def test_overflowing_duration_rejected(self, tmp_path):
+        # the timing arithmetic overflows; still a config error, not a traceback
+        with pytest.raises(ConfigError):
+            load_config(write(tmp_path, "[scenario]\nduration = 1e308\n"))
+
+    def test_scored_events_two_plant_steps_apart(self, tmp_path):
+        base = "[scenario]\nplant_dt = 0.001\nload_steps = 1.0:2000.0, {}:4000.0\n"
+        with pytest.raises(ConfigError, match="under two plant steps"):
+            load_config(write(tmp_path, base.format("5.001")))
+        cfg = load_config(write(tmp_path, base.format("5.002")))
+        assert [t for t, _ in cfg.scored_events()] == [5.0, 5.002]
+
 
 class TestValues:
     def test_overrides_apply(self, tmp_path):
@@ -89,6 +122,14 @@ duration = 30.0
         scheme = cfg.scheme()
         assert scheme.voltage_pi.kp == pytest.approx(0.2)
         assert cfg.duration == 30.0
+
+    def test_scored_events_carry_their_settling_span(self):
+        assert load_config(None).scored_events() == [(5.0, 15.0), (20.0, 5.0)]
+
+    def test_tuning_specs_built_at_load(self):
+        tuning = load_config(None).tuning
+        assert (tuning.power.crossover_omega, tuning.power.phase_margin) == (100.0, 70.0)
+        assert (tuning.voltage.crossover_omega, tuning.voltage.phase_margin) == (10.0, 70.0)
 
     def test_scenario_builds(self):
         cfg = load_config(None)

@@ -286,7 +286,7 @@ class TestSettling:
         t = np.linspace(0.0001, 3.0, 30000)
         y = np.exp(-t / tau)
         # 2 percent band of the initial amplitude: ln(50) tau
-        got = settling_time(t, y, target=0.0, band_percent=2.0)
+        got = settling_time(t, y, target=0.0)
         assert got == pytest.approx(math.log(50.0) * tau, rel=1e-2)
 
     def test_never_settles(self):
