@@ -13,7 +13,7 @@ from .control import (CascadeScheme, ConventionalScheme, PiGains, pi_step,
 from .grid import (CableParams, ConverterParams, GridConfig, default_grid,
                    power_plant_tf, total_bus_voltage, voltage_loop_plant_tf)
 from .lti import (Polynomial, TransferFunction, analytic_phase, bandwidth_3db,
-                  freq_response, gain_crossover, phase_margin, poles, tf,
+                  freq_response, gain_crossover, poles, tf,
                   tf_feedback, tf_series)
 from .rootlocus import (ImpedanceSweep, LocusResult, max_resistance_bound,
                         sweep_power_loop, sweep_voltage_loop)
@@ -28,7 +28,7 @@ __all__ = [
     "TransferFunction", "TunedController", "TuningSpec", "analytic_phase",
     "bandwidth_3db", "default_grid", "design_pi", "freq_response",
     "gain_crossover", "itae_current", "itae_voltage", "max_resistance_bound",
-    "phase_margin", "pi_step", "poles", "power_plant_tf", "run",
+    "pi_step", "poles", "power_plant_tf", "run",
     "settling_time", "sweep_power_loop", "sweep_voltage_loop", "tf",
     "tf_feedback", "tf_series", "total_bus_voltage", "verify_design",
     "voltage_loop_plant_tf", "weights_from_ratings",

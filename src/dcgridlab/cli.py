@@ -33,7 +33,7 @@ from .lti import (NoCrossoverError, TransferFunction, freq_response, tf_constant
 from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
 from .sim import (DEFAULT_ITAE_WINDOW, SimResult, SimulationError, itae_current,
                   itae_voltage, run, voltage_settling)
-from .tuning import InfeasibleDesignError, design_pi, verify_design
+from .tuning import InfeasibleDesignError, TunedController, design_pi, verify_design
 
 log = logging.getLogger("dcgridlab")
 
@@ -149,9 +149,14 @@ def _prepare_outdir(cfg: RunConfig, out: str) -> Path:
 # subcommands
 
 
-def cmd_tune(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
+def _tuned_entry(tuned: TunedController) -> dict:
+    return {"kp": tuned.gains.kp, "ki": tuned.gains.ki,
+            "achieved_crossover_rad_s": tuned.achieved_crossover,
+            "achieved_margin_deg": tuned.achieved_margin}
+
+
+def cmd_tune(cfg: RunConfig, outdir: Path, mode: str) -> int:
     manifest = _manifest(cfg, "tune")
-    mode = mode or cfg.tuning.outer_plant_mode
     power_plant = power_plant_tf(cfg.grid, 0)
     try:
         power = design_pi(power_plant, cfg.tuning.power)
@@ -159,42 +164,31 @@ def cmd_tune(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
         log.error("power loop design infeasible: %s", exc)
         return EXIT_NUMERICAL
 
-    results = {"power_loop": {
-        "kp": power.gains.kp, "ki": power.gains.ki,
-        "achieved_crossover_rad_s": power.achieved_crossover,
-        "achieved_margin_deg": power.achieved_margin,
-    }}
+    results = {"power_loop": _tuned_entry(power), "voltage_loop_mode": mode}
     chosen = None
     for m in OUTER_PLANT_MODES:
         plant = voltage_loop_plant_tf(cfg.grid, 0, power.gains, mode=m)
         try:
             tuned = design_pi(plant, cfg.tuning.voltage)
-            entry = {"kp": tuned.gains.kp, "ki": tuned.gains.ki,
-                     "achieved_crossover_rad_s": tuned.achieved_crossover,
-                     "achieved_margin_deg": tuned.achieved_margin}
-            if m == mode:
-                chosen = tuned
         except InfeasibleDesignError as exc:
-            entry = {"infeasible": str(exc)}
-        results[f"voltage_loop[{m}]"] = entry
-    results["voltage_loop_mode"] = mode
+            results[f"voltage_loop[{m}]"] = {"infeasible": str(exc)}
+            continue
+        results[f"voltage_loop[{m}]"] = _tuned_entry(tuned)
+        if m == mode:
+            chosen, voltage_plant = tuned, plant
     write_json(outdir / "gains.json", manifest, results)
     if chosen is None:
         log.error("voltage loop design infeasible in mode %s", mode)
         return EXIT_NUMERICAL
 
-    for name, loop in (
-            ("power", tf_series(pi_tf(power.gains), power_plant)),
-            ("voltage", tf_series(pi_tf(chosen.gains),
-                                  voltage_loop_plant_tf(cfg.grid, 0, power.gains,
-                                                        mode=mode)))):
-        _write_bode(outdir / f"bode_{name}_loop.csv", manifest, loop)
-    print(f"power loop: kp={power.gains.kp:.6g} ki={power.gains.ki:.6g} "
-          f"(crossover {power.achieved_crossover:.4g} rad/s, "
-          f"margin {power.achieved_margin:.4g} deg)")
-    print(f"voltage loop [{mode}]: kp={chosen.gains.kp:.6g} ki={chosen.gains.ki:.6g} "
-          f"(crossover {chosen.achieved_crossover:.4g} rad/s, "
-          f"margin {chosen.achieved_margin:.4g} deg)")
+    for name, label, tuned, plant in (
+            ("power", "power loop", power, power_plant),
+            ("voltage", f"voltage loop [{mode}]", chosen, voltage_plant)):
+        _write_bode(outdir / f"bode_{name}_loop.csv", manifest,
+                    tf_series(pi_tf(tuned.gains), plant))
+        print(f"{label}: kp={tuned.gains.kp:.6g} ki={tuned.gains.ki:.6g} "
+              f"(crossover {tuned.achieved_crossover:.4g} rad/s, "
+              f"margin {tuned.achieved_margin:.4g} deg)")
     return EXIT_OK
 
 
@@ -204,7 +198,7 @@ def _score_events(cfg: RunConfig, result: SimResult) -> list[dict]:
              "itae_i": itae_current(result, t0, DEFAULT_ITAE_WINDOW),
              "itae_window_s": DEFAULT_ITAE_WINDOW,
              "settling_v_s": voltage_settling(result, t0, span)}
-            for t0, span in cfg.scored_events()]
+            for t0, span in cfg.scenario().scored_events()]
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
@@ -309,9 +303,8 @@ def _locus_columns(result: LocusResult):
             np.repeat([int(step.stable) for step in result.steps], per_step))
 
 
-def cmd_rootlocus(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
+def cmd_rootlocus(cfg: RunConfig, outdir: Path, mode: str) -> int:
     manifest = _manifest(cfg, "rootlocus")
-    mode = mode or cfg.tuning.outer_plant_mode
     power = sweep_power_loop(cfg.grid, cfg.power_pi, cfg.sweep)
     voltage = sweep_voltage_loop(cfg.grid, cfg.power_pi, cfg.voltage_pi,
                                  cfg.sweep, mode=mode)
@@ -334,24 +327,20 @@ def cmd_rootlocus(cfg: RunConfig, outdir: Path, mode: Optional[str]) -> int:
 
 
 def cmd_bode(cfg: RunConfig, outdir: Path, plant_name: str, converter: int,
-             mode: Optional[str]) -> int:
+             mode: str) -> int:
     manifest = _manifest(cfg, "bode")
-    mode = mode or cfg.tuning.outer_plant_mode
     annotation = None
     if plant_name == "unity":
         g = tf_constant(1.0)
-    elif plant_name == "power":
+    elif plant_name in ("power", "power-loop"):
         g = power_plant_tf(cfg.grid, converter)
-    elif plant_name == "voltage":
+        gains, spec = cfg.power_pi, cfg.tuning.power
+    else:   # voltage or voltage-loop; argparse rejects any other --plant
         g = voltage_loop_plant_tf(cfg.grid, converter, cfg.power_pi, mode=mode)
-    elif plant_name == "power-loop":
-        g = tf_series(pi_tf(cfg.power_pi), power_plant_tf(cfg.grid, converter))
-        annotation = verify_design(power_plant_tf(cfg.grid, converter), cfg.power_pi,
-                                   cfg.tuning.power)
-    else:   # voltage-loop; argparse rejects any other --plant
-        plant = voltage_loop_plant_tf(cfg.grid, converter, cfg.power_pi, mode=mode)
-        g = tf_series(pi_tf(cfg.voltage_pi), plant)
-        annotation = verify_design(plant, cfg.voltage_pi, cfg.tuning.voltage)
+        gains, spec = cfg.voltage_pi, cfg.tuning.voltage
+    if plant_name.endswith("-loop"):   # the open loop: PI in series with the plant
+        annotation = verify_design(g, gains, spec)
+        g = tf_series(pi_tf(gains), g)
 
     note = None
     if annotation is not None and annotation.ok:
@@ -413,6 +402,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_VALIDATION
+    mode = getattr(args, "mode", None) or cfg.tuning.outer_plant_mode
     try:
         if args.subcommand == "bode":
             # before _prepare_outdir, so a rejected request writes nothing;
@@ -420,15 +410,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             check_converter_index(cfg.grid, args.converter)
         outdir = _prepare_outdir(cfg, args.out)
         if args.subcommand == "tune":
-            return cmd_tune(cfg, outdir, args.mode)
+            return cmd_tune(cfg, outdir, mode)
         if args.subcommand == "simulate":
             return cmd_simulate(cfg, outdir)
         if args.subcommand == "compare":
             return cmd_compare(cfg, outdir)
         if args.subcommand == "rootlocus":
-            return cmd_rootlocus(cfg, outdir, args.mode)
+            return cmd_rootlocus(cfg, outdir, mode)
         if args.subcommand == "bode":
-            return cmd_bode(cfg, outdir, args.plant, args.converter, args.mode)
+            return cmd_bode(cfg, outdir, args.plant, args.converter, mode)
     except GridModelError as exc:
         log.error("invalid grid request: %s", exc)
         return EXIT_VALIDATION

@@ -17,7 +17,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .control import CascadeScheme, ConventionalScheme, PiGains, weights_from_ratings
@@ -126,7 +126,13 @@ class TuningSection:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration; every field carries its default if unset."""
+    """Fully resolved configuration; every field carries its default if unset.
+
+    The [scenario] section is the one :class:`Scenario` that
+    :func:`load_config` builds and validates with the configured scheme, so
+    every event time is on the control grid (within 1e-9 of a tick) and acts
+    at that tick.
+    """
 
     grid: GridConfig
     scheme_kind: str
@@ -135,42 +141,17 @@ class RunConfig:
     current_pi: PiGains
     droop_ohm: float
     tuning: TuningSection
-    activation_time: float
-    duration: float
-    plant_dt: float
-    control_dt: float
-    secondary_dt: float
-    load_steps: tuple[tuple[float, float], ...]
+    _scenario: Scenario
     sweep: ImpedanceSweep
     raw: dict[str, dict[str, str]] = field(repr=False, default_factory=dict)
 
     def scheme(self) -> CascadeScheme | ConventionalScheme:
-        if self.scheme_kind == "cascade":
-            return CascadeScheme(power_pi=self.power_pi,
-                                 bus_voltage_pi=self.voltage_pi,
-                                 weights=weights_from_ratings(self.grid.rated_powers))
-        return ConventionalScheme(droop_resistance=self.droop_ohm,
-                                  voltage_pi=self.voltage_pi,
-                                  current_pi=self.current_pi)
+        return self._scenario.scheme
 
     def scenario(self, scheme=None) -> Scenario:
-        return Scenario(
-            grid=self.grid,
-            scheme=self.scheme() if scheme is None else scheme,
-            load=LoadProfile(self.load_steps),
-            activation_time=self.activation_time,
-            duration=self.duration,
-            plant_dt=self.plant_dt,
-            control_dt=self.control_dt,
-            secondary_dt=self.secondary_dt,
-        )
-
-    def scored_events(self) -> list[tuple[float, float]]:
-        """(time, span to the next scored event or ``duration``) of activation
-        and every later load step: the events a run is scored on."""
-        times = [self.activation_time] + [t for t, _ in self.load_steps
-                                          if t > self.activation_time]
-        return [(t0, t1 - t0) for t0, t1 in zip(times, times[1:] + [self.duration])]
+        if scheme is None:
+            return self._scenario
+        return replace(self._scenario, scheme=scheme)
 
 
 def _merged(path: Optional[str]) -> dict[str, dict[str, str]]:
@@ -213,45 +194,55 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     if len({len(values) for values in per_converter}) != 1:
         raise ConfigError("grid: rated_powers, cable_resistances, cable_inductances "
                           "and voltage_loop_taus must have the same length")
-    # any failure here is a config error: overflowing timing arithmetic
-    # (duration = 1e308) included
+    # any failure here is a config error, an overflowing end_time included
     try:
+        grid = GridConfig(
+            converters=tuple(
+                ConverterParams(rated_power=p, voltage_loop_tau=tau,
+                                cable=CableParams(resistance=r, inductance=l))
+                for p, r, l, tau in zip(*per_converter)),
+            nominal_bus_voltage=g["nominal_bus_voltage"])
+        power_pi = PiGains(s["power_kp"], s["power_ki"])
+        voltage_pi = PiGains(s["voltage_kp"], s["voltage_ki"])
+        current_pi = PiGains(s["current_kp"], s["current_ki"])
+        scheme = (CascadeScheme(power_pi=power_pi, bus_voltage_pi=voltage_pi,
+                                weights=weights_from_ratings(grid.rated_powers))
+                  if s["kind"] == "cascade" else
+                  ConventionalScheme(droop_resistance=s["droop_ohm"],
+                                     voltage_pi=voltage_pi, current_pi=current_pi))
+        scenario = Scenario(grid=grid, scheme=scheme,
+                            load=LoadProfile(sc.pop("load_steps")), **sc)
         cfg = RunConfig(
-            grid=GridConfig(
-                converters=tuple(
-                    ConverterParams(rated_power=p, voltage_loop_tau=tau,
-                                    cable=CableParams(resistance=r, inductance=l))
-                    for p, r, l, tau in zip(*per_converter)),
-                nominal_bus_voltage=g["nominal_bus_voltage"]),
+            grid=grid,
             scheme_kind=s["kind"],
-            power_pi=PiGains(s["power_kp"], s["power_ki"]),
-            voltage_pi=PiGains(s["voltage_kp"], s["voltage_ki"]),
-            current_pi=PiGains(s["current_kp"], s["current_ki"]),
+            power_pi=power_pi,
+            voltage_pi=voltage_pi,
+            current_pi=current_pi,
             droop_ohm=s["droop_ohm"],
             tuning=TuningSection(
                 power=TuningSpec(t["power_crossover"], t["power_margin"]),
                 voltage=TuningSpec(t["voltage_crossover"], t["voltage_margin"]),
                 outer_plant_mode=t["outer_plant_mode"]),
+            _scenario=scenario,
             sweep=ImpedanceSweep(**sw),
             raw=raw,
-            **sc,
         )
-        end = cfg.scenario().end_time  # validates the timing relations eagerly
+        end = scenario.end_time
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     # the scoring's own bounds (sim._window_slice), checked before any output
-    for i, (t0, span) in enumerate(cfg.scored_events()):
+    for i, (t0, span) in enumerate(scenario.scored_events()):
         event = "scenario.activation_time" if i == 0 else "load step at"
         if t0 + DEFAULT_ITAE_WINDOW > end + 1e-12:
             raise ConfigError(
                 f"{event} {t0!r} s: its ITAE window [{t0:g}, "
                 f"{t0 + DEFAULT_ITAE_WINDOW:g}] s ends after "
-                f"scenario.duration {cfg.duration!r} s")
-        if span < (2 - 1e-9) * cfg.plant_dt:
+                f"scenario.duration {scenario.duration!r} s")
+        if span < (2 - 1e-9) * scenario.plant_dt:
             raise ConfigError(
                 f"{event} {t0!r} s: the next scored event follows {span:g} s "
                 f"later, under two plant steps of scenario.plant_dt "
-                f"{cfg.plant_dt!r} s, too short to score settling")
+                f"{scenario.plant_dt!r} s, too short to score settling")
     return cfg
 
 

@@ -275,6 +275,12 @@ def _bisect_db(g: TransferFunction, level_db: float, wa: float, wb: float) -> fl
     return math.exp(0.5 * (la + lb))
 
 
+def _grid_db(g: TransferFunction) -> np.ndarray:
+    """20*log10|g(jw)| at each frequency of the crossover search grid."""
+    return np.array([20.0 * math.log10(max(abs(g(1j * w)), 1e-300))
+                     for w in _CROSSOVER_GRID])
+
+
 def gain_crossover(g: TransferFunction) -> float:
     """Lowest frequency where |g(jw)| crosses unity (0 dB).
 
@@ -283,8 +289,7 @@ def gain_crossover(g: TransferFunction) -> float:
     crosses 0 dB on the range.
     """
     grid = _CROSSOVER_GRID
-    db = np.array([20.0 * math.log10(max(abs(g(1j * w)), 1e-300)) for w in grid])
-    sign = np.sign(db)
+    sign = np.sign(_grid_db(g))
     for i in range(len(grid) - 1):
         if sign[i] == 0:
             return float(grid[i])
@@ -300,18 +305,11 @@ def bandwidth_3db(g: TransferFunction) -> float:
         raise LtiError("3 dB bandwidth needs a finite nonzero DC gain")
     level = 20.0 * math.log10(abs(dc)) - 3.0
     grid = _CROSSOVER_GRID
-    db = np.array([20.0 * math.log10(max(abs(g(1j * w)), 1e-300)) for w in grid])
-    above = db - level
+    above = _grid_db(g) - level
     for i in range(len(grid) - 1):
         if above[i] >= 0 > above[i + 1]:
             return float(_bisect_db(g, level, grid[i], grid[i + 1]))
     raise NoCrossoverError("gain never falls 3 dB below DC")
-
-
-def phase_margin(g: TransferFunction) -> float:
-    """180 degrees plus the unwrapped open-loop phase at the gain crossover."""
-    wc = gain_crossover(g)
-    return 180.0 + math.degrees(analytic_phase(g, wc))
 
 
 # ---------------------------------------------------------------------------

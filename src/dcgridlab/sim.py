@@ -14,6 +14,10 @@ voltage is the dot product ``c_vg @ x`` of each row: a batched product would
 round some rows differently.  The inputs are recorded once per tick and
 repeated over the sub-steps at the end.
 
+Load steps and activation act on control ticks only: an event at time t acts
+at tick round(t / control_dt).  :class:`Scenario` accepts only times within
+1e-9 of a whole tick count, so every event acts at its stated time.
+
 Controllers run on two cadences backed by two sampled channels.  Telemetry
 (the neighbor power feeding the cascade reference arithmetic) flows at the
 control rate, so it arrives one control period old; droop and the cascade's
@@ -94,16 +98,16 @@ class Scenario:
         if not _is_multiple(self.secondary_dt, self.control_dt):
             raise SimulationError("secondary_dt must be a multiple of control_dt")
         # the engine acts only on control ticks from t = 0, so an off-grid
-        # time would silently move to the next tick and a negative one to 0
+        # time would silently move to another tick and a negative one to 0
         timed = [("activation_time", self.activation_time),
                  ("duration", self.duration)]
         timed += [("load step time", t) for t, _ in self.load.steps]
         for name, t in timed:
             if t < 0:
                 raise SimulationError(f"{name} {t!r} s is negative")
-            if not (math.isfinite(t) and _is_multiple(t, self.control_dt)):
+            if not _is_multiple(t, self.control_dt):
                 raise SimulationError(
-                    f"{name} {t!r} s is not a multiple of control_dt "
+                    f"{name} {t!r} s is not a finite multiple of control_dt "
                     f"{self.control_dt!r} s")
 
     @property
@@ -112,10 +116,17 @@ class Scenario:
         return (round(self.duration / self.control_dt)
                 * round(self.control_dt / self.plant_dt) * self.plant_dt)
 
+    def scored_events(self) -> list[tuple[float, float]]:
+        """(time, span to the next scored event or ``duration``) of activation
+        and every later load step: the events a run is scored on."""
+        times = [self.activation_time] + [t for t, _ in self.load.steps
+                                          if t > self.activation_time]
+        return [(t0, t1 - t0) for t0, t1 in zip(times, times[1:] + [self.duration])]
+
 
 def _is_multiple(value: float, step: float) -> bool:
     n = value / step
-    return abs(n - round(n)) <= 1e-9
+    return math.isfinite(n) and abs(n - round(n)) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -186,27 +197,24 @@ def run(scenario: Scenario) -> SimResult:
 
     x = np.zeros(4)
     load_now = 0.0
-    pending = list(scenario.load.steps)
-    activated = False
+    # control tick -> load; steps that share a tick leave the last one's load
+    load_at = {round(t / scenario.control_dt): p for t, p in scenario.load.steps}
+    activation = round(scenario.activation_time / scenario.control_dt)
     # one-step delay registers of the two channels: entry i is what converter
     # i receives, its neighbor's snapshot from the previous control tick
     # (telemetry) or secondary tick (coordination); both start at zero
     telemetry = coordination = ((0.0, 0.0), (0.0, 0.0))
 
     for k in range(n_ctl):
-        t = k * scenario.control_dt
-        while pending and t >= pending[0][0] - 1e-12:
-            _, new_load = pending.pop(0)
+        if k in load_at:
             x = x.copy()   # x is the last row of states
-            jump = (new_load - load_now) / v_nom
+            jump = (load_at[k] - load_now) / v_nom
             x[2] += l2 / (l1 + l2) * jump   # inductive divider split
             x[3] += l1 / (l1 + l2) * jump
-            load_now = new_load
-
-        if not activated and t >= scenario.activation_time - 1e-12:
+            load_now = load_at[k]
+        if k == activation:
             for unit in units:
                 unit.active = True
-            activated = True
 
         v1, v2, i1, i2 = x.tolist()
         snapshots = ((v1, i1), (v2, i2))

@@ -16,7 +16,7 @@ from typing import Optional
 from .control import PiGains
 from .grid import pi_tf
 from .lti import (NoCrossoverError, TransferFunction, analytic_phase,
-                  gain_crossover, phase_margin, tf_series)
+                  gain_crossover, tf_series)
 
 
 class InfeasibleDesignError(Exception):
@@ -105,7 +105,7 @@ def verify_design(plant: TransferFunction, gains: PiGains,
         return DesignReport(ok=False, crossover=None, margin=None,
                             crossover_delta=None, margin_delta=None,
                             reason=str(exc))
-    pm = phase_margin(loop)
+    pm = 180.0 + math.degrees(analytic_phase(loop, wc))   # phase margin
     return DesignReport(ok=True, crossover=wc, margin=pm,
                         crossover_delta=wc - spec.crossover_omega,
                         margin_delta=pm - spec.phase_margin)

@@ -287,6 +287,20 @@ class TestSimulate:
         for got, row in zip(lines[2:], table):
             assert got == ",".join(g12(v) for v in row)
 
+    def test_activation_acts_at_its_control_tick(self, tmp_path):
+        # 5.000000000009 s is on the 0.01 s control grid (9e-10 ticks past
+        # 500) and acts at 5.00 s, the time itae.json scores it from
+        cfgp = write(tmp_path, "[scenario]\nactivation_time = 5.000000000009\n"
+                               "duration = 8.0\nplant_dt = 0.001\n"
+                               "control_dt = 0.01\nload_steps = 1.0:2000.0\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        lines = (out / "timeseries.csv").read_text().splitlines()
+        column = lines[1].split(",").index("ref1_v")
+        rows = [line.split(",") for line in lines[2:]]
+        first = next(row for row in rows if float(row[column]) != 0.0)
+        assert float(first[0]) == pytest.approx(5.001, abs=1e-9)
+
     def test_reruns_identical_bytes(self, tmp_path):
         cfgp = write(tmp_path, FAST_SCENARIO)
         out1, out2 = tmp_path / "a", tmp_path / "b"

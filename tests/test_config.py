@@ -1,5 +1,6 @@
 """Config parsing: defaults, strict keys, typing, echo round-trip."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -21,7 +22,7 @@ class TestDefaults:
         assert cfg.scheme_kind == "cascade"
         assert cfg.power_pi.kp == pytest.approx(0.001)
         assert cfg.voltage_pi.ki == pytest.approx(563.8)
-        assert cfg.load_steps == ((1.0, 2000.0), (20.0, 6000.0))
+        assert cfg.scenario().load.steps == ((1.0, 2000.0), (20.0, 6000.0))
         assert cfg.sweep.steps == 50
 
     def test_empty_file_equals_defaults(self, tmp_path):
@@ -96,8 +97,8 @@ class TestStrictness:
             load_config(write(tmp_path, f"[tuning]\n{text}\n"))
 
     def test_overflowing_duration_rejected(self, tmp_path):
-        # the timing arithmetic overflows; still a config error, not a traceback
-        with pytest.raises(ConfigError):
+        # duration / control_dt overflows to inf: named, not a bare overflow
+        with pytest.raises(ConfigError, match="duration 1e[+]308 s"):
             load_config(write(tmp_path, "[scenario]\nduration = 1e308\n"))
 
     def test_scored_events_two_plant_steps_apart(self, tmp_path):
@@ -105,7 +106,7 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="under two plant steps"):
             load_config(write(tmp_path, base.format("5.001")))
         cfg = load_config(write(tmp_path, base.format("5.002")))
-        assert [t for t, _ in cfg.scored_events()] == [5.0, 5.002]
+        assert [t for t, _ in cfg.scenario().scored_events()] == [5.0, 5.002]
 
 
 class TestValues:
@@ -121,10 +122,11 @@ duration = 30.0
         assert cfg.scheme_kind == "conventional"
         scheme = cfg.scheme()
         assert scheme.voltage_pi.kp == pytest.approx(0.2)
-        assert cfg.duration == 30.0
+        assert cfg.scenario().duration == 30.0
 
     def test_scored_events_carry_their_settling_span(self):
-        assert load_config(None).scored_events() == [(5.0, 15.0), (20.0, 5.0)]
+        assert load_config(None).scenario().scored_events() == [(5.0, 15.0),
+                                                                (20.0, 5.0)]
 
     def test_tuning_specs_built_at_load(self):
         tuning = load_config(None).tuning
@@ -135,7 +137,12 @@ duration = 30.0
         cfg = load_config(None)
         scenario = cfg.scenario()
         assert scenario.secondary_dt == pytest.approx(0.02)
-        assert scenario.load.steps == cfg.load_steps
+        # the one Scenario built at load, carrying the configured scheme
+        assert cfg.scenario() is scenario
+        assert cfg.scheme() is scenario.scheme
+        other = dataclasses.replace(scenario.scheme, weights=(0.5, 0.5))
+        assert cfg.scenario(scheme=other) == dataclasses.replace(scenario,
+                                                                 scheme=other)
 
     def test_echo_round_trip(self, tmp_path):
         cfg = load_config(write(tmp_path, "[scenario]\nduration = 30.0\n"))
@@ -143,4 +150,4 @@ duration = 30.0
         echoed.write_text(render_config(cfg), encoding="utf-8")
         cfg2 = load_config(str(echoed))
         assert render_config(cfg2) == render_config(cfg)
-        assert cfg2.duration == 30.0
+        assert cfg2.scenario().duration == 30.0

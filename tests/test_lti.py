@@ -11,7 +11,7 @@ from scipy import signal
 from dcgridlab.grid import default_grid
 from dcgridlab.lti import (DegenerateLoopError, NoCrossoverError, Polynomial,
                            analytic_phase, bandwidth_3db, cancel_common_factors,
-                           freq_response, gain_crossover, phase_margin, poles,
+                           freq_response, gain_crossover, poles,
                            tf, tf_constant, tf_feedback, tf_series, zoh)
 from dcgridlab.sim import _plant_matrices
 
@@ -185,12 +185,6 @@ class TestCrossoverAndMargin:
         g = _plant()
         assert gain_crossover(g) == pytest.approx(5160.7, rel=1e-3)
         assert bandwidth_3db(g) == pytest.approx(116.6, abs=0.5)
-
-    def test_phase_margin_integrator(self):
-        assert phase_margin(tf([10.0], [0.0, 1.0])) == pytest.approx(90.0)
-
-    def test_phase_margin_double_integrator(self):
-        assert phase_margin(tf([100.0], [0.0, 0.0, 1.0])) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestPoles:

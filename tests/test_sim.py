@@ -103,6 +103,27 @@ class TestValidation:
             dataclasses.replace(scenario, duration=2.99951)
 
 
+def coarse_scenario(load_steps, activation_time):
+    # control_dt = 0.01 s: a time 9e-12 s past a tick is 9e-10 ticks past it,
+    # on the grid, and must act at that tick, not at the next one
+    return Scenario(grid=default_grid(), scheme=load_config(None).scheme(),
+                    load=LoadProfile(load_steps), activation_time=activation_time,
+                    duration=6.0, plant_dt=1e-3, control_dt=0.01,
+                    secondary_dt=0.02)
+
+
+class TestEventTicks:
+    def test_load_step_acts_at_its_tick(self):
+        res = run(coarse_scenario(((1.000000000009, 2000.0),), 12.0))
+        first = np.flatnonzero(res.current.sum(axis=1))[0]
+        assert res.time[first] == pytest.approx(1.001, abs=1e-9)
+
+    def test_activation_acts_at_its_tick(self):
+        res = run(coarse_scenario(((1.0, 2000.0),), 5.000000000009))
+        first = np.flatnonzero(res.voltage_reference.any(axis=1))[0]
+        assert res.time[first] == pytest.approx(5.001, abs=1e-9)
+
+
 class TestOpenLoop:
     @pytest.mark.parametrize("duration,plant_dt", [(1.0, 1e-4), (0.3, 5e-4)])
     def test_end_time_is_the_last_sample(self, duration, plant_dt):

@@ -89,6 +89,19 @@ class TestVerify:
         assert report.crossover == pytest.approx(100.0, abs=2.0)
         assert report.margin == pytest.approx(70.0, abs=2.0)
 
+    # a unit proportional gain leaves the loop equal to the plant
+    def test_margin_of_integrator(self):
+        report = verify_design(tf([10.0], [0.0, 1.0]), PiGains(kp=1.0, ki=0.0),
+                               TuningSpec(10.0, 90.0))
+        assert report.crossover == pytest.approx(10.0, rel=1e-9)
+        assert report.margin == pytest.approx(90.0)
+
+    def test_margin_of_double_integrator(self):
+        report = verify_design(tf([100.0], [0.0, 0.0, 1.0]),
+                               PiGains(kp=1.0, ki=0.0), TuningSpec(10.0, 45.0))
+        assert report.crossover == pytest.approx(10.0, rel=1e-9)
+        assert report.margin == pytest.approx(0.0, abs=1e-9)
+
     def test_zero_gains_reported_not_raised(self, power_plant):
         report = verify_design(power_plant, PiGains(kp=0.0, ki=0.0),
                                TuningSpec(100.0, 70.0))
