@@ -4,15 +4,18 @@ The plant is the four-state linear interconnection of both converter voltage
 loops and both cable currents.  The load draws a commanded power through the
 nominal bus voltage, which pins the current sum between events; a load step
 therefore enters as a state jump whose split follows the inductive divider.
-Between controller updates the plant advances by exact zero-order-hold
-discretization (matrix exponential), so integration error never contaminates
-transient scores.  The input is held over the plant sub-steps of a control
-period, so its contribution ``bd @ u`` is formed once per control tick and each
-sub-step is ``x = ad @ x + bd_u``, computed in place in one preallocated state
-array whose columns are the result's voltage and current series.  The bus
-voltage is the dot product ``c_vg @ x`` of each row: a batched product would
-round some rows differently.  The inputs are recorded once per tick and
-repeated over the sub-steps at the end.
+The plant is linear and its input is held over a control period, so the
+whole period follows exactly from the state at its start (the lifted
+sampled-data system).  At set-up the exact zero-order-hold pair (matrix
+exponential) over j plant steps is formed for each j = 1..n_sub and stacked
+into ``phi`` (n_sub*4, 4) and ``gam`` (n_sub*4, 2); each control tick then
+fills its n_sub rows of one preallocated state array as ``phi @ x + gam @ u``,
+whose columns are the result's voltage and current series.  Every row is an
+exact sample of the continuous plant, rounded once per tick instead of
+accumulating one rounding per plant step, so integration error never
+contaminates transient scores.  The bus voltage ``c_vg @ x`` is formed for all
+rows at once after the loop, and the inputs are recorded once per tick and
+repeated over the plant steps at the end.
 
 Load steps and activation act on control ticks only: an event at time t acts
 at tick round(t / control_dt).  :class:`Scenario` accepts only times within
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Union
 
 import numpy as np
@@ -47,11 +51,17 @@ class SimulationError(Exception):
 
 
 class SimulationDiverged(SimulationError):
-    """The state left the finite range; reported with the offending time."""
+    """The state left the finite range; reported with the time, the plant
+    state and the held references of the control tick that found it."""
 
-    def __init__(self, time: float):
-        super().__init__(f"simulation diverged (non-finite state) at t = {time:.6f} s")
+    def __init__(self, time: float, state, inputs):
         self.time = time
+        self.state = tuple(map(float, state))
+        self.inputs = tuple(map(float, inputs))
+        super().__init__(
+            f"simulation diverged (non-finite state) at t = {time:.6f} s: "
+            f"[V1, V2, I1, I2] = {list(self.state)}, "
+            f"held references u = {list(self.inputs)}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,13 @@ class Scenario:
                 raise SimulationError(
                     f"{name} {t!r} s is not a finite multiple of control_dt "
                     f"{self.control_dt!r} s")
+        # numpy indexes the (n_rows, 4) float64 state array in bytes
+        n_rows = (round(self.duration / self.control_dt)
+                  * round(self.control_dt / self.plant_dt))
+        if n_rows * 32 > np.iinfo(np.intp).max:
+            raise SimulationError(
+                f"duration {self.duration!r} s needs {Decimal(n_rows):.3e} plant "
+                f"rows; numpy indexes at most {np.iinfo(np.intp).max // 32}")
 
     @property
     def end_time(self) -> float:
@@ -181,19 +198,24 @@ def run(scenario: Scenario) -> SimResult:
     l1 = grid.converters[0].cable.inductance
     l2 = grid.converters[1].cable.inductance
     a, b, c_vg = _plant_matrices(grid)
-    ad, bd = zoh(a, b, scenario.plant_dt)
 
     n_sub = int(round(scenario.control_dt / scenario.plant_dt))
     n_sec = int(round(scenario.secondary_dt / scenario.control_dt))
     n_ctl = int(round(scenario.duration / scenario.control_dt))
     n_rows = n_ctl * n_sub
 
+    # exact ZOH over j plant steps, j = 1..n_sub, stacked: row block j - 1 of
+    # phi @ x + gam @ u is the state j plant steps into a control period
+    pairs = [zoh(a, b, j * scenario.plant_dt) for j in range(1, n_sub + 1)]
+    phi = np.vstack([ad for ad, _ in pairs])    # (n_sub * 4, 4)
+    gam = np.vstack([bd for _, bd in pairs])    # (n_sub * 4, 2)
+
     units = _make_controllers(scenario)
 
     time_grid = np.arange(1, n_rows + 1) * scenario.plant_dt
-    states = np.empty((n_rows, 4))   # x = [V1, V2, I1, I2] after each sub-step
+    states = np.empty((n_rows, 4))   # x = [V1, V2, I1, I2] at each plant step
+    flat = states.reshape(-1)        # a view: row r is flat[4 r:4 r + 4]
     inputs = np.empty((n_ctl, 2))    # u held over each control period
-    bus = np.empty(n_rows)
 
     x = np.zeros(4)
     load_now = 0.0
@@ -220,25 +242,21 @@ def run(scenario: Scenario) -> SimResult:
         snapshots = ((v1, i1), (v2, i2))
         secondary = (k % n_sec == 0)
         slow = coordination if secondary else (None, None)
-        inputs[k] = [
-            units[i].step(snapshots[i], telemetry[i], slow[i],
-                          scenario.control_dt, scenario.secondary_dt)
-            for i in range(2)]
+        u = inputs[k]
+        u[:] = [units[i].step(snapshots[i], telemetry[i], slow[i],
+                              scenario.control_dt, scenario.secondary_dt)
+                for i in range(2)]
         telemetry = snapshots[::-1]
         if secondary:
             coordination = telemetry
 
-        # x = ad @ x + bd @ u per sub-step, computed in place in the state
-        # rows; ndarray.dot gives the same floats as @ at less call overhead
-        bd_u = bd.dot(inputs[k])
-        for row in range(k * n_sub, (k + 1) * n_sub):
-            x_next = states[row]
-            ad.dot(x, out=x_next)
-            x_next += bd_u
-            bus[row] = c_vg.dot(x_next)
-            x = x_next
+        # the whole control period from the state at its start
+        block = flat[k * n_sub * 4:(k + 1) * n_sub * 4]
+        np.dot(phi, x, out=block)
+        block += gam.dot(u)
+        x = block[-4:]
         if not np.isfinite(x).all():
-            raise SimulationDiverged(time_grid[row])
+            raise SimulationDiverged(time_grid[(k + 1) * n_sub - 1], x, u)
 
     term = states[:, 0:2]
     curr = states[:, 2:4]
@@ -247,7 +265,7 @@ def run(scenario: Scenario) -> SimResult:
         power=v_nom * curr,
         current=curr,
         terminal_voltage=term,
-        bus_voltage=bus,
+        bus_voltage=states @ c_vg,
         regulated_voltage=term.mean(axis=1),
         voltage_reference=np.repeat(inputs, n_sub, axis=0),
         weights=weights_from_ratings(grid.rated_powers),

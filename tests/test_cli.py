@@ -176,6 +176,15 @@ class TestRejectedAtLoad:
     def test_overflowing_duration(self, tmp_path, caplog):
         self._rejected(tmp_path, caplog, ["simulate"], "[scenario]\nduration = 1e308\n")
 
+    @pytest.mark.parametrize("text,rows", [
+        ("duration = 1e300", "1.000e+304"),
+        ("duration = 1e300\ncontrol_dt = 1e-8\nplant_dt = 1e-10", "1.000e+310")])
+    def test_duration_beyond_numpy_indexing(self, tmp_path, caplog, text, rows):
+        # the first died in np.arange after writing config_effective.ini, the
+        # second as "int too large to convert to float", naming no key
+        message = self._rejected(tmp_path, caplog, ["simulate"], f"[scenario]\n{text}\n")
+        assert f"duration 1e+300 s needs {rows} plant rows" in message
+
     @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
     def test_settling_span_under_two_plant_steps(self, tmp_path, caplog, subcommand):
         # used to write timeseries.csv, then exit 2 while scoring settling
@@ -350,7 +359,7 @@ class TestCompare:
 
         def failing_run(scenario):
             if isinstance(scenario.scheme, CascadeScheme):
-                raise SimulationDiverged(1.25)
+                raise SimulationDiverged(1.25, [math.nan] * 4, [0.0, 0.0])
             return real_run(scenario)
 
         monkeypatch.setattr(climod, "run", failing_run)
