@@ -31,8 +31,8 @@ from .grid import (OUTER_PLANT_MODES, GridModelError, check_converter_index,
 from .lti import (NoCrossoverError, TransferFunction, freq_response, tf_constant,
                   tf_series)
 from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
-from .sim import (DEFAULT_ITAE_WINDOW, SimResult, SimulationError, itae_current,
-                  itae_voltage, run, voltage_settling)
+from .sim import (DEFAULT_ITAE_WINDOW, SimResult, SimulationDiverged,
+                  SimulationError, itae_current, itae_voltage, run, voltage_settling)
 from .tuning import InfeasibleDesignError, TunedController, design_pi, verify_design
 
 log = logging.getLogger("dcgridlab")
@@ -240,8 +240,9 @@ def _case_scheme(cfg: RunConfig, case: str):
 
 def cmd_compare(cfg: RunConfig, outdir: Path) -> int:
     manifest = _manifest(cfg, "compare")
-    # (case, event) -> (itae_v, itae_i, settling_v); a failed case has one
-    # ("FAILED") entry of NaNs
+    # (case, event) -> (itae_v, itae_i, settling_v); a diverged case has one
+    # ("FAILED") entry of NaNs.  Any other SimulationError (a run too large
+    # for memory) fails every case alike and ends the command in main.
     table: dict[tuple[str, str], tuple[float, float, float]] = {}
     per_case: dict[str, Optional[list[dict]]] = {}
     failed = False
@@ -250,7 +251,7 @@ def cmd_compare(cfg: RunConfig, outdir: Path) -> int:
         try:
             result = run(scenario)
             scored = _score_events(cfg, result)
-        except SimulationError as exc:
+        except SimulationDiverged as exc:
             log.error("case %s failed: %s", case, exc)
             per_case[case] = None
             table[case, "FAILED"] = (math.nan, math.nan, math.nan)

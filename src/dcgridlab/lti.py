@@ -1,10 +1,11 @@
 """Rational LTI building blocks: polynomials, transfer functions, frequency
 response, pole extraction, and zero-order-hold discretization.
 
-Everything lives in the continuous (s) domain until ``zoh`` samples it.
-Polynomial coefficients are stored in ascending powers of s.  All types are
-immutable; all operations are pure functions, so they are safe to evaluate
-concurrently.
+Everything lives in the continuous (s) domain until ``zoh`` samples it, by
+one matrix exponential taken with numpy alone (Pade(13) scaling and squaring,
+Higham 2005), so the package needs no scipy.  Polynomial coefficients are
+stored in ascending powers of s.  All types are immutable; all operations are
+pure functions, so they are safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class LtiError(Exception):
@@ -316,6 +316,43 @@ def bandwidth_3db(g: TransferFunction) -> float:
 # discretization
 
 
+# Higham, "The scaling and squaring method for the matrix exponential
+# revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005: the [13/13] Pade
+# coefficients and the largest 1-norm at which that approximant is accurate to
+# double precision unscaled
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade(13) scaling and squaring (Higham 2005).
+
+    The approximant (V - U)^-1 (V + U) is formed as I + 2 (V - U)^-1 U, the
+    same rational function, so a zero matrix maps to exactly the identity.
+    """
+    norm = np.linalg.norm(a, 1)
+    if not math.isfinite(norm):
+        return np.full(a.shape, math.nan)   # for the caller's finiteness check
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a / 2.0 ** s
+    b = _PADE13
+    ident = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    e = ident + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def zoh(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization: x[k+1] = ad @ x[k] + bd @ u[k].
 
@@ -325,5 +362,5 @@ def zoh(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray
     big = np.zeros((n + m, n + m))
     big[:n, :n] = a * dt
     big[:n, n:] = b * dt
-    e = expm(big)
+    e = _expm(big)
     return e[:n, :n], e[:n, n:]

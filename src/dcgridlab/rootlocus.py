@@ -87,7 +87,7 @@ class LocusResult:
             raise SweepError("pole count changes along the sweep; cannot pair")
         # Every assignment is scored: n! is 120 for the largest loop here (5
         # poles).  scipy.optimize.linear_sum_assignment gives the same optimum
-        # but importing scipy.optimize adds ~20 MB to the process.
+        # (the tests use it as the oracle), but the package imports no scipy.
         assignments = np.array(list(itertools.permutations(range(n))), dtype=int)
         branch = np.arange(n)
         paths = np.empty((len(self.steps), n), dtype=complex)

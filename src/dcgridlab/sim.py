@@ -120,18 +120,21 @@ class Scenario:
                     f"{name} {t!r} s is not a finite multiple of control_dt "
                     f"{self.control_dt!r} s")
         # numpy indexes the (n_rows, 4) float64 state array in bytes
-        n_rows = (round(self.duration / self.control_dt)
-                  * round(self.control_dt / self.plant_dt))
-        if n_rows * 32 > np.iinfo(np.intp).max:
+        if self.n_rows * 32 > np.iinfo(np.intp).max:
             raise SimulationError(
-                f"duration {self.duration!r} s needs {Decimal(n_rows):.3e} plant "
-                f"rows; numpy indexes at most {np.iinfo(np.intp).max // 32}")
+                f"duration {self.duration!r} s needs {Decimal(self.n_rows):.3e} "
+                f"plant rows; numpy indexes at most {np.iinfo(np.intp).max // 32}")
+
+    @property
+    def n_rows(self) -> int:
+        """Number of plant samples :func:`run` produces."""
+        return (round(self.duration / self.control_dt)
+                * round(self.control_dt / self.plant_dt))
 
     @property
     def end_time(self) -> float:
         """Time of the last sample :func:`run` produces."""
-        return (round(self.duration / self.control_dt)
-                * round(self.control_dt / self.plant_dt) * self.plant_dt)
+        return self.n_rows * self.plant_dt
 
     def scored_events(self) -> list[tuple[float, float]]:
         """(time, span to the next scored event or ``duration``) of activation
@@ -202,7 +205,7 @@ def run(scenario: Scenario) -> SimResult:
     n_sub = int(round(scenario.control_dt / scenario.plant_dt))
     n_sec = int(round(scenario.secondary_dt / scenario.control_dt))
     n_ctl = int(round(scenario.duration / scenario.control_dt))
-    n_rows = n_ctl * n_sub
+    n_rows = scenario.n_rows
 
     # exact ZOH over j plant steps, j = 1..n_sub, stacked: row block j - 1 of
     # phi @ x + gam @ u is the state j plant steps into a control period
@@ -212,10 +215,15 @@ def run(scenario: Scenario) -> SimResult:
 
     units = _make_controllers(scenario)
 
-    time_grid = np.arange(1, n_rows + 1) * scenario.plant_dt
-    states = np.empty((n_rows, 4))   # x = [V1, V2, I1, I2] at each plant step
+    try:
+        time_grid = np.arange(1, n_rows + 1) * scenario.plant_dt
+        states = np.empty((n_rows, 4))   # x = [V1, V2, I1, I2] at each plant step
+        inputs = np.empty((n_ctl, 2))    # u held over each control period
+    except MemoryError as exc:
+        raise SimulationError(
+            f"duration {scenario.duration!r} s needs {Decimal(n_rows):.3e} plant "
+            f"rows, which do not fit in memory: {exc}") from exc
     flat = states.reshape(-1)        # a view: row r is flat[4 r:4 r + 4]
-    inputs = np.empty((n_ctl, 2))    # u held over each control period
 
     x = np.zeros(4)
     load_now = 0.0

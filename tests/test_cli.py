@@ -198,6 +198,24 @@ def g12(v) -> str:
     return format(v, ".12g") if isinstance(v, float) else str(v)
 
 
+class TestRunBeyondMemory:
+    @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
+    def test_one_error_line_naming_duration_and_rows(self, tmp_path, caplog,
+                                                     monkeypatch, subcommand):
+        # 1e11 plant rows: np.arange's 745 GiB time grid used to raise an
+        # uncaught _ArrayMemoryError; the allocation fails here without trying
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(np, "arange", no_memory)
+        cfgp = write(tmp_path, "[scenario]\nduration = 1e7\n")
+        assert main([subcommand, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "duration 10000000.0 s needs 1.000e+11 plant rows" in errors[0]
+        assert "Unable to allocate 745. GiB" in errors[0]
+
+
 class TestWriteCsv:
     MANIFEST = RunManifest(version="0", subcommand="test",
                            config_sha256="0" * 64)

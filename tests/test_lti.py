@@ -15,6 +15,19 @@ from dcgridlab.lti import (DegenerateLoopError, NoCrossoverError, Polynomial,
                            tf, tf_constant, tf_feedback, tf_series, zoh)
 from dcgridlab.sim import _plant_matrices
 
+
+def mp_zoh(a, b, dt):
+    """[ad, bd] from mpmath.expm of [[a, b], [0, 0]] * dt at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    n, m = b.shape
+    big = np.zeros((n + m, n + m))
+    big[:n, :n] = a * dt
+    big[:n, n:] = b * dt
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(big.tolist())).tolist(),
+                        dtype=float)[:n]
+
+
 # bench power plant: 400/((1 + 0.005 s)(0.5 + 0.003 s))
 PLANT = tf([400.0], np.convolve([1.0, 0.005], [0.5, 0.003])[::-1][::-1])
 
@@ -246,6 +259,54 @@ class TestZoh:
             (a, b, np.eye(4), np.zeros((4, 2))), 1e-4, method="zoh")
         assert ad == pytest.approx(want_ad, rel=1e-12, abs=0.0)
         assert bd == pytest.approx(want_bd, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("j", range(1, 11))
+    def test_grid_plant_matches_mpmath(self, j):
+        # the pairs sim.run stacks: j plant steps of 1e-4 s; 3.0e-17 of the
+        # largest entry measured, within one float64 epsilon
+        a, b, _ = _plant_matrices(default_grid())
+        ad, bd = zoh(a, b, j * 1e-4)
+        want = mp_zoh(a, b, j * 1e-4)
+        got = np.hstack([ad, bd])
+        assert np.abs(got - want).max() <= np.finfo(float).eps * np.abs(want).max()
+
+    @pytest.mark.parametrize("norm", [0.01, 0.1, 1.0, 5.0, 10.0, 50.0])
+    def test_random_matrices_match_mpmath(self, norm):
+        # 1-norms of the block [[a, b], [0, 0]] on both sides of theta_13 =
+        # 5.37, so the larger ones take the squaring branch; worst measured
+        # 2.3e-15 of the largest entry (scipy.linalg.expm: 4.4e-12)
+        rng = np.random.default_rng(round(100 * norm))
+        for _ in range(3):
+            a, b = rng.standard_normal((5, 5)), rng.standard_normal((5, 2))
+            scale = norm / np.linalg.norm(np.vstack([np.hstack([a, b]),
+                                                     np.zeros((2, 7))]), 1)
+            ad, bd = zoh(a, b, scale)
+            want = mp_zoh(a, b, scale)
+            err = np.abs(np.hstack([ad, bd]) - want).max() / np.abs(want).max()
+            assert err <= 2e-14, err
+
+    def test_zero_dynamics_give_exact_identity(self):
+        _, b, _ = _plant_matrices(default_grid())
+        ad, bd = zoh(np.zeros((4, 4)), b, 1e-4)
+        assert (ad == np.eye(4)).all()
+        assert bd == pytest.approx(b * 1e-4, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3, 0.5])
+    def test_structural_zeros_stay_exact(self, dt):
+        # V1 and V2 are first-order lags of their own references: the zeros of
+        # their rows survive the solve and, at 0.5 s, the squarings
+        a, b, _ = _plant_matrices(default_grid())
+        ad, bd = zoh(a, b, dt)
+        assert (ad[0, 1:] == 0).all() and (ad[1, [0, 2, 3]] == 0).all()
+        assert bd[0, 1] == 0 and bd[1, 0] == 0
+        assert np.abs(ad[2:]).min() > 0 and np.abs(bd[2:]).min() > 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_matrix_gives_nan(self):
+        # a rate that overflows to inf reaches sim.run's divergence check as
+        # NaN, with no exception or numpy warning on the way
+        ad, bd = zoh(np.array([[-np.inf]]), np.array([[np.inf]]), 1e-4)
+        assert np.isnan(ad).all() and np.isnan(bd).all()
 
 
 # ---------------------------------------------------------------------------
