@@ -11,13 +11,22 @@ design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .lti import Polynomial, TransferFunction, tf, tf_feedback, tf_series
 
 
 class GridModelError(Exception):
     """Invalid grid description or unsupported topology."""
+
+
+def _check_time_scale(name: str, value: float) -> None:
+    # the models divide by it: the poles -1/tau and -R/L, the plant matrices
+    if not (value > 0 and math.isfinite(value) and math.isfinite(1.0 / value)):
+        raise GridModelError(f"{name} {value!r} must be positive, finite "
+                             f"and have a finite reciprocal")
 
 
 @dataclass(frozen=True)
@@ -28,8 +37,9 @@ class CableParams:
     inductance: float  # henry
 
     def __post_init__(self):
-        if self.resistance <= 0 or self.inductance <= 0:
-            raise GridModelError("cable resistance and inductance must be positive")
+        if self.resistance <= 0:
+            raise GridModelError("cable resistance must be positive")
+        _check_time_scale("cable inductance", self.inductance)
 
     def impedance(self) -> Polynomial:
         return Polynomial([self.resistance, self.inductance])
@@ -46,8 +56,7 @@ class ConverterParams:
     def __post_init__(self):
         if self.rated_power <= 0:
             raise GridModelError("rated power must be positive")
-        if self.voltage_loop_tau <= 0:
-            raise GridModelError("voltage loop time constant must be positive")
+        _check_time_scale("voltage loop time constant", self.voltage_loop_tau)
 
 
 @dataclass(frozen=True)
@@ -125,10 +134,21 @@ def bus_voltage_source_weights(grid: GridConfig) -> tuple[TransferFunction, Tran
     """Impedance-divider weights mapping source-voltage deviations to the bus.
 
     dVg = W1(s)*dV1 + W2(s)*dV2 with W1 = Z2/(Z1+Z2) and W2 = Z1/(Z1+Z2);
-    the weights sum to one at every frequency.
+    the weights sum to one at every frequency.  When both cables have the
+    same time constant L/R, numerator and denominator share the factor
+    (1 + s*L/R) and the weights are the constants R2/(R1+R2) and R1/(R1+R2).
+    This is the one pole/zero cancellation of the model, made here, where
+    the divider's structure is known; products elsewhere keep every factor.
     """
-    z1 = grid.converters[0].cable.impedance()
-    z2 = grid.converters[1].cable.impedance()
+    c1, c2 = (c.cable for c in grid.converters)
+    # L1/R1 == L2/R2 within 1e-9, as exact products L1*R2 and L2*R1: no ratio
+    # turns inf for a tiny R, and no product underflows to 0
+    x = Fraction(c1.inductance) * Fraction(c2.resistance)
+    y = Fraction(c2.inductance) * Fraction(c1.resistance)
+    if abs(x - y) <= Fraction(1e-9) * max(x, y):
+        rsum = c1.resistance + c2.resistance
+        return (tf([c2.resistance / rsum], [1.0]), tf([c1.resistance / rsum], [1.0]))
+    z1, z2 = c1.impedance(), c2.impedance()
     zsum = z1 + z2
     return (TransferFunction(z2, zsum), TransferFunction(z1, zsum))
 
@@ -181,15 +201,17 @@ def voltage_loop_plant_tf(grid: GridConfig, i: int, power_pi,
       and the one the shipped gains are designed against.
     - ``closed-inner``: the same path with the inner power loop closed before
       the divider, C_P*Gv_i/(1 + C_P*G_power,i) * Z_j/(Z_i+Z_j).
+
+    The divider is ``bus_voltage_source_weights(grid)[i]``: the constant
+    R_j/(R_i+R_j) when both cables have the same L/R, so the plant then has
+    no cable pole in the as-written mode and one (from the inner loop) in
+    the closed-inner mode.
     """
     check_converter_index(grid, i)
     if mode not in OUTER_PLANT_MODES:
         raise GridModelError(f"unknown outer-plant mode {mode!r}; pick one of {OUTER_PLANT_MODES}")
     conv = grid.converters[i]
-    other = grid.converters[1 - i]
-    zi = conv.cable.impedance()
-    zj = other.cable.impedance()
-    divider = TransferFunction(zj, zi + zj)
+    divider = bus_voltage_source_weights(grid)[i]
     forward = tf_series(pi_tf(power_pi), converter_voltage_tf(conv))
     if mode == "as-written":
         return tf_series(forward, divider)

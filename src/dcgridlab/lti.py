@@ -4,8 +4,10 @@ response, pole extraction, and zero-order-hold discretization.
 Everything lives in the continuous (s) domain until ``zoh`` samples it, by
 one matrix exponential taken with numpy alone (Pade(13) scaling and squaring,
 Higham 2005), so the package needs no scipy.  Polynomial coefficients are
-stored in ascending powers of s.  All types are immutable; all operations are
-pure functions, so they are safe to evaluate concurrently.
+stored in ascending powers of s.  Series and feedback products keep every
+factor: no roots are matched numerically, so a product's degree, and a closed
+loop's pole count, follow from its structure.  All types are immutable; all
+operations are pure functions, so they are safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,47 +108,6 @@ class Polynomial:
         return np.array(polished, dtype=complex)
 
 
-def _deflate(poly: Polynomial, roots: list[complex]) -> Optional[Polynomial]:
-    """Divide out the factor carrying ``roots``; None when it is not real."""
-    factor = np.atleast_1d(np.poly(np.array(roots)))
-    if np.max(np.abs(factor.imag)) > 1e-9 * np.max(np.abs(factor.real)):
-        return None  # the matched set is not conjugate-closed
-    quotient, _ = np.polydiv(np.array(poly.coeffs[::-1]), factor.real)
-    return Polynomial(np.atleast_1d(quotient)[::-1])
-
-
-def cancel_common_factors(num: Polynomial,
-                          den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Cancel numerator/denominator roots that agree within 1e-9 relative.
-
-    Cancellation is deliberately strict: near-but-not-equal pole/zero pairs are
-    kept so near-unstable hidden modes stay visible.  The surviving factors are
-    obtained by deflating the original coefficients (never by rebuilding them
-    from computed roots), so multiple roots in the kept part stay accurate.
-    """
-    if num.is_zero or num.degree == 0 or den.degree == 0:
-        return num, den
-    zd = list(den.roots())
-    cancelled_n: list[complex] = []
-    cancelled_d: list[complex] = []
-    for z in num.roots():
-        hit = None
-        for i, p in enumerate(zd):
-            if abs(z - p) <= 1e-9 * max(1.0, abs(z), abs(p)):
-                hit = i
-                break
-        if hit is not None:
-            cancelled_n.append(z)
-            cancelled_d.append(zd.pop(hit))
-    if not cancelled_n:
-        return num, den
-    new_num = _deflate(num, cancelled_n)
-    new_den = _deflate(den, cancelled_d)
-    if new_num is None or new_den is None:
-        return num, den
-    return new_num, new_den
-
-
 @dataclass(frozen=True)
 class TransferFunction:
     """Rational transfer function num(s)/den(s)."""
@@ -178,19 +139,27 @@ def tf_constant(k: float) -> TransferFunction:
 
 
 def tf_series(g1: TransferFunction, g2: TransferFunction) -> TransferFunction:
-    """Series (cascade) interconnection g1*g2 with exact-match factor cleanup."""
-    num, den = cancel_common_factors(g1.num * g2.num, g1.den * g2.den)
-    return TransferFunction(num, den)
+    """Series (cascade) interconnection g1*g2, every factor kept: degrees add.
+
+    Matching computed roots would also drop nearly coincident pairs that are
+    real modes; an exact cancellation is made by the model that knows it
+    (``grid.bus_voltage_source_weights``).
+    """
+    return TransferFunction(g1.num * g2.num, g1.den * g2.den)
 
 
 def tf_feedback(forward: TransferFunction,
                 feedback: TransferFunction) -> TransferFunction:
-    """Closed loop forward/(1 + forward*feedback) as a reduced rational function."""
+    """Closed loop forward/(1 + forward*feedback), every factor kept.
+
+    The denominator is the loop's characteristic polynomial
+    den_f*den_b + num_f*num_b, so the closed-loop poles, and how many there
+    are, follow from the loop's structure alone.
+    """
     num = forward.num * feedback.den
     den = forward.den * feedback.den + forward.num * feedback.num
     if den.is_zero:
         raise DegenerateLoopError("algebraic loop: closed-loop denominator is zero")
-    num, den = cancel_common_factors(num, den)
     return TransferFunction(num, den)
 
 
@@ -245,7 +214,8 @@ def freq_response(g: TransferFunction,
     flagged = np.zeros(len(w), dtype=bool)
     for i, wi in enumerate(w):
         dv = g.den(1j * wi)
-        if abs(dv) < 1e-300 * max(1.0, den_scale):
+        # hypot: abs() raises OverflowError past the float range
+        if math.hypot(dv.real, dv.imag) < 1e-300 * max(1.0, den_scale):
             flagged[i] = True
             resp[i] = complex(math.inf, 0.0)
         else:
@@ -258,14 +228,19 @@ def freq_response(g: TransferFunction,
     return mag_db, np.degrees(unwrapped)
 
 
+def _db(g: TransferFunction, w: float) -> float:
+    """20*log10|g(jw)|, floored at -6000 dB so a zero gain stays finite."""
+    return 20.0 * math.log10(max(abs(g(1j * w)), 1e-300))
+
+
 def _bisect_db(g: TransferFunction, level_db: float, wa: float, wb: float) -> float:
     """Bisection on log-frequency for 20*log10|g(jw)| == level_db."""
-    fa = 20.0 * math.log10(abs(g(1j * wa))) - level_db
+    fa = _db(g, wa) - level_db
     la, lb = math.log(wa), math.log(wb)
     for _ in range(200):
         lm = 0.5 * (la + lb)
         wm = math.exp(lm)
-        fm = 20.0 * math.log10(abs(g(1j * wm))) - level_db
+        fm = _db(g, wm) - level_db
         if abs(fm) < 1e-9:
             return wm
         if (fa < 0) == (fm < 0):
@@ -277,8 +252,7 @@ def _bisect_db(g: TransferFunction, level_db: float, wa: float, wb: float) -> fl
 
 def _grid_db(g: TransferFunction) -> np.ndarray:
     """20*log10|g(jw)| at each frequency of the crossover search grid."""
-    return np.array([20.0 * math.log10(max(abs(g(1j * w)), 1e-300))
-                     for w in _CROSSOVER_GRID])
+    return np.array([_db(g, w) for w in _CROSSOVER_GRID])
 
 
 def gain_crossover(g: TransferFunction) -> float:

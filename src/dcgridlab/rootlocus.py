@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .control import PiGains
-from .grid import (CableParams, GridConfig, pi_tf, power_plant_tf,
-                   voltage_loop_plant_tf)
+from .grid import (CableParams, GridConfig, GridModelError, pi_tf,
+                   power_plant_tf, voltage_loop_plant_tf)
 from .lti import poles, tf_constant, tf_feedback, tf_series
 
 
@@ -43,6 +43,12 @@ class ImpedanceSweep:
             raise SweepError("R/L ratio must be positive")
         if self.steps < 2:
             raise SweepError("a sweep needs at least 2 steps")
+        # every step's cable lies between these two
+        for r in (self.r_min, self.r_max):
+            try:
+                CableParams(resistance=r, inductance=r / self.ratio_r_over_l)
+            except GridModelError as exc:
+                raise SweepError(f"the swept cable at r = {r!r} ohm: {exc}") from exc
 
     def resistances(self) -> np.ndarray:
         return np.logspace(math.log10(self.r_min), math.log10(self.r_max), self.steps)

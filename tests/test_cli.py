@@ -185,6 +185,18 @@ class TestRejectedAtLoad:
         message = self._rejected(tmp_path, caplog, ["simulate"], f"[scenario]\n{text}\n")
         assert f"duration 1e+300 s needs {rows} plant rows" in message
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "tune", "rootlocus"])
+    @pytest.mark.parametrize("text,match", [
+        ("[grid]\nvoltage_loop_taus = 1e-320, 0.005", "voltage loop time constant 1e-320"),
+        ("[grid]\ncable_inductances = 1e-320, 0.003", "cable inductance 1e-320"),
+        ("[sweep]\nratio_r_over_l = 1e-320", "swept cable at r = 0.1 ohm")])
+    def test_time_scale_with_overflowing_reciprocal(self, tmp_path, caplog,
+                                                    subcommand, text, match):
+        # simulate exited 2 as "diverged"; tune and rootlocus died with a
+        # LinAlgError traceback
+        message = self._rejected(tmp_path, caplog, [subcommand], text + "\n")
+        assert match in message and "finite reciprocal" in message
+
     @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
     def test_settling_span_under_two_plant_steps(self, tmp_path, caplog, subcommand):
         # used to write timeseries.csv, then exit 2 while scoring settling
@@ -266,6 +278,15 @@ class TestBode:
         out = tmp_path / "out"
         assert main(["bode", "--plant", "power", "--out", str(out)]) == 0
         assert (out / "bode_power.csv").exists()
+
+    def test_vanishing_loop_gain_exits_cleanly(self, tmp_path):
+        # a 1e300 H cable: |g(jw)| underflows to 0 in the crossover search
+        # (a log10 domain error) and |den(jw)| overflows in the response
+        cfgp = write(tmp_path, "[grid]\ncable_inductances = 1e300, 0.003\n")
+        out = tmp_path / "out"
+        assert main(["bode", "--plant", "voltage-loop", "--config", cfgp,
+                     "--out", str(out)]) == 0
+        assert (out / "bode_voltage-loop.csv").exists()
 
     def test_tuned_loop_annotation_matches_verify(self, tmp_path):
         out = tmp_path / "out"

@@ -1,17 +1,29 @@
 """Small-signal grid relations: plants, bus divider, load response, superposition."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dcgridlab.control import PiGains
 from dcgridlab.grid import (CableParams, ConverterParams, GridConfig,
                             GridModelError, bus_voltage_load_response,
                             bus_voltage_source_weights, converter_voltage_tf,
-                            default_grid, power_plant_tf, total_bus_voltage,
-                            voltage_loop_plant_tf)
+                            default_grid, pi_tf, power_plant_tf,
+                            total_bus_voltage, voltage_loop_plant_tf)
 from dcgridlab.lti import bandwidth_3db, poles, tf
 
 POWER_GAINS = PiGains(kp=0.001, ki=0.130)
+
+
+def grid_with_cables(*cables):
+    return GridConfig(
+        converters=tuple(ConverterParams(rated_power=p, voltage_loop_tau=0.005,
+                                         cable=CableParams(r, l))
+                         for p, (r, l) in zip((4000.0, 2000.0), cables)),
+        nominal_bus_voltage=400.0)
 
 
 def asymmetric_grid():
@@ -35,6 +47,15 @@ class TestValidation:
             ConverterParams(rated_power=0.0, voltage_loop_tau=0.005, cable=cable)
         with pytest.raises(GridModelError):
             ConverterParams(rated_power=1000.0, voltage_loop_tau=0.0, cable=cable)
+
+    @pytest.mark.parametrize("value", [1e-320, float("inf"), float("nan")])
+    def test_time_scale_and_its_reciprocal_finite(self, value):
+        # 1/1e-320 overflows to inf, and so would the pole -1/tau or -R/L
+        with pytest.raises(GridModelError, match="finite reciprocal"):
+            CableParams(resistance=0.5, inductance=value)
+        with pytest.raises(GridModelError, match="finite reciprocal"):
+            ConverterParams(rated_power=1000.0, voltage_loop_tau=value,
+                            cable=CableParams(0.5, 3e-3))
 
     def test_grid_needs_two_converters(self):
         g = default_grid()
@@ -105,6 +126,22 @@ class TestBusDivider:
         w1, w2 = bus_voltage_source_weights(asymmetric_grid())
         for w in np.logspace(-2, 5, 25):
             assert abs(w1(1j * w) + w2(1j * w) - 1.0) < 1e-12
+
+    def test_equal_time_constants_give_constant_weights(self):
+        # asymmetric_grid's cables are 2 ohm / 12 mH and 0.5 ohm / 3 mH
+        w1, w2 = bus_voltage_source_weights(asymmetric_grid())
+        assert (w1.num.coeffs, w1.den.coeffs) == ((0.2,), (1.0,))
+        assert (w2.num.coeffs, w2.den.coeffs) == ((0.8,), (1.0,))
+
+    @pytest.mark.parametrize("resistances,inductances", [
+        # L/R is inf for the first cable: a ratio would call these equal
+        ((1e-320, 0.5), (3e-3, 3e-3)),
+        # both products L_i*R_j underflow to 0.0 in floats
+        ((1e-320, 2e-320), (1e-5, 1e-5))])
+    def test_unequal_time_constants_keep_the_divider(self, resistances, inductances):
+        grid = grid_with_cables(*zip(resistances, inductances))
+        w1, w2 = bus_voltage_source_weights(grid)
+        assert w1.den.degree == w2.den.degree == 1
 
 
 class TestLoadResponse:
@@ -190,3 +227,46 @@ class TestOuterVoltagePlant:
     def test_unknown_mode_rejected(self):
         with pytest.raises(GridModelError):
             voltage_loop_plant_tf(default_grid(), 0, POWER_GAINS, mode="other")
+
+
+RESISTANCE = st.one_of(st.just(1e-320), st.floats(1e-3, 10.0))
+INDUCTANCE = st.floats(1e-5, 0.1)
+
+
+@st.composite
+def cable_pairs(draw):
+    """Two (R, L) cables and whether their L/R are equal; about half are."""
+    r1, l1 = draw(RESISTANCE), draw(INDUCTANCE)
+    if draw(st.booleans()):
+        if r1 != 1e-320 and draw(st.booleans()):
+            r2 = draw(st.floats(1e-3, 10.0))
+            return (r1, l1), (r2, r2 * (l1 / r1)), True   # equal to rounding
+        k = 2.0 ** draw(st.integers(0, 3))   # exact, subnormals included
+        return (r1, l1), (k * r1, k * l1), True
+    r2, l2 = draw(RESISTANCE), draw(INDUCTANCE)
+    x, y = Fraction(l1) * Fraction(r2), Fraction(l2) * Fraction(r1)
+    assume(abs(x - y) > Fraction(1e-6) * max(x, y))
+    return (r1, l1), (r2, l2), False
+
+
+@settings(max_examples=60, deadline=None)
+@given(cable_pairs())
+def test_property_outer_plant_matches_unreduced_divider(pair):
+    """C_P*Gv*Z_j/(Z_i+Z_j), closed-inner with the power loop closed first,
+    pointwise; the divider adds a pole exactly when the time constants differ."""
+    *cables, equal = pair
+    grid = grid_with_cables(*cables)
+    cp, v = pi_tf(POWER_GAINS), grid.nominal_bus_voltage
+    for i in (0, 1):
+        (ri, li), (rj, lj) = cables[i], cables[1 - i]
+        gv = converter_voltage_tf(grid.converters[i])
+        for mode, base in (("as-written", 2), ("closed-inner", 3)):
+            g = voltage_loop_plant_tf(grid, i, POWER_GAINS, mode=mode)
+            assert g.den.degree == base + (0 if equal else 1)
+            for w in (0.3, 30.0, 3e3):
+                s = 1j * w
+                fwd = cp(s) * gv(s)
+                if mode == "closed-inner":
+                    fwd = fwd / (1.0 + fwd * v / (ri + li * s))
+                want = fwd * (rj + lj * s) / (ri + rj + (li + lj) * s)
+                assert abs(g(s) - want) <= 1e-9 * abs(want)

@@ -10,7 +10,7 @@ from scipy import signal
 
 from dcgridlab.grid import default_grid
 from dcgridlab.lti import (DegenerateLoopError, NoCrossoverError, Polynomial,
-                           analytic_phase, bandwidth_3db, cancel_common_factors,
+                           analytic_phase, bandwidth_3db,
                            freq_response, gain_crossover, poles,
                            tf, tf_constant, tf_feedback, tf_series, zoh)
 from dcgridlab.sim import _plant_matrices
@@ -95,27 +95,25 @@ class TestSeriesAndFeedback:
         assert tf_series(g1, g2)(s) == pytest.approx(g1(s) * g2(s), rel=1e-12)
 
     def test_series_cancels_exact_common_factor(self):
+        """An exact common factor is not cancelled: degrees add, and the
+        result is the pointwise product."""
         g1 = tf([1.0, 1.0], [1.0, 2.0])   # (1+s)/(1+2s)
         g2 = tf([1.0, 2.0], [1.0, 3.0])   # (1+2s)/(1+3s)
         out = tf_series(g1, g2)
-        assert out.den.degree == 1
-        assert out.num.degree == 1
-
-    def test_cancel_keeps_near_misses(self):
-        num = Polynomial([1.0, 1.0])
-        den = Polynomial([1.000001, 1.0])
-        n2, d2 = cancel_common_factors(num, den)
-        assert n2.degree == 1 and d2.degree == 1
+        assert out.num.degree == g1.num.degree + g2.num.degree == 2
+        assert out.den.degree == g1.den.degree + g2.den.degree == 2
+        for w in (0.1, 1.0, 7.0):
+            assert out(1j * w) == pytest.approx(g1(1j * w) * g2(1j * w), rel=1e-12)
 
     def test_cancellation_preserves_multiple_root_accuracy(self):
-        # (1+s)/((1+s)(2+s)) times 1/(2+s)^2: the exact (1+s) factor cancels
-        # while the resulting triple pole at -2, ill-conditioned in root form,
-        # must keep full coefficient accuracy
+        """(1+s)/((1+s)(2+s)) times 1/(2+s)^2 keeps its (1+s) factor, and the
+        triple pole at -2, ill-conditioned in root form, keeps full
+        coefficient accuracy."""
         g1 = tf([1.0, 1.0], [2.0, 3.0, 1.0])
         g2 = tf([1.0], [4.0, 4.0, 1.0])
         out = tf_series(g1, g2)
-        assert out.num.degree == 0
-        assert out.den.degree == 3
+        assert out.num.degree == 1
+        assert out.den.degree == 4
         for w in (0.1, 1.0, 7.0):
             want = g1(1j * w) * g2(1j * w)
             assert out(1j * w) == pytest.approx(want, rel=1e-12)

@@ -44,6 +44,15 @@ class TestSweepValidation:
         with pytest.raises(SweepError):
             ImpedanceSweep(r_min=2.0, r_max=0.1, ratio_r_over_l=RATIO, steps=10)
 
+    @pytest.mark.parametrize("ratio,end", [(1e-320, "0.1"), (1e-309, "2.0"),
+                                           (1e308, "0.1")])
+    def test_swept_cable_checked_at_both_ends(self, ratio, end):
+        # inductance r/ratio: inf at both ends, inf at r_max alone (0.1/1e-309
+        # is 1e308), and at r_min alone a subnormal 1e-309 whose reciprocal
+        # overflows
+        with pytest.raises(SweepError, match=f"swept cable at r = {end} ohm"):
+            ImpedanceSweep(r_min=0.1, r_max=2.0, ratio_r_over_l=ratio, steps=10)
+
     def test_inductance_follows_ratio(self, default_sweep):
         rs = default_sweep.resistances()
         assert rs[0] == pytest.approx(0.1)
@@ -130,6 +139,15 @@ class TestVoltageLoopSweep:
             ps = np.array(step.poles)
             assert np.allclose(np.sort_complex(ps),
                                np.sort_complex(np.conj(ps)), rtol=1e-9, atol=1e-9)
+
+    def test_closed_inner_pole_count_is_structural(self, grid, default_sweep):
+        # voltage PI, power PI, converter lag and the cable in the inner
+        # loop: 4 poles at every step.  The divider of two cables with equal
+        # L/R is a constant, so its -R/L mode is no pole of the loop
+        locus = sweep_voltage_loop(grid, POWER_PI, VOLTAGE_PI, default_sweep,
+                                   mode="closed-inner")
+        assert [len(s.poles) for s in locus.steps] == [4] * 50
+        assert locus.trajectories().shape == (50, 4)
 
 
 def step_samples(g, dt, n_steps):
