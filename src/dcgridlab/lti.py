@@ -259,15 +259,17 @@ def gain_crossover(g: TransferFunction) -> float:
     """Lowest frequency where |g(jw)| crosses unity (0 dB).
 
     A log grid brackets the crossing, bisection refines it to better than
-    1e-6 dB.  Raises :class:`NoCrossoverError` when the magnitude never
-    crosses 0 dB on the range.
+    1e-6 dB.  A grid interval with a non-finite magnitude at either end
+    brackets no crossing.  Raises :class:`NoCrossoverError` when the
+    magnitude never crosses 0 dB on the range.
     """
     grid = _CROSSOVER_GRID
-    sign = np.sign(_grid_db(g))
+    db = _grid_db(g)
+    sign, finite = np.sign(db), np.isfinite(db)
     for i in range(len(grid) - 1):
         if sign[i] == 0:
             return float(grid[i])
-        if sign[i] != sign[i + 1]:
+        if sign[i] != sign[i + 1] and finite[i] and finite[i + 1]:
             return float(_bisect_db(g, 0.0, grid[i], grid[i + 1]))
     raise NoCrossoverError("no 0 dB crossing of |g(jw)|")
 

@@ -17,6 +17,13 @@ contaminates transient scores.  The bus voltage ``c_vg @ x`` is formed for all
 rows at once after the loop, and the inputs are recorded once per tick and
 repeated over the plant steps at the end.
 
+A run has two parts.  :class:`_ControlLoop` is the control law's only
+orchestration: its ``tick`` does everything a control tick does except
+advance the plant (the load jump, activation, both controllers' steps and the
+two delay registers).  :func:`run` adds the lifted plant and the divergence
+check around it.  Each applied event logs one DEBUG line on this module's
+logger.
+
 Load steps and activation act on control ticks only: an event at time t acts
 at tick round(t / control_dt).  :class:`Scenario` accepts only times within
 1e-9 of a whole tick count, so every event acts at its stated time.
@@ -33,6 +40,7 @@ scenarios produce bit-identical results.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -44,6 +52,8 @@ from .control import (CascadeController, CascadeScheme, ConventionalController,
                       ConventionalScheme, weights_from_ratings)
 from .grid import GridConfig
 from .lti import zoh
+
+log = logging.getLogger(__name__)
 
 
 class SimulationError(Exception):
@@ -186,24 +196,74 @@ def _plant_matrices(grid: GridConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return a, b, c_vg
 
 
-def _make_controllers(scenario: Scenario):
-    if isinstance(scenario.scheme, CascadeScheme):
-        return [CascadeController(scenario.scheme, scenario.grid, i)
-                for i in range(2)]
-    return [ConventionalController(scenario.scheme, scenario.grid, i)
-            for i in range(2)]
+class _ControlLoop:
+    """Everything one control tick does except advance the plant: the load
+    jump, activation, both controllers' ``step`` calls and the telemetry and
+    coordination delay registers.  ``tick`` is called once per tick, from
+    tick 0 upward."""
+
+    def __init__(self, scenario: Scenario):
+        self.grid = grid = scenario.grid
+        unit = (CascadeController if isinstance(scenario.scheme, CascadeScheme)
+                else ConventionalController)
+        self.units = [unit(scenario.scheme, grid, i) for i in range(2)]
+        self.control_dt = scenario.control_dt
+        self.secondary_dt = scenario.secondary_dt
+        self.n_sec = round(scenario.secondary_dt / scenario.control_dt)
+        self.load_now = 0.0
+        # control tick -> load; steps that share a tick leave the last one's load
+        self.load_at = {round(t / scenario.control_dt): p
+                        for t, p in scenario.load.steps}
+        self.activation = round(scenario.activation_time / scenario.control_dt)
+        # one-step delay registers of the two channels: entry i is what
+        # converter i receives, its neighbor's snapshot from the previous
+        # control tick (telemetry) or secondary tick (coordination); both
+        # start at zero
+        self.telemetry = self.coordination = ((0.0, 0.0), (0.0, 0.0))
+
+    def tick(self, k: int, x: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """Act on tick k's events, then step both controllers on the state x
+        at the tick.  Returns the state after any load jump (a new array in
+        x's dtype; x itself is never written) and the two references u held
+        over the control period."""
+        if k in self.load_at:
+            load = self.load_at[k]
+            log.debug("tick %d (t = %.6g s): load %g -> %g W",
+                      k, k * self.control_dt, self.load_now, load)
+            # in x's own dtype, so a wider plant keeps its precision
+            real = x.dtype.type
+            l1, l2 = (real(c.cable.inductance) for c in self.grid.converters)
+            jump = ((real(load) - real(self.load_now))
+                    / real(self.grid.nominal_bus_voltage))
+            x = x.copy()
+            x[2] += l2 / (l1 + l2) * jump   # inductive divider split
+            x[3] += l1 / (l1 + l2) * jump
+            self.load_now = load
+        if k == self.activation:
+            log.debug("tick %d (t = %.6g s): secondary control activated",
+                      k, k * self.control_dt)
+            for unit in self.units:
+                unit.active = True
+
+        v1, v2, i1, i2 = x.astype(float, copy=False).tolist()
+        snapshots = ((v1, i1), (v2, i2))
+        secondary = (k % self.n_sec == 0)
+        slow = self.coordination if secondary else (None, None)
+        u = [unit.step(snapshots[i], self.telemetry[i], slow[i],
+                       self.control_dt, self.secondary_dt)
+             for i, unit in enumerate(self.units)]
+        self.telemetry = snapshots[::-1]
+        if secondary:
+            self.coordination = self.telemetry
+        return x, u
 
 
 def run(scenario: Scenario) -> SimResult:
     """Simulate one scenario; raises :class:`SimulationDiverged` on blow-up."""
     grid = scenario.grid
-    v_nom = grid.nominal_bus_voltage
-    l1 = grid.converters[0].cable.inductance
-    l2 = grid.converters[1].cable.inductance
     a, b, c_vg = _plant_matrices(grid)
 
     n_sub = int(round(scenario.control_dt / scenario.plant_dt))
-    n_sec = int(round(scenario.secondary_dt / scenario.control_dt))
     n_ctl = int(round(scenario.duration / scenario.control_dt))
     n_rows = scenario.n_rows
 
@@ -213,7 +273,7 @@ def run(scenario: Scenario) -> SimResult:
     phi = np.vstack([ad for ad, _ in pairs])    # (n_sub * 4, 4)
     gam = np.vstack([bd for _, bd in pairs])    # (n_sub * 4, 2)
 
-    units = _make_controllers(scenario)
+    loop = _ControlLoop(scenario)
 
     try:
         time_grid = np.arange(1, n_rows + 1) * scenario.plant_dt
@@ -226,38 +286,9 @@ def run(scenario: Scenario) -> SimResult:
     flat = states.reshape(-1)        # a view: row r is flat[4 r:4 r + 4]
 
     x = np.zeros(4)
-    load_now = 0.0
-    # control tick -> load; steps that share a tick leave the last one's load
-    load_at = {round(t / scenario.control_dt): p for t, p in scenario.load.steps}
-    activation = round(scenario.activation_time / scenario.control_dt)
-    # one-step delay registers of the two channels: entry i is what converter
-    # i receives, its neighbor's snapshot from the previous control tick
-    # (telemetry) or secondary tick (coordination); both start at zero
-    telemetry = coordination = ((0.0, 0.0), (0.0, 0.0))
-
     for k in range(n_ctl):
-        if k in load_at:
-            x = x.copy()   # x is the last row of states
-            jump = (load_at[k] - load_now) / v_nom
-            x[2] += l2 / (l1 + l2) * jump   # inductive divider split
-            x[3] += l1 / (l1 + l2) * jump
-            load_now = load_at[k]
-        if k == activation:
-            for unit in units:
-                unit.active = True
-
-        v1, v2, i1, i2 = x.tolist()
-        snapshots = ((v1, i1), (v2, i2))
-        secondary = (k % n_sec == 0)
-        slow = coordination if secondary else (None, None)
+        x, inputs[k] = loop.tick(k, x)
         u = inputs[k]
-        u[:] = [units[i].step(snapshots[i], telemetry[i], slow[i],
-                              scenario.control_dt, scenario.secondary_dt)
-                for i in range(2)]
-        telemetry = snapshots[::-1]
-        if secondary:
-            coordination = telemetry
-
         # the whole control period from the state at its start
         block = flat[k * n_sub * 4:(k + 1) * n_sub * 4]
         np.dot(phi, x, out=block)
@@ -270,7 +301,7 @@ def run(scenario: Scenario) -> SimResult:
     curr = states[:, 2:4]
     return SimResult(
         time=time_grid,
-        power=v_nom * curr,
+        power=grid.nominal_bus_voltage * curr,
         current=curr,
         terminal_voltage=term,
         bus_voltage=states @ c_vg,

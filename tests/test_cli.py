@@ -281,12 +281,16 @@ class TestBode:
 
     def test_vanishing_loop_gain_exits_cleanly(self, tmp_path):
         # a 1e300 H cable: |g(jw)| underflows to 0 in the crossover search
-        # (a log10 domain error) and |den(jw)| overflows in the response
+        # (a log10 domain error) and |den(jw)| overflows in the response.
+        # The magnitude turns NaN at high frequency, and a NaN next to a
+        # finite dB once read as a 0 dB crossing the loop never reaches.
         cfgp = write(tmp_path, "[grid]\ncable_inductances = 1e300, 0.003\n")
         out = tmp_path / "out"
         assert main(["bode", "--plant", "voltage-loop", "--config", cfgp,
                      "--out", str(out)]) == 0
-        assert (out / "bode_voltage-loop.csv").exists()
+        lines = (out / "bode_voltage-loop.csv").read_text().splitlines()
+        assert lines[-1].endswith("nan,nan")
+        assert lines[1].startswith("omega_rad_s,")   # no crossover note
 
     def test_tuned_loop_annotation_matches_verify(self, tmp_path):
         out = tmp_path / "out"
