@@ -24,8 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import (CONVENTIONAL_HIGH_PI, CONVENTIONAL_LOW_PI, ConfigError,
-                     RunConfig, load_config, render_config)
-from .control import CascadeScheme, ConventionalScheme, weights_from_ratings
+                     RunConfig, build_scheme, load_config, render_config)
 from .grid import (OUTER_PLANT_MODES, GridModelError, check_converter_index,
                    pi_tf, power_plant_tf, voltage_loop_plant_tf)
 from .lti import (NoCrossoverError, TransferFunction, freq_response, tf_constant,
@@ -41,7 +40,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-COMPARE_CASES = ("conventional-low", "conventional-high", "proposed")
+# compare's cases: scheme kind and bus-voltage PI (None: the configured one)
+COMPARE_CASES = {"conventional-low": ("conventional", CONVENTIONAL_LOW_PI),
+                 "conventional-high": ("conventional", CONVENTIONAL_HIGH_PI),
+                 "proposed": ("cascade", None)}
 
 
 @dataclass(frozen=True)
@@ -229,15 +231,6 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _case_scheme(cfg: RunConfig, case: str):
-    if case == "proposed":
-        return CascadeScheme(power_pi=cfg.power_pi, bus_voltage_pi=cfg.voltage_pi,
-                             weights=weights_from_ratings(cfg.grid.rated_powers))
-    gains = CONVENTIONAL_LOW_PI if case == "conventional-low" else CONVENTIONAL_HIGH_PI
-    return ConventionalScheme(droop_resistance=cfg.droop_ohm,
-                              voltage_pi=gains, current_pi=cfg.current_pi)
-
-
 def cmd_compare(cfg: RunConfig, outdir: Path) -> int:
     manifest = _manifest(cfg, "compare")
     # (case, event) -> (itae_v, itae_i, settling_v); a diverged case has one
@@ -246,8 +239,10 @@ def cmd_compare(cfg: RunConfig, outdir: Path) -> int:
     table: dict[tuple[str, str], tuple[float, float, float]] = {}
     per_case: dict[str, Optional[list[dict]]] = {}
     failed = False
-    for case in COMPARE_CASES:
-        scenario = cfg.scenario(scheme=_case_scheme(cfg, case))
+    for case, (kind, voltage_pi) in COMPARE_CASES.items():
+        scheme = build_scheme(kind, cfg.grid, cfg.power_pi, voltage_pi or cfg.voltage_pi,
+                              cfg.current_pi, cfg.droop_ohm)
+        scenario = cfg.scenario(scheme=scheme)
         try:
             result = run(scenario)
             scored = _score_events(cfg, result)

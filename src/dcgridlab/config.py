@@ -154,6 +154,16 @@ class RunConfig:
         return replace(self._scenario, scheme=scheme)
 
 
+def build_scheme(kind: str, grid: GridConfig, power_pi: PiGains, voltage_pi: PiGains,
+                 current_pi: PiGains, droop_ohm: float) -> CascadeScheme | ConventionalScheme:
+    """The ``cascade`` scheme, weighted by the grid's ratings, or the conventional one."""
+    if kind == "cascade":
+        return CascadeScheme(power_pi=power_pi, bus_voltage_pi=voltage_pi,
+                             weights=weights_from_ratings(grid.rated_powers))
+    return ConventionalScheme(droop_resistance=droop_ohm, voltage_pi=voltage_pi,
+                              current_pi=current_pi)
+
+
 def _merged(path: Optional[str]) -> dict[str, dict[str, str]]:
     merged = {section: {key: default for key, (default, _) in keys.items()}
               for section, keys in _SCHEMA.items()}
@@ -205,11 +215,8 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         power_pi = PiGains(s["power_kp"], s["power_ki"])
         voltage_pi = PiGains(s["voltage_kp"], s["voltage_ki"])
         current_pi = PiGains(s["current_kp"], s["current_ki"])
-        scheme = (CascadeScheme(power_pi=power_pi, bus_voltage_pi=voltage_pi,
-                                weights=weights_from_ratings(grid.rated_powers))
-                  if s["kind"] == "cascade" else
-                  ConventionalScheme(droop_resistance=s["droop_ohm"],
-                                     voltage_pi=voltage_pi, current_pi=current_pi))
+        scheme = build_scheme(s["kind"], grid, power_pi, voltage_pi, current_pi,
+                              s["droop_ohm"])
         scenario = Scenario(grid=grid, scheme=scheme,
                             load=LoadProfile(sc.pop("load_steps")), **sc)
         cfg = RunConfig(

@@ -136,9 +136,8 @@ def bus_voltage_source_weights(grid: GridConfig) -> tuple[TransferFunction, Tran
     dVg = W1(s)*dV1 + W2(s)*dV2 with W1 = Z2/(Z1+Z2) and W2 = Z1/(Z1+Z2);
     the weights sum to one at every frequency.  When both cables have the
     same time constant L/R, numerator and denominator share the factor
-    (1 + s*L/R) and the weights are the constants R2/(R1+R2) and R1/(R1+R2).
-    This is the one pole/zero cancellation of the model, made here, where
-    the divider's structure is known; products elsewhere keep every factor.
+    (1 + s*L/R), cancelled here, and the weights are the constants
+    R2/(R1+R2) and R1/(R1+R2).
     """
     c1, c2 = (c.cable for c in grid.converters)
     # L1/R1 == L2/R2 within 1e-9, as exact products L1*R2 and L2*R1: no ratio

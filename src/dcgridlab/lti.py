@@ -92,13 +92,13 @@ class Polynomial:
         return Polynomial([k * c for c in self.coeffs])
 
     def roots(self) -> np.ndarray:
-        """All roots, via companion-matrix eigenvalues plus one Newton polish."""
-        if self.degree == 0:
-            return np.array([], dtype=complex)
-        r = np.roots(self.coeffs[::-1])
+        """All roots, as ``np.roots`` finds them, each given one Newton polish."""
+        return _roots([self.coeffs])[0]
+
+    def _polish(self, roots: np.ndarray) -> np.ndarray:
         d = Polynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (0.0,))
         polished = []
-        for root in r:
+        for root in roots:
             dv = d(root)
             if abs(dv) > 0.0:
                 step = self(root) / dv
@@ -106,6 +106,27 @@ class Polynomial:
                     root = root - step
             polished.append(root)
         return np.array(polished, dtype=complex)
+
+
+def _roots(rows) -> list[np.ndarray]:
+    """Roots of each row of ascending coefficients, one stacked ``eigvals`` call
+    per stripped degree.  As in ``np.roots``, a row stripped of its zero high-order
+    and constant terms gives its companion-matrix eigenvalues (none at degree 0),
+    then one zero root per zero constant term; each root gets one Newton polish."""
+    polys = [Polynomial(row) for row in rows]
+    found = [None] * len(polys)
+    groups: dict[int, list[tuple[int, int]]] = {}    # stripped degree -> (row, zero roots)
+    for i, poly in enumerate(polys):
+        lo = next((k for k, c in enumerate(poly.coeffs) if c), 0)    # 0 for the zero row
+        groups.setdefault(poly.degree - lo, []).append((i, lo))
+    for n, members in groups.items():
+        p = np.array([polys[i].coeffs[lo:][::-1] for i, lo in members])    # descending
+        companion = np.zeros((len(members), n, n))
+        companion[:, :1] = (-p[:, 1:] / p[:, :1])[:, None]    # empty when n == 0
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        for (i, lo), eigs in zip(members, np.linalg.eigvals(companion)):
+            found[i] = polys[i]._polish(np.hstack((eigs, np.zeros(lo, eigs.dtype))))
+    return found
 
 
 @dataclass(frozen=True)
@@ -139,23 +160,14 @@ def tf_constant(k: float) -> TransferFunction:
 
 
 def tf_series(g1: TransferFunction, g2: TransferFunction) -> TransferFunction:
-    """Series (cascade) interconnection g1*g2, every factor kept: degrees add.
-
-    Matching computed roots would also drop nearly coincident pairs that are
-    real modes; an exact cancellation is made by the model that knows it
-    (``grid.bus_voltage_source_weights``).
-    """
+    """Series (cascade) interconnection g1*g2, every factor kept: degrees add."""
     return TransferFunction(g1.num * g2.num, g1.den * g2.den)
 
 
 def tf_feedback(forward: TransferFunction,
                 feedback: TransferFunction) -> TransferFunction:
-    """Closed loop forward/(1 + forward*feedback), every factor kept.
-
-    The denominator is the loop's characteristic polynomial
-    den_f*den_b + num_f*num_b, so the closed-loop poles, and how many there
-    are, follow from the loop's structure alone.
-    """
+    """Closed loop forward/(1 + forward*feedback), every factor kept: the
+    denominator is the characteristic polynomial den_f*den_b + num_f*num_b."""
     num = forward.num * feedback.den
     den = forward.den * feedback.den + forward.num * feedback.num
     if den.is_zero:
@@ -163,9 +175,14 @@ def tf_feedback(forward: TransferFunction,
     return TransferFunction(num, den)
 
 
-def poles(g: TransferFunction) -> list[complex]:
-    """Denominator roots.  Empty for a constant denominator."""
-    return list(g.den.roots())
+def poles(g: TransferFunction | Sequence) -> list:
+    """Denominator roots; empty for a constant denominator.  A sequence of transfer
+    functions, or of ascending denominator rows (a 2-D array), gives one list per
+    item from one stacked eigenvalue solve."""
+    if isinstance(g, TransferFunction):
+        return poles([g])[0]
+    rows = (h.den.coeffs if isinstance(h, TransferFunction) else h for h in g)
+    return [list(r) for r in _roots(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 The first converter's cable resistance sweeps over a range with a fixed R/L
 ratio (so the inductance scales along); controller gains stay at their
-nominal design.  For each step the loop is rebuilt, its closed-loop poles are
-extracted, and stability is classified.  Pole trajectories are matched step
-to step by the assignment of least total distance so they can be plotted as
-continuous branches.
+nominal design.  Each step's loop is rebuilt and its unity-feedback
+characteristic polynomial (den + num) stored as one row of a (steps, n + 1)
+array; one ``poles`` call then finds every step's closed-loop poles in one
+stacked eigenvalue solve, and stability is classified.  Pole trajectories are
+matched step to step by the assignment of least total distance so they can be
+plotted as continuous branches.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .control import PiGains
 from .grid import (CableParams, GridConfig, GridModelError, pi_tf,
                    power_plant_tf, voltage_loop_plant_tf)
-from .lti import poles, tf_constant, tf_feedback, tf_series
+from .lti import DegenerateLoopError, poles, tf_series
 
 
 class SweepError(Exception):
@@ -91,9 +93,7 @@ class LocusResult:
         n = len(self.steps[0].poles)
         if any(len(s.poles) != n for s in self.steps):
             raise SweepError("pole count changes along the sweep; cannot pair")
-        # Every assignment is scored: n! is 120 for the largest loop here (5
-        # poles).  scipy.optimize.linear_sum_assignment gives the same optimum
-        # (the tests use it as the oracle), but the package imports no scipy.
+        # every assignment is scored: n! is 120 for the largest loop here (5 poles)
         assignments = np.array(list(itertools.permutations(range(n))), dtype=int)
         branch = np.arange(n)
         paths = np.empty((len(self.steps), n), dtype=complex)
@@ -118,16 +118,22 @@ def _grid_with_first_cable(grid: GridConfig, r: float, l: float) -> GridConfig:
 
 
 def _locus(grid: GridConfig, sweep: ImpedanceSweep, build_loop) -> LocusResult:
-    steps = []
-    for r in sweep.resistances():
-        l = r / sweep.ratio_r_over_l
+    rs = sweep.resistances()
+    ls = rs / sweep.ratio_r_over_l
+    chars = np.zeros((sweep.steps, 1))    # a row per step, ascending; widened as needed
+    for k, (r, l) in enumerate(zip(rs, ls)):
         loop = build_loop(_grid_with_first_cable(grid, float(r), float(l)))
-        closed = tf_feedback(loop, tf_constant(1.0))
-        ps = tuple(poles(closed))
-        stable = all(p.real < 0 for p in ps)
-        steps.append(LocusStep(resistance=float(r), inductance=float(l),
-                               poles=ps, stable=stable))
-    return LocusResult(steps=tuple(steps))
+        # the unity-feedback characteristic polynomial, as tf_feedback forms it
+        char = loop.den + loop.num
+        if char.is_zero:
+            raise DegenerateLoopError("algebraic loop: closed-loop denominator is zero")
+        if len(char.coeffs) > chars.shape[1]:
+            chars = np.pad(chars, ((0, 0), (0, len(char.coeffs) - chars.shape[1])))
+        chars[k, :len(char.coeffs)] = char.coeffs
+    return LocusResult(steps=tuple(
+        LocusStep(resistance=float(r), inductance=float(l), poles=tuple(ps),
+                  stable=all(p.real < 0 for p in ps))
+        for r, l, ps in zip(rs, ls, poles(chars))))
 
 
 def sweep_power_loop(grid: GridConfig, gains: PiGains,

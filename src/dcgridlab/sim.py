@@ -6,16 +6,10 @@ nominal bus voltage, which pins the current sum between events; a load step
 therefore enters as a state jump whose split follows the inductive divider.
 The plant is linear and its input is held over a control period, so the
 whole period follows exactly from the state at its start (the lifted
-sampled-data system).  At set-up the exact zero-order-hold pair (matrix
-exponential) over j plant steps is formed for each j = 1..n_sub and stacked
-into ``phi`` (n_sub*4, 4) and ``gam`` (n_sub*4, 2); each control tick then
-fills its n_sub rows of one preallocated state array as ``phi @ x + gam @ u``,
-whose columns are the result's voltage and current series.  Every row is an
-exact sample of the continuous plant, rounded once per tick instead of
-accumulating one rounding per plant step, so integration error never
-contaminates transient scores.  The bus voltage ``c_vg @ x`` is formed for all
-rows at once after the loop, and the inputs are recorded once per tick and
-repeated over the plant steps at the end.
+sampled-data system): each control tick fills its plant rows with one
+product of stacked exact zero-order-hold pairs.  Every row is an exact sample
+of the continuous plant, rounded once per tick instead of once per plant
+step, so integration error never contaminates transient scores.
 
 A run has two parts.  :class:`_ControlLoop` is the control law's only
 orchestration: its ``tick`` does everything a control tick does except

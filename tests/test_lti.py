@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
@@ -198,6 +198,18 @@ class TestCrossoverAndMargin:
         assert bandwidth_3db(g) == pytest.approx(116.6, abs=0.5)
 
 
+def _degree_six_rows():
+    """Ascending coefficients of five degree-6 polynomials with two real
+    roots and two conjugate pairs, all in the left half plane."""
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        roots = np.concatenate([-rng.uniform(0.5, 50, size=2),
+                                -rng.uniform(0.5, 50, size=2)
+                                + 1j * rng.uniform(0.5, 50, size=2)])
+        roots = np.concatenate([roots, np.conj(roots[2:])])
+        yield tuple(np.real(np.poly(roots))[::-1])
+
+
 class TestPoles:
     def test_first_order(self):
         ps = poles(tf([1.0], [13.65, 1.0]))
@@ -220,17 +232,9 @@ class TestPoles:
             assert abs(den(r)) / scale < 1e-8
 
     def test_degree_six_against_companion_eigenvalues(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            roots = np.concatenate([
-                -rng.uniform(0.5, 50, size=2),
-                (-rng.uniform(0.5, 50, size=2)
-                 + 1j * rng.uniform(0.5, 50, size=2)),
-            ])
-            roots = np.concatenate([roots, np.conj(roots[2:])])
-            coeffs_desc = np.real(np.poly(roots))
-            den = Polynomial(coeffs_desc[::-1])
-            got = den.roots()
+        for row in _degree_six_rows():
+            coeffs_desc = np.array(row[::-1])
+            got = Polynomial(row).roots()
             # independent oracle: eigenvalues of a hand-built companion matrix
             monic = coeffs_desc / coeffs_desc[0]
             n = len(monic) - 1
@@ -239,6 +243,43 @@ class TestPoles:
             comp[:, -1] = -monic[1:][::-1]
             want = np.linalg.eigvals(comp)
             assert_roots_paired(got, want)
+
+
+def np_roots_polished(poly):
+    """The roots before the stacked solve: ``np.roots``, then one Newton step
+    per root where it is finite."""
+    if poly.degree == 0:
+        return np.array([], dtype=complex)
+    d = Polynomial(tuple(i * c for i, c in enumerate(poly.coeffs))[1:] or (0.0,))
+    polished = []
+    for root in np.roots(poly.coeffs[::-1]):
+        dv = d(root)
+        if abs(dv) > 0.0:
+            step = poly(root) / dv
+            if np.isfinite(step):
+                root = root - step
+        polished.append(root)
+    return np.array(polished, dtype=complex)
+
+
+class TestStackedRoots:
+    # TestPoles' polynomials, a zero polynomial, and rows with zero constant
+    # terms (np.roots appends one zero root per such term)
+    ROWS = [(13.65, 1.0), (8.1, 2.08, 1.0), (2.0,), (52.0, 2.4, 0.022, 6e-5),
+            *_degree_six_rows(), (0.0,), (0.0, 3.0), (0.0, 0.0, 1.0, 2.0),
+            (0.0, 0.0, 0.0, 5.0)]
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_roots_equal_np_roots_then_polish(self, row):
+        poly = Polynomial(row)
+        assert poly.roots().tobytes() == np_roots_polished(poly).tobytes()
+
+    def test_array_rows_equal_transfer_functions(self):
+        # high-order zero padding, as in a root-locus row, is stripped
+        rows = np.array([[6.0, 5.0, 1.0], [0.0, 2.0, 1.0], [2.0, 1.0, 0.0]])
+        gs = [tf([1.0], [6.0, 5.0, 1.0]), tf([1.0], [0.0, 2.0, 1.0]),
+              tf([1.0], [2.0, 1.0])]
+        assert poles(rows) == poles(gs) == [poles(g) for g in gs]
 
 
 class TestZoh:
@@ -364,3 +405,28 @@ def test_property_poles_match_companion_oracle(g):
     comp[:, -1] = -monic[1:][::-1]
     want = np.linalg.eigvals(comp)
     assert_roots_paired(got, want)
+
+
+_COEFF = st.floats(-100.0, 100.0)
+
+
+@st.composite
+def denominators(draw):
+    """Degree 1-5 with a nonzero leading coefficient and 0 to degree zero
+    constant terms; the other coefficients may be anything in [-100, 100]."""
+    degree = draw(st.integers(min_value=1, max_value=5))
+    zeros = draw(st.integers(min_value=0, max_value=degree))
+    body = [draw(_COEFF) for _ in range(degree - zeros)]
+    lead = draw(_COEFF.filter(lambda c: abs(c) >= 0.01))
+    return tf([1.0], [0.0] * zeros + body + [lead])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(denominators(), min_size=1, max_size=6))
+@example([tf([1.0], [0.0, 0.0, 2.0, 1.0]), tf([1.0], [6.0, 5.0, 1.0]),
+          tf([1.0], [1.0, 1.0]), tf([1.0], [0.0, 3.0, 0.0, 0.0, 1.0])])
+def test_property_batched_poles_equal_one_by_one(gs):
+    # one stacked eigvals call per degree gives each row its own call's bits
+    def bits(ps):
+        return np.array(ps, dtype=complex).tobytes()
+    assert [bits(ps) for ps in poles(gs)] == [bits(poles(g)) for g in gs]

@@ -6,11 +6,14 @@ from scipy import signal
 from scipy.optimize import linear_sum_assignment
 
 from dcgridlab.config import POWER_PI, VOLTAGE_PI
-from dcgridlab.grid import default_grid, pi_tf, power_plant_tf
-from dcgridlab.lti import poles, tf_constant, tf_feedback, tf_series
+from dcgridlab.grid import (default_grid, pi_tf, power_plant_tf,
+                            voltage_loop_plant_tf)
+from dcgridlab.lti import (DegenerateLoopError, poles, tf, tf_constant,
+                           tf_feedback, tf_series)
 from dcgridlab.rootlocus import (ImpedanceSweep, LocusResult, LocusStep,
-                                 SweepError, max_resistance_bound,
-                                 sweep_power_loop, sweep_voltage_loop)
+                                 SweepError, _grid_with_first_cable, _locus,
+                                 max_resistance_bound, sweep_power_loop,
+                                 sweep_voltage_loop)
 
 RATIO = 0.5 / 0.003
 
@@ -150,6 +153,33 @@ class TestVoltageLoopSweep:
         assert locus.trajectories().shape == (50, 4)
 
 
+class TestStackedSolve:
+    @pytest.mark.parametrize("loop", ["power", "as-written", "closed-inner"])
+    def test_every_step_equals_its_direct_closure(self, grid, default_sweep, loop):
+        # the sweep's one stacked solve against each step's loop closed by
+        # tf_feedback and solved alone
+        if loop == "power":
+            locus = sweep_power_loop(grid, POWER_PI, default_sweep)
+            def build(g):
+                return tf_series(pi_tf(POWER_PI), power_plant_tf(g, 0))
+        else:
+            locus = sweep_voltage_loop(grid, POWER_PI, VOLTAGE_PI, default_sweep,
+                                       mode=loop)
+            def build(g):
+                return tf_series(pi_tf(VOLTAGE_PI),
+                                 voltage_loop_plant_tf(g, 0, POWER_PI, mode=loop))
+        for step in locus.steps:
+            g = _grid_with_first_cable(grid, step.resistance, step.inductance)
+            want = poles(tf_feedback(build(g), tf_constant(1.0)))
+            assert np.array_equal(step.poles, want)
+            assert step.stable == all(p.real < 0 for p in want)
+
+    def test_zero_characteristic_polynomial_raises(self, grid, default_sweep):
+        # a loop gain of -1 makes 1 + L(s) identically zero at every step
+        with pytest.raises(DegenerateLoopError, match="algebraic loop"):
+            _locus(grid, default_sweep, lambda g: tf([-1.0], [1.0]))
+
+
 def step_samples(g, dt, n_steps):
     """Unit-step output at t = dt..n_steps*dt, from scipy as an independent oracle."""
     _, y = signal.step((g.num.coeffs[::-1], g.den.coeffs[::-1]),
@@ -163,7 +193,6 @@ class TestStabilityTimeDomainConsistency:
         # step response must converge to its DC gain
         for step in (power_locus.steps[0], power_locus.steps[24],
                      power_locus.steps[-1]):
-            from dcgridlab.rootlocus import _grid_with_first_cable
             g = _grid_with_first_cable(grid, step.resistance, step.inductance)
             loop = tf_series(pi_tf(POWER_PI), power_plant_tf(g, 0))
             closed = tf_feedback(loop, tf_constant(1.0))

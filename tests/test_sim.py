@@ -5,6 +5,7 @@ import functools
 import json
 import logging
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -474,13 +475,24 @@ def exact_reference(scenario: Scenario) -> dict[str, np.ndarray]:
 # rating: from 1 s on, converter 2's reference sits at its 5 V clamp (20,000
 # of 30,000 rows) and converter 1's comes within 1e-12 of its 10 V clamp
 CLAMPED_CASE = "cascade-clamped"
-ORACLE_CASES = PINNED_CASES + (CLAMPED_CASE,)
+# the cascade case on 3 mH and 5 mH cables with loads off the 400 W grid: the
+# divider split l_j/(l1 + l2) and the jump dP/V are inexact in any dtype
+UNEQUAL_CASE = "cascade-unequal-cables"
+ORACLE_CASES = PINNED_CASES + (CLAMPED_CASE, UNEQUAL_CASE)
 
 
 def oracle_scenario(case: str) -> Scenario:
     if case == CLAMPED_CASE:
         return dataclasses.replace(fast_scenario("cascade"), load=LoadProfile(
             ((0.2, 2000.0), (1.0, 20000.0))))
+    if case == UNEQUAL_CASE:
+        scenario = fast_scenario("cascade")
+        converters = tuple(
+            dataclasses.replace(c, cable=dataclasses.replace(c.cable, inductance=l))
+            for c, l in zip(scenario.grid.converters, (0.003, 0.005)))
+        return dataclasses.replace(
+            scenario, grid=dataclasses.replace(scenario.grid, converters=converters),
+            load=LoadProfile(((0.2, 1234.5), (1.0, 3210.7))))
     return fast_scenario(case)
 
 
@@ -515,6 +527,27 @@ def test_run_closer_to_exact_reference_than_stepwise(case):
         stepwise_err = np.abs(baseline[name] - want).max()
         assert lifted_err <= stepwise_err, (
             f"{name}: {lifted_err / peak:.3g} vs stepwise {stepwise_err / peak:.3g} of peak")
+
+
+@needs_wide_longdouble
+def test_oracle_load_jump_is_exact_to_longdouble():
+    # the oracle's load jump is _ControlLoop's, made in the longdouble state's
+    # own dtype; a split rounded to float64 would sit ~1e-16 off the exact one
+    scenario = oracle_scenario(UNEQUAL_CASE)
+    l1, l2 = (Fraction(c.cable.inductance) for c in scenario.grid.converters)
+    shares = (l2 / (l1 + l2), l1 / (l1 + l2))
+    loads = {round(t / scenario.control_dt): Fraction(p) for t, p in scenario.load.steps}
+    loop = _ControlLoop(scenario)
+    x = np.zeros(4, np.longdouble)
+    for k in range(max(loads) + 1):
+        x, _ = loop.tick(k, x)
+        if k in loads:
+            # each cable current holds its share of the load current so far
+            want = [share * loads[k] / Fraction(scenario.grid.nominal_bus_voltage)
+                    for share in shares]
+            for got, w in zip(x[2:], want):
+                err = Fraction(*got.as_integer_ratio()) - w
+                assert abs(err) <= 8 * np.finfo(np.longdouble).eps * w, (k, float(err / w))
 
 
 def capture_pinned(stride: int = 97) -> dict:
