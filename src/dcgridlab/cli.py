@@ -1,8 +1,10 @@
 """Command-line entry point: tune, simulate, compare, rootlocus, bode.
 
-Every output file embeds a manifest line (tool version plus a hash of the
-effective configuration), and the effective configuration itself is echoed to
-the output directory, so a run can be reproduced exactly from its outputs.
+Every setting of a run comes from the loaded configuration; the options name
+only the files and, for bode, the response to write.  Every output file embeds
+a manifest line (tool version plus a hash of the effective configuration), and
+the effective configuration itself is echoed to the output directory, so a run
+can be reproduced exactly from its outputs.
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
@@ -63,12 +65,6 @@ class RunManifest:
     def comment_line(self) -> str:
         return (f"# dcgrid-lab {self.version} {self.subcommand} "
                 f"config={self.config_sha256[:12]}")
-
-
-def _manifest(cfg: RunConfig, subcommand: str) -> RunManifest:
-    digest = hashlib.sha256(render_config(cfg).encode("utf-8")).hexdigest()
-    return RunManifest(version=__version__, subcommand=subcommand,
-                       config_sha256=digest)
 
 
 def _fmt(x) -> str:
@@ -137,13 +133,13 @@ def write_json(path: Path, manifest: RunManifest, payload: dict) -> None:
         fh.write("\n")
 
 
-def _prepare_outdir(cfg: RunConfig, out: str) -> Path:
+def _prepare_outdir(config_text: str, out: str) -> Path:
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "config_effective.ini", "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(f"# dcgrid-lab {__version__} effective configuration\n")
-        fh.write(render_config(cfg))
+        fh.write(config_text)
     return outdir
 
 
@@ -157,8 +153,10 @@ def _tuned_entry(tuned: TunedController) -> dict:
             "achieved_margin_deg": tuned.achieved_margin}
 
 
-def cmd_tune(cfg: RunConfig, outdir: Path, mode: str) -> int:
-    manifest = _manifest(cfg, "tune")
+def cmd_tune(cfg: RunConfig, outdir: Path, manifest: RunManifest,
+             args: argparse.Namespace) -> int:
+    """Design the power and bus-voltage PI gains."""
+    mode = cfg.tuning.outer_plant_mode
     power_plant = power_plant_tf(cfg.grid, 0)
     try:
         power = design_pi(power_plant, cfg.tuning.power)
@@ -203,8 +201,9 @@ def _score_events(cfg: RunConfig, result: SimResult) -> list[dict]:
             for t0, span in cfg.scenario().scored_events()]
 
 
-def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
-    manifest = _manifest(cfg, "simulate")
+def cmd_simulate(cfg: RunConfig, outdir: Path, manifest: RunManifest,
+                 args: argparse.Namespace) -> int:
+    """Run one scenario and score its transients."""
     try:
         result = run(cfg.scenario())
         scored = _score_events(cfg, result)
@@ -231,8 +230,9 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig, outdir: Path) -> int:
-    manifest = _manifest(cfg, "compare")
+def cmd_compare(cfg: RunConfig, outdir: Path, manifest: RunManifest,
+                args: argparse.Namespace) -> int:
+    """Run the three-scheme comparison."""
     # (case, event) -> (itae_v, itae_i, settling_v); a diverged case has one
     # ("FAILED") entry of NaNs.  Any other SimulationError (a run too large
     # for memory) fails every case alike and ends the command in main.
@@ -299,11 +299,12 @@ def _locus_columns(result: LocusResult):
             np.repeat([int(step.stable) for step in result.steps], per_step))
 
 
-def cmd_rootlocus(cfg: RunConfig, outdir: Path, mode: str) -> int:
-    manifest = _manifest(cfg, "rootlocus")
+def cmd_rootlocus(cfg: RunConfig, outdir: Path, manifest: RunManifest,
+                  args: argparse.Namespace) -> int:
+    """Sweep the cable impedance: the poles of both loops."""
     power = sweep_power_loop(cfg.grid, cfg.power_pi, cfg.sweep)
     voltage = sweep_voltage_loop(cfg.grid, cfg.power_pi, cfg.voltage_pi,
-                                 cfg.sweep, mode=mode)
+                                 cfg.sweep, mode=cfg.tuning.outer_plant_mode)
     write_csv(outdir / "rootlocus_power.csv", manifest,
               ("r1_ohm", "l1_h", "pole_re", "pole_im", "stable"),
               _locus_columns(power))
@@ -322,17 +323,19 @@ def cmd_rootlocus(cfg: RunConfig, outdir: Path, mode: str) -> int:
     return EXIT_OK
 
 
-def cmd_bode(cfg: RunConfig, outdir: Path, plant_name: str, converter: int,
-             mode: str) -> int:
-    manifest = _manifest(cfg, "bode")
+def cmd_bode(cfg: RunConfig, outdir: Path, manifest: RunManifest,
+             args: argparse.Namespace) -> int:
+    """Export a frequency response as CSV."""
+    plant_name = args.plant
     annotation = None
     if plant_name == "unity":
         g = tf_constant(1.0)
     elif plant_name in ("power", "power-loop"):
-        g = power_plant_tf(cfg.grid, converter)
+        g = power_plant_tf(cfg.grid, args.converter)
         gains, spec = cfg.power_pi, cfg.tuning.power
     else:   # voltage or voltage-loop; argparse rejects any other --plant
-        g = voltage_loop_plant_tf(cfg.grid, converter, cfg.power_pi, mode=mode)
+        g = voltage_loop_plant_tf(cfg.grid, args.converter, cfg.power_pi,
+                                  mode=cfg.tuning.outer_plant_mode)
         gains, spec = cfg.voltage_pi, cfg.tuning.voltage
     if plant_name.endswith("-loop"):   # the open loop: PI in series with the plant
         annotation = verify_design(g, gains, spec)
@@ -348,6 +351,10 @@ def cmd_bode(cfg: RunConfig, outdir: Path, plant_name: str, converter: int,
     return EXIT_OK
 
 
+COMMANDS = {"tune": cmd_tune, "simulate": cmd_simulate, "compare": cmd_compare,
+            "rootlocus": cmd_rootlocus, "bode": cmd_bode}
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -358,33 +365,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "sweeps, transient simulation and scheme comparison.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.__doc__)
         p.add_argument("--config", default=None, help="INI config file; "
                        "omit for built-in bench defaults")
         p.add_argument("--out", default="out", help="output directory")
-
-    p = sub.add_parser("tune", help="design power and bus-voltage PI gains")
-    common(p)
-    p.add_argument("--mode", choices=OUTER_PLANT_MODES, default=None,
-                   help="outer-loop plant composition")
-
-    p = sub.add_parser("simulate", help="run one scenario and score its transients")
-    common(p)
-
-    p = sub.add_parser("compare", help="run the three-scheme comparison")
-    common(p)
-
-    p = sub.add_parser("rootlocus", help="cable-impedance pole sweep of both loops")
-    common(p)
-    p.add_argument("--mode", choices=OUTER_PLANT_MODES, default=None)
-
-    p = sub.add_parser("bode", help="export a frequency response as CSV")
-    common(p)
-    p.add_argument("--plant", default="power",
-                   choices=("power", "voltage", "power-loop", "voltage-loop", "unity"))
-    p.add_argument("--converter", type=int, default=0)
-    p.add_argument("--mode", choices=OUTER_PLANT_MODES, default=None)
+        if name == "bode":
+            p.add_argument("--plant", default="power", choices=(
+                "power", "voltage", "power-loop", "voltage-loop", "unity"))
+            p.add_argument("--converter", type=int, default=0)
     return parser
 
 
@@ -398,23 +387,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_VALIDATION
-    mode = getattr(args, "mode", None) or cfg.tuning.outer_plant_mode
+    config_text = render_config(cfg)
+    manifest = RunManifest(
+        version=__version__, subcommand=args.subcommand,
+        config_sha256=hashlib.sha256(config_text.encode("utf-8")).hexdigest())
     try:
         if args.subcommand == "bode":
             # before _prepare_outdir, so a rejected request writes nothing;
             # checked for every plant, unity included
             check_converter_index(cfg.grid, args.converter)
-        outdir = _prepare_outdir(cfg, args.out)
-        if args.subcommand == "tune":
-            return cmd_tune(cfg, outdir, mode)
-        if args.subcommand == "simulate":
-            return cmd_simulate(cfg, outdir)
-        if args.subcommand == "compare":
-            return cmd_compare(cfg, outdir)
-        if args.subcommand == "rootlocus":
-            return cmd_rootlocus(cfg, outdir, mode)
-        if args.subcommand == "bode":
-            return cmd_bode(cfg, outdir, args.plant, args.converter, mode)
+        outdir = _prepare_outdir(config_text, args.out)
+        return COMMANDS[args.subcommand](cfg, outdir, manifest, args)
     except GridModelError as exc:
         log.error("invalid grid request: %s", exc)
         return EXIT_VALIDATION
@@ -424,7 +407,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         log.error("i/o failure: %s", exc)
         return EXIT_VALIDATION
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -125,6 +125,8 @@ def _roots(rows) -> list[np.ndarray]:
         companion[:, :1] = (-p[:, 1:] / p[:, :1])[:, None]    # empty when n == 0
         companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
         for (i, lo), eigs in zip(members, np.linalg.eigvals(companion)):
+            if not eigs.imag.any():    # real, as eigvals of this row alone returns it
+                eigs = eigs.real
             found[i] = polys[i]._polish(np.hstack((eigs, np.zeros(lo, eigs.dtype))))
     return found
 
@@ -176,13 +178,12 @@ def tf_feedback(forward: TransferFunction,
 
 
 def poles(g: TransferFunction | Sequence) -> list:
-    """Denominator roots; empty for a constant denominator.  A sequence of transfer
-    functions, or of ascending denominator rows (a 2-D array), gives one list per
-    item from one stacked eigenvalue solve."""
+    """Denominator roots; empty for a constant denominator.  A sequence of
+    ascending denominator rows, of any lengths, gives one list per row from one
+    stacked eigenvalue solve per degree."""
     if isinstance(g, TransferFunction):
-        return poles([g])[0]
-    rows = (h.den.coeffs if isinstance(h, TransferFunction) else h for h in g)
-    return [list(r) for r in _roots(rows)]
+        return poles([g.den.coeffs])[0]
+    return [list(r) for r in _roots(g)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The first converter's cable resistance sweeps over a range with a fixed R/L
 ratio (so the inductance scales along); controller gains stay at their
 nominal design.  Each step's loop is rebuilt and its unity-feedback
-characteristic polynomial (den + num) stored as one row of a (steps, n + 1)
-array; one ``poles`` call then finds every step's closed-loop poles in one
-stacked eigenvalue solve, and stability is classified.  Pole trajectories are
+characteristic polynomial (den + num) kept as one row per step; one ``poles``
+call then finds every step's closed-loop poles in one stacked eigenvalue solve
+per degree, and stability is classified.  Pole trajectories are
 matched step to step by the assignment of least total distance so they can be
 plotted as continuous branches.
 """
@@ -120,16 +120,14 @@ def _grid_with_first_cable(grid: GridConfig, r: float, l: float) -> GridConfig:
 def _locus(grid: GridConfig, sweep: ImpedanceSweep, build_loop) -> LocusResult:
     rs = sweep.resistances()
     ls = rs / sweep.ratio_r_over_l
-    chars = np.zeros((sweep.steps, 1))    # a row per step, ascending; widened as needed
-    for k, (r, l) in enumerate(zip(rs, ls)):
+    chars = []    # a row of ascending coefficients per step
+    for r, l in zip(rs, ls):
         loop = build_loop(_grid_with_first_cable(grid, float(r), float(l)))
         # the unity-feedback characteristic polynomial, as tf_feedback forms it
         char = loop.den + loop.num
         if char.is_zero:
             raise DegenerateLoopError("algebraic loop: closed-loop denominator is zero")
-        if len(char.coeffs) > chars.shape[1]:
-            chars = np.pad(chars, ((0, 0), (0, len(char.coeffs) - chars.shape[1])))
-        chars[k, :len(char.coeffs)] = char.coeffs
+        chars.append(char.coeffs)
     return LocusResult(steps=tuple(
         LocusStep(resistance=float(r), inductance=float(l), poles=tuple(ps),
                   stable=all(p.real < 0 for p in ps))

@@ -142,10 +142,27 @@ class Scenario:
 
     def scored_events(self) -> list[tuple[float, float]]:
         """(time, span to the next scored event or ``duration``) of activation
-        and every later load step: the events a run is scored on."""
+        and every later load step: the events a run is scored on.
+
+        Raises :class:`SimulationError` unless each event's ITAE window ends by
+        the last sample and the next scored event follows at least two plant
+        steps later, the bounds the scoring (``_window_slice``) needs."""
         times = [self.activation_time] + [t for t, _ in self.load.steps
                                           if t > self.activation_time]
-        return [(t0, t1 - t0) for t0, t1 in zip(times, times[1:] + [self.duration])]
+        events = [(t0, t1 - t0) for t0, t1 in zip(times, times[1:] + [self.duration])]
+        for i, (t0, span) in enumerate(events):
+            name = "activation_time" if i == 0 else "load step at"
+            if t0 + DEFAULT_ITAE_WINDOW > self.end_time + 1e-12:
+                raise SimulationError(
+                    f"{name} {t0!r} s: its ITAE window [{t0:g}, "
+                    f"{t0 + DEFAULT_ITAE_WINDOW:g}] s ends after duration "
+                    f"{self.duration!r} s")
+            if span < (2 - 1e-9) * self.plant_dt:
+                raise SimulationError(
+                    f"{name} {t0!r} s: the next scored event follows {span:g} s "
+                    f"later, under two plant steps of plant_dt {self.plant_dt!r} s, "
+                    f"too short to score settling")
+        return events
 
 
 def _is_multiple(value: float, step: float) -> bool:

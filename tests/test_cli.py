@@ -26,6 +26,13 @@ cable_inductances = 0.003, 0.003, 0.003
 voltage_loop_taus = 0.005, 0.005, 0.005
 """
 
+# closed-inner is feasible at a 100 deg voltage margin (as-written is not)
+CLOSED_INNER = """
+[tuning]
+outer_plant_mode = closed-inner
+voltage_margin = 100.0
+"""
+
 
 def write(tmp_path, text, name="run.ini"):
     p = tmp_path / name
@@ -88,6 +95,17 @@ class TestValidationErrors:
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and "out of range" in errors[0].getMessage()
         assert not out.exists()   # a rejected request writes nothing
+
+    @pytest.mark.parametrize("argv", [["tune"], ["rootlocus"], ["bode", "--plant", "voltage"]])
+    def test_mode_option_removed(self, tmp_path, capsys, argv):
+        # [tuning] outer_plant_mode is the one source; an unrecorded --mode
+        # wrote outputs its echoed config did not reproduce
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--mode", "closed-inner", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_off_grid_event_time_rejected(self, tmp_path):
         cfgp = write(tmp_path, "[scenario]\nload_steps = 1.0004:2000.0\n")
@@ -361,15 +379,25 @@ class TestSimulate:
         for name in ("timeseries.csv", "itae.json", "config_effective.ini"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    def test_config_echo_reproduces_run(self, tmp_path):
-        # re-loading the echoed effective config reproduces the run exactly
-        cfgp = write(tmp_path, FAST_SCENARIO)
+    @pytest.mark.parametrize("argv, text", [
+        (["simulate"], FAST_SCENARIO),
+        (["tune"], CLOSED_INNER),
+        (["rootlocus"], CLOSED_INNER),
+        (["bode", "--plant", "voltage-loop"], CLOSED_INNER)])
+    def test_config_echo_reproduces_run(self, tmp_path, argv, text):
+        # re-loading the echoed effective config reproduces every output file
+        cfgp = write(tmp_path, text)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--config", cfgp, "--out", str(out1)]) == 0
+        assert main(argv + ["--config", cfgp, "--out", str(out1)]) == 0
         echo = str(out1 / "config_effective.ini")
-        assert main(["simulate", "--config", echo, "--out", str(out2)]) == 0
-        assert (out1 / "timeseries.csv").read_bytes() == \
-            (out2 / "timeseries.csv").read_bytes()
+        assert main(argv + ["--config", echo, "--out", str(out2)]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert len(names) > 1
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        if argv == ["tune"]:
+            assert read_json(out1 / "gains.json")["voltage_loop_mode"] == "closed-inner"
 
 
 class TestCompare:

@@ -274,12 +274,12 @@ class TestStackedRoots:
         poly = Polynomial(row)
         assert poly.roots().tobytes() == np_roots_polished(poly).tobytes()
 
-    def test_array_rows_equal_transfer_functions(self):
-        # high-order zero padding, as in a root-locus row, is stripped
-        rows = np.array([[6.0, 5.0, 1.0], [0.0, 2.0, 1.0], [2.0, 1.0, 0.0]])
-        gs = [tf([1.0], [6.0, 5.0, 1.0]), tf([1.0], [0.0, 2.0, 1.0]),
-              tf([1.0], [2.0, 1.0])]
-        assert poles(rows) == poles(gs) == [poles(g) for g in gs]
+    def test_rows_equal_transfer_functions(self):
+        # rows may differ in length; high-order zero padding is stripped
+        ragged = [(6.0, 5.0, 1.0), (0.0, 2.0, 1.0), (2.0, 1.0)]
+        padded = np.array([[6.0, 5.0, 1.0], [0.0, 2.0, 1.0], [2.0, 1.0, 0.0]])
+        gs = [tf([1.0], row) for row in ragged]
+        assert poles(ragged) == poles(padded) == [poles(g) for g in gs]
 
 
 class TestZoh:
@@ -425,8 +425,13 @@ def denominators(draw):
 @given(st.lists(denominators(), min_size=1, max_size=6))
 @example([tf([1.0], [0.0, 0.0, 2.0, 1.0]), tf([1.0], [6.0, 5.0, 1.0]),
           tf([1.0], [1.0, 1.0]), tf([1.0], [0.0, 3.0, 0.0, 0.0, 1.0])])
+# a row with real roots stacked with one with complex roots: the stack's
+# eigenvalues come back complex, and a complex root polishes to other bits
+@example([tf([1.0], [1.0, 0.0, 0.0, 0.0, 1.0]),
+          tf([1.0], [2.6360205985498584e-206, 9.327496024468239e-153, 0.0, 1.0, 1.0])])
 def test_property_batched_poles_equal_one_by_one(gs):
     # one stacked eigvals call per degree gives each row its own call's bits
     def bits(ps):
         return np.array(ps, dtype=complex).tobytes()
-    assert [bits(ps) for ps in poles(gs)] == [bits(poles(g)) for g in gs]
+    rows = [g.den.coeffs for g in gs]
+    assert [bits(ps) for ps in poles(rows)] == [bits(poles(g)) for g in gs]

@@ -99,6 +99,25 @@ class TestValidation:
         with pytest.raises(SimulationError, match="activation_time -2.0 s is negative"):
             dataclasses.replace(scenario, activation_time=-2.0)
 
+    # the scoring's bounds: the ITAE window inside the run, and at least two
+    # plant steps to the next scored event
+    def test_scored_window_past_horizon_rejected(self):
+        scenario = dataclasses.replace(open_loop_scenario(((0.2, 2000.0),), duration=3.0),
+                                       activation_time=2.0)
+        with pytest.raises(SimulationError, match=r"activation_time 2.0 s: its ITAE "
+                                                  r"window \[2, 4\] s ends after duration 3.0"):
+            scenario.scored_events()
+
+    def test_scored_events_under_two_plant_steps_rejected(self):
+        scenario = dataclasses.replace(
+            open_loop_scenario(((1.0, 2000.0), (5.001, 4000.0)), duration=10.0,
+                               plant_dt=1e-3), activation_time=5.0)
+        with pytest.raises(SimulationError, match="activation_time 5.0 s: the next "
+                                                  "scored event follows 0.001 s"):
+            scenario.scored_events()
+        assert dataclasses.replace(scenario, plant_dt=5e-4).scored_events() == [
+            (5.0, pytest.approx(0.001)), (5.001, pytest.approx(4.999))]
+
     def test_off_grid_duration_rejected(self):
         # 2.99951 s used to run 30000 rows, to 3.0 s
         scenario = open_loop_scenario(((1.0, 2000.0),), duration=3.0)
