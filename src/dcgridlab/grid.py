@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lti import Polynomial, TransferFunction, tf, tf_feedback, tf_series
 
@@ -141,10 +140,13 @@ def bus_voltage_source_weights(grid: GridConfig) -> tuple[TransferFunction, Tran
     """
     c1, c2 = (c.cable for c in grid.converters)
     # L1/R1 == L2/R2 within 1e-9, as exact products L1*R2 and L2*R1: no ratio
-    # turns inf for a tiny R, and no product underflows to 0
-    x = Fraction(c1.inductance) * Fraction(c2.resistance)
-    y = Fraction(c2.inductance) * Fraction(c1.resistance)
-    if abs(x - y) <= Fraction(1e-9) * max(x, y):
+    # turns inf for a tiny R, and no product underflows to 0.  Each float is an
+    # integer ratio n/d; x and y are both products over one common denominator
+    (l1, dl1), (r2, dr2), (l2, dl2), (r1, dr1) = (v.as_integer_ratio() for v in (
+        c1.inductance, c2.resistance, c2.inductance, c1.resistance))
+    x, y = l1 * r2 * dl2 * dr1, l2 * r1 * dl1 * dr2
+    tol, tol_den = (1e-9).as_integer_ratio()
+    if abs(x - y) * tol_den <= tol * max(x, y):
         rsum = c1.resistance + c2.resistance
         return (tf([c2.resistance / rsum], [1.0]), tf([c1.resistance / rsum], [1.0]))
     z1, z2 = c1.impedance(), c2.impedance()

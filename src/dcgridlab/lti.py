@@ -4,9 +4,10 @@ response, pole extraction, and zero-order-hold discretization.
 Everything lives in the continuous (s) domain until ``zoh`` samples it, by
 one matrix exponential taken with numpy alone (Pade(13) scaling and squaring,
 Higham 2005), so the package needs no scipy.  Polynomial coefficients are
-stored in ascending powers of s.  Series and feedback products keep every
-factor: no roots are matched numerically, so a product's degree, and a closed
-loop's pole count, follow from its structure.  All types are immutable; all
+stored in ascending powers of s.  Products are exact-order Python
+convolutions, and series and feedback products keep every factor: no roots
+are matched numerically, so a product's degree, and a closed loop's pole
+count, follow from its structure.  All types are immutable; all
 operations are pure functions, so they are safe to evaluate concurrently.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -45,12 +47,12 @@ class NoCrossoverError(LtiError):
         super().__init__(f"{message} on [{self.omega_min:g}, {self.omega_max:g}] rad/s")
 
 
-def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
-    """Drop high-order zero coefficients; keep at least one entry."""
-    c = [float(x) for x in coeffs]
-    while len(c) > 1 and c[-1] == 0.0:
-        c.pop()
-    return tuple(c)
+def _horner(descending, s):
+    """The polynomial at s, by Horner's rule in the arithmetic of s's own type."""
+    acc = 0.0 + 0.0j
+    for c in descending:
+        acc = acc * s + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,12 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Sequence[float]):
-        if len(coeffs) == 0:
+        c = tuple([float(x) for x in coeffs])    # from a list: an exact-size tuple
+        if not c:
             raise ValueError("polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", _trim(coeffs))
+        while len(c) > 1 and c[-1] == 0.0:    # drop high-order zeros
+            c = c[:-1]
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def degree(self) -> int:
@@ -73,20 +78,21 @@ class Polynomial:
         return self.coeffs == (0.0,)
 
     def __call__(self, s: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
+        return _horner(reversed(self.coeffs), s)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        """Polynomial product; coefficients are the convolution of the inputs."""
-        return Polynomial(np.convolve(self.coeffs, other.coeffs))
+        """Polynomial product, the Python convolution of the coefficients.  When
+        a factor has at most 2 of them (every product the package forms), each
+        sum has at most two terms, so any order gives ``np.convolve``'s bits."""
+        out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Polynomial(out)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0.0] * (n - len(other.coeffs))
-        return Polynomial([x + y for x, y in zip(a, b)])
+        return Polynomial([x + y for x, y in
+                           zip_longest(self.coeffs, other.coeffs, fillvalue=0.0)])
 
     def scaled(self, k: float) -> "Polynomial":
         return Polynomial([k * c for c in self.coeffs])
@@ -96,13 +102,14 @@ class Polynomial:
         return _roots([self.coeffs])[0]
 
     def _polish(self, roots: np.ndarray) -> np.ndarray:
-        d = Polynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (0.0,))
+        p = self.coeffs[::-1]    # descending, as _horner takes them
+        dp = [k * c for k, c in zip(range(len(p) - 1, 0, -1), p)] or [0.0]
         polished = []
         for root in roots:
-            dv = d(root)
+            dv = _horner(dp, root)
             if abs(dv) > 0.0:
-                step = self(root) / dv
-                if np.isfinite(step):
+                step = _horner(p, root) / dv
+                if cmath.isfinite(step):
                     root = root - step
             polished.append(root)
         return np.array(polished, dtype=complex)
@@ -127,7 +134,7 @@ def _roots(rows) -> list[np.ndarray]:
         for (i, lo), eigs in zip(members, np.linalg.eigvals(companion)):
             if not eigs.imag.any():    # real, as eigvals of this row alone returns it
                 eigs = eigs.real
-            found[i] = polys[i]._polish(np.hstack((eigs, np.zeros(lo, eigs.dtype))))
+            found[i] = polys[i]._polish(np.concatenate((eigs, np.zeros(lo, eigs.dtype))))
     return found
 
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .control import PiGains
-from .grid import (CableParams, GridConfig, GridModelError, pi_tf,
-                   power_plant_tf, voltage_loop_plant_tf)
+from .grid import (CableParams, ConverterParams, GridConfig, GridModelError,
+                   pi_tf, power_plant_tf, voltage_loop_plant_tf)
 from .lti import DegenerateLoopError, poles, tf_series
 
 
@@ -112,24 +112,22 @@ class LocusResult:
         return paths, tuple(flags)
 
 
-def _grid_with_first_cable(grid: GridConfig, r: float, l: float) -> GridConfig:
-    conv0 = replace(grid.converters[0], cable=CableParams(resistance=r, inductance=l))
-    return replace(grid, converters=(conv0,) + grid.converters[1:])
-
-
 def _locus(grid: GridConfig, sweep: ImpedanceSweep, build_loop) -> LocusResult:
     rs = sweep.resistances()
-    ls = rs / sweep.ratio_r_over_l
+    rs, ls = rs.tolist(), (rs / sweep.ratio_r_over_l).tolist()
+    c0 = grid.converters[0]
     chars = []    # a row of ascending coefficients per step
     for r, l in zip(rs, ls):
-        loop = build_loop(_grid_with_first_cable(grid, float(r), float(l)))
+        # this step's grid, every part checked by its own constructor
+        conv = ConverterParams(c0.rated_power, c0.voltage_loop_tau, CableParams(r, l))
+        loop = build_loop(GridConfig((conv,) + grid.converters[1:], grid.nominal_bus_voltage))
         # the unity-feedback characteristic polynomial, as tf_feedback forms it
         char = loop.den + loop.num
         if char.is_zero:
             raise DegenerateLoopError("algebraic loop: closed-loop denominator is zero")
         chars.append(char.coeffs)
     return LocusResult(steps=tuple(
-        LocusStep(resistance=float(r), inductance=float(l), poles=tuple(ps),
+        LocusStep(resistance=r, inductance=l, poles=tuple(ps),
                   stable=all(p.real < 0 for p in ps))
         for r, l, ps in zip(rs, ls, poles(chars))))
 

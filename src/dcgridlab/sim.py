@@ -305,7 +305,7 @@ def run(scenario: Scenario) -> SimResult:
         np.dot(phi, x, out=block)
         block += gam.dot(u)
         x = block[-4:]
-        if not np.isfinite(x).all():
+        if not all(map(math.isfinite, x.tolist())):
             raise SimulationDiverged(time_grid[(k + 1) * n_sub - 1], x, u)
 
     term = states[:, 0:2]

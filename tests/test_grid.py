@@ -1,10 +1,11 @@
 """Small-signal grid relations: plants, bus divider, load response, superposition."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dcgridlab.control import PiGains
@@ -270,3 +271,69 @@ def test_property_outer_plant_matches_unreduced_divider(pair):
                     fwd = fwd / (1.0 + fwd * v / (ri + li * s))
                 want = fwd * (rj + lj * s) / (ri + rj + (li + lj) * s)
                 assert abs(g(s) - want) <= 1e-9 * abs(want)
+
+
+def fraction_rule(c1, c2):
+    """The equal-L/R rule on exact Fraction products: |x - y| <= 1e-9*max(x, y)."""
+    x = Fraction(c1.inductance) * Fraction(c2.resistance)
+    y = Fraction(c2.inductance) * Fraction(c1.resistance)
+    return abs(x - y) <= Fraction(1e-9) * max(x, y)
+
+
+def constant_weights(r1, l1, r2, l2):
+    """Whether bus_voltage_source_weights reduces the divider to constants."""
+    w1, w2 = bus_voltage_source_weights(grid_with_cables((r1, l1), (r2, l2)))
+    assert w1.den.degree == w2.den.degree
+    return w1.den.degree == 0
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return x
+
+
+# log-uniform over 1e-320 .. 1e300; an inductance also needs a finite 1/L
+SPAN = st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e)
+SPAN_L = SPAN.filter(lambda l: math.isfinite(1.0 / l))
+
+
+@st.composite
+def edge_cables(draw):
+    """Two cables across the whole span; about half put L2 a few ulps either
+    side of an edge of the 1e-9 band around L1*R2/R1."""
+    r1, l1, r2 = draw(SPAN), draw(SPAN_L), draw(SPAN)
+    if draw(st.booleans()):
+        l2 = draw(SPAN_L)
+    else:
+        scale = 1.0 + draw(st.sampled_from((-1e-9, 1e-9, 0.0)))
+        l2 = nudged(l1 * (r2 / r1) * scale, draw(st.integers(-4, 4)))
+        assume(l2 > 0 and math.isfinite(l2) and math.isfinite(1.0 / l2))
+    return r1, l1, r2, l2
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_cables())
+@example((1e-320, 3e-3, 0.5, 3e-3))
+@example((1e-320, 1e-5, 2e-320, 1e-5))
+def test_property_equal_time_constant_rule_matches_fractions(cables):
+    """The integer-ratio decision equals the Fraction oracle everywhere."""
+    r1, l1, r2, l2 = cables
+    c1, c2 = CableParams(r1, l1), CableParams(r2, l2)
+    assert constant_weights(r1, l1, r2, l2) == fraction_rule(c1, c2)
+
+
+@pytest.mark.parametrize("r1,l1,r2", [(0.5, 3e-3, 2.0), (1e-320, 1e-300, 1e-30),
+                                      (7e250, 1e200, 1e-20)])
+@pytest.mark.parametrize("side", [-1e-9, 1e-9])
+def test_equal_time_constant_edge_is_exact(r1, l1, r2, side):
+    # stepping L2 ulp by ulp across the band edge flips the decision once,
+    # exactly where the Fraction oracle flips
+    base = l1 * (r2 / r1) * (1.0 + side)
+    decisions = []
+    for ulps in range(-6, 7):
+        l2 = nudged(base, ulps)
+        got = constant_weights(r1, l1, r2, l2)
+        assert got == fraction_rule(CableParams(r1, l1), CableParams(r2, l2))
+        decisions.append(got)
+    assert decisions == sorted(decisions, reverse=side > 0) and len(set(decisions)) == 2

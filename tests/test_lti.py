@@ -1,6 +1,7 @@
 """Polynomial/transfer-function algebra, frequency response, poles, ZOH."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +73,52 @@ class TestPolynomial:
     def test_degree_adds(self):
         a, b = Polynomial([1.0, 2.0, 3.0]), Polynomial([4.0, 5.0])
         assert (a * b).degree == a.degree + b.degree
+
+
+def bits(coeffs):
+    return np.asarray(coeffs, dtype=float).view(np.int64).tolist()
+
+
+# signed zeros and subnormals included; no product overflows
+COEFF = st.floats(-1e150, 1e150, allow_nan=False)
+SHORT = st.lists(COEFF, min_size=1, max_size=2)
+ANY = st.lists(COEFF, min_size=1, max_size=8)
+# away from underflow, so the rounding error is relative
+NONZERO = st.one_of(st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
+LONG = st.tuples(st.lists(st.one_of(st.just(0.0), NONZERO), min_size=2, max_size=5),
+                 NONZERO).map(lambda t: t[0] + [t[1]])    # 3 to 6, the last nonzero
+
+
+@settings(max_examples=300, deadline=None)
+@given(SHORT, ANY, st.booleans())
+@example([-1.0], [0.0], False)
+@example([1e-200, -0.0], [-1e-200, 3.0, -0.0], True)
+def test_property_product_with_a_short_factor_is_np_convolve(short, other, swap):
+    """With a factor of at most 2 coefficients, the product's bits (signed
+    zeros included) are np.convolve's, in either order."""
+    a, b = Polynomial(short), Polynomial(other)
+    if swap:
+        a, b = b, a
+    want = Polynomial(np.convolve(a.coeffs, b.coeffs)).coeffs
+    assert bits((a * b).coeffs) == bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LONG, LONG)
+def test_property_long_product_matches_exact_convolution(x, y):
+    """Longer factors: each coefficient within 1e-15 of the sum of its absolute
+    products from the exact Fraction convolution."""
+    a, b = Polynomial(x), Polynomial(y)
+    exact = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    scale = [Fraction(0)] * len(exact)
+    for i, p in enumerate(a.coeffs):
+        for j, q in enumerate(b.coeffs):
+            exact[i + j] += Fraction(p) * Fraction(q)
+            scale[i + j] += abs(Fraction(p) * Fraction(q))
+    got = (a * b).coeffs
+    assert len(got) == len(exact)
+    for g, e, sc in zip(got, exact, scale):
+        assert abs(Fraction(g) - e) <= Fraction(1e-15) * sc
 
 
 class TestSeriesAndFeedback:

@@ -1,21 +1,29 @@
 """Impedance-sweep pole trajectories and stability classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import signal
 from scipy.optimize import linear_sum_assignment
 
 from dcgridlab.config import POWER_PI, VOLTAGE_PI
-from dcgridlab.grid import (default_grid, pi_tf, power_plant_tf,
+from dcgridlab.grid import (CableParams, default_grid, pi_tf, power_plant_tf,
                             voltage_loop_plant_tf)
 from dcgridlab.lti import (DegenerateLoopError, poles, tf, tf_constant,
                            tf_feedback, tf_series)
 from dcgridlab.rootlocus import (ImpedanceSweep, LocusResult, LocusStep,
-                                 SweepError, _grid_with_first_cable, _locus,
+                                 SweepError, _locus,
                                  max_resistance_bound, sweep_power_loop,
                                  sweep_voltage_loop)
 
 RATIO = 0.5 / 0.003
+
+
+def grid_with_first_cable(grid, r, l):
+    """The grid with converter 0's cable replaced, built by dataclasses.replace."""
+    conv0 = dataclasses.replace(grid.converters[0], cable=CableParams(resistance=r, inductance=l))
+    return dataclasses.replace(grid, converters=(conv0,) + grid.converters[1:])
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +177,7 @@ class TestStackedSolve:
                 return tf_series(pi_tf(VOLTAGE_PI),
                                  voltage_loop_plant_tf(g, 0, POWER_PI, mode=loop))
         for step in locus.steps:
-            g = _grid_with_first_cable(grid, step.resistance, step.inductance)
+            g = grid_with_first_cable(grid, step.resistance, step.inductance)
             want = poles(tf_feedback(build(g), tf_constant(1.0)))
             assert np.array_equal(step.poles, want)
             assert step.stable == all(p.real < 0 for p in want)
@@ -193,7 +201,7 @@ class TestStabilityTimeDomainConsistency:
         # step response must converge to its DC gain
         for step in (power_locus.steps[0], power_locus.steps[24],
                      power_locus.steps[-1]):
-            g = _grid_with_first_cable(grid, step.resistance, step.inductance)
+            g = grid_with_first_cable(grid, step.resistance, step.inductance)
             loop = tf_series(pi_tf(POWER_PI), power_plant_tf(g, 0))
             closed = tf_feedback(loop, tf_constant(1.0))
             y = step_samples(closed, dt=1e-4, n_steps=40000)

@@ -285,6 +285,27 @@ class TestDivergenceGuard:
         assert "[V1, V2, I1, I2] = [inf, " in str(err)
         assert "held references u = [inf, 0.25]" in str(err)
 
+    def test_last_block_checked(self, monkeypatch):
+        # a NaN reference held over only the final control period still raises,
+        # stamped with the horizon
+        from dcgridlab import control as ctl
+        scenario = dataclasses.replace(open_loop_scenario((), duration=0.2),
+                                       activation_time=0.0)
+        calls = []
+
+        def step(self, *args, **kwargs):
+            calls.append(None)
+            last = len(calls) > 2 * (round(scenario.duration / scenario.control_dt) - 1)
+            return math.nan if last and self.weight < 0.5 else 0.25
+
+        monkeypatch.setattr(ctl.CascadeController, "step", step)
+        with pytest.raises(SimulationDiverged) as exc:
+            run(scenario)
+        err = exc.value
+        assert err.time == pytest.approx(scenario.duration)
+        assert err.inputs[0] == 0.25 and math.isnan(err.inputs[1])
+        assert not all(map(math.isfinite, err.state))
+
 
 def synthetic_result(t, term1, term2, i1, i2):
     term = np.column_stack([term1, term2])
