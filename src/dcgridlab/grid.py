@@ -6,13 +6,16 @@ lag.  Around an operating point, the bus voltage deviation splits by
 superposition into a source-voltage part (an impedance divider) and a
 load-change part; power exchanged by each source follows from the cable
 impedance.  These relations supply the open-loop plants used for controller
-design.
+design.  A cable's resistance and inductance may each hold one value per step
+of a sweep, as 1-D arrays (see ``lti.Polynomial``); every check and relation
+then acts on all steps at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .lti import Polynomial, TransferFunction, tf, tf_feedback, tf_series
 
@@ -21,10 +24,19 @@ class GridModelError(Exception):
     """Invalid grid description or unsupported topology."""
 
 
-def _check_time_scale(name: str, value: float) -> None:
-    # the models divide by it: the poles -1/tau and -R/L, the plant matrices
-    if not (value > 0 and math.isfinite(value) and math.isfinite(1.0 / value)):
-        raise GridModelError(f"{name} {value!r} must be positive, finite "
+def _positive(value) -> bool:
+    """value > 0, at every step of a per-step array; NaN is not positive."""
+    return bool(np.all(value > 0))
+
+
+def _check_time_scale(name: str, value) -> None:
+    # the models divide by it: the poles -1/tau and -R/L, the plant matrices.
+    # A zero or subnormal's reciprocal is inf here, with no numpy warning
+    with np.errstate(divide="ignore", over="ignore"):
+        ok = (value > 0) & np.isfinite(value) & np.isfinite(np.divide(1.0, value))
+    if not np.all(ok):
+        bad = value if np.ndim(value) == 0 else value[np.argmin(ok)].item()    # first bad step
+        raise GridModelError(f"{name} {bad!r} must be positive, finite "
                              f"and have a finite reciprocal")
 
 
@@ -36,7 +48,7 @@ class CableParams:
     inductance: float  # henry
 
     def __post_init__(self):
-        if self.resistance <= 0:
+        if not _positive(self.resistance):
             raise GridModelError("cable resistance must be positive")
         _check_time_scale("cable inductance", self.inductance)
 
@@ -53,7 +65,7 @@ class ConverterParams:
     cable: CableParams
 
     def __post_init__(self):
-        if self.rated_power <= 0:
+        if not _positive(self.rated_power):
             raise GridModelError("rated power must be positive")
         _check_time_scale("voltage loop time constant", self.voltage_loop_tau)
 
@@ -71,7 +83,7 @@ class GridConfig:
     nominal_bus_voltage: float    # volt
 
     def __post_init__(self):
-        if self.nominal_bus_voltage <= 0:
+        if not _positive(self.nominal_bus_voltage):
             raise GridModelError("nominal bus voltage must be positive")
         if len(self.converters) != 2:
             raise GridModelError(
@@ -129,6 +141,18 @@ def power_plant_tf(grid: GridConfig, i: int) -> TransferFunction:
     return tf_series(converter_voltage_tf(conv), cable_admittance_tf(grid, conv))
 
 
+def _same_time_constant(l1, r2, l2, r1) -> bool:
+    """L1/R1 == L2/R2 within 1e-9, as exact products L1*R2 and L2*R1: no ratio
+    turns inf for a tiny R, and no product underflows to 0."""
+    # each float is an integer ratio n/d; x and y are both products over one
+    # common denominator
+    (l1, dl1), (r2, dr2), (l2, dl2), (r1, dr1) = (
+        v.as_integer_ratio() for v in (l1, r2, l2, r1))
+    x, y = l1 * r2 * dl2 * dr1, l2 * r1 * dl1 * dr2
+    tol, tol_den = (1e-9).as_integer_ratio()
+    return abs(x - y) * tol_den <= tol * max(x, y)
+
+
 def bus_voltage_source_weights(grid: GridConfig) -> tuple[TransferFunction, TransferFunction]:
     """Impedance-divider weights mapping source-voltage deviations to the bus.
 
@@ -136,21 +160,23 @@ def bus_voltage_source_weights(grid: GridConfig) -> tuple[TransferFunction, Tran
     the weights sum to one at every frequency.  When both cables have the
     same time constant L/R, numerator and denominator share the factor
     (1 + s*L/R), cancelled here, and the weights are the constants
-    R2/(R1+R2) and R1/(R1+R2).
+    R2/(R1+R2) and R1/(R1+R2).  Per-step cables are decided step by step:
+    when only some steps have equal L/R, each of those steps gets its
+    constant weight w in the divider's form, as w/1 padded with s-terms 0.0.
     """
     c1, c2 = (c.cable for c in grid.converters)
-    # L1/R1 == L2/R2 within 1e-9, as exact products L1*R2 and L2*R1: no ratio
-    # turns inf for a tiny R, and no product underflows to 0.  Each float is an
-    # integer ratio n/d; x and y are both products over one common denominator
-    (l1, dl1), (r2, dr2), (l2, dl2), (r1, dr1) = (v.as_integer_ratio() for v in (
-        c1.inductance, c2.resistance, c2.inductance, c1.resistance))
-    x, y = l1 * r2 * dl2 * dr1, l2 * r1 * dl1 * dr2
-    tol, tol_den = (1e-9).as_integer_ratio()
-    if abs(x - y) * tol_den <= tol * max(x, y):
-        rsum = c1.resistance + c2.resistance
-        return (tf([c2.resistance / rsum], [1.0]), tf([c1.resistance / rsum], [1.0]))
+    equal = np.vectorize(_same_time_constant, otypes=[bool])(
+        c1.inductance, c2.resistance, c2.inductance, c1.resistance)
+    rsum = c1.resistance + c2.resistance
+    w1, w2 = c2.resistance / rsum, c1.resistance / rsum
+    if equal.all():
+        return (tf([w1], [1.0]), tf([w2], [1.0]))
     z1, z2 = c1.impedance(), c2.impedance()
     zsum = z1 + z2
+    if equal.any():
+        def padded(const, poly):
+            return Polynomial([np.where(equal, k, c) for k, c in zip(const, poly.coeffs)])
+        z2, z1, zsum = padded((w1, 0.0), z2), padded((w2, 0.0), z1), padded((1.0, 0.0), zsum)
     return (TransferFunction(z2, zsum), TransferFunction(z1, zsum))
 
 

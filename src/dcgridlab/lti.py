@@ -9,6 +9,11 @@ convolutions, and series and feedback products keep every factor: no roots
 are matched numerically, so a product's degree, and a closed loop's pole
 count, follow from its structure.  All types are immutable; all
 operations are pure functions, so they are safe to evaluate concurrently.
+
+A coefficient may also be a 1-D float64 array holding one value per step of a
+sweep, so one pass of the algebra builds every step's transfer function.
+numpy's elementwise float64 ``*`` and ``+`` are the IEEE operations Python's
+floats use, so each step's column has the bits of that step's scalar build.
 """
 
 from __future__ import annotations
@@ -57,15 +62,27 @@ def _horner(descending, s):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial in s, coefficients in ascending powers."""
+    """Real polynomial in s, coefficients in ascending powers.
 
-    coeffs: tuple[float, ...]
+    Each coefficient is a float, or a 1-D float64 array with one entry per
+    step of a sweep (floats and arrays mix; arithmetic broadcasts the floats).
+    A batched polynomial drops a high-order coefficient only when it is zero
+    at every step, so a step may keep high-order zeros that its scalar build
+    trims.  While those are +0.0, as every batched build here makes them, each
+    step's finite coefficients keep their scalar bits: a product adds only
+    signed-zero terms to sums that start from 0.0, and a sum adds +0.0 where
+    the scalar sum adds its 0.0 fill.
+    """
 
-    def __init__(self, coeffs: Sequence[float]):
-        c = tuple([float(x) for x in coeffs])    # from a list: an exact-size tuple
+    coeffs: tuple[float | np.ndarray, ...]
+
+    def __init__(self, coeffs: Sequence[float | np.ndarray]):
+        # from a list: an exact-size tuple
+        c = tuple([x if isinstance(x, np.ndarray) else float(x) for x in coeffs])
         if not c:
             raise ValueError("polynomial needs at least one coefficient")
-        while len(c) > 1 and c[-1] == 0.0:    # drop high-order zeros
+        # drop high-order zeros: a per-step array's only when zero at every step
+        while len(c) > 1 and (c[-1] == 0.0 if type(c[-1]) is float else not c[-1].any()):
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
 
@@ -75,7 +92,11 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return self.coeffs == (0.0,)
+        """Identically zero; for a batched polynomial, at any one step."""
+        zero = self.coeffs[0] == 0.0
+        for c in self.coeffs[1:]:
+            zero = zero & (c == 0.0)
+        return bool(np.any(zero))
 
     def __call__(self, s: complex) -> complex:
         return _horner(reversed(self.coeffs), s)

@@ -2,12 +2,14 @@
 
 The first converter's cable resistance sweeps over a range with a fixed R/L
 ratio (so the inductance scales along); controller gains stay at their
-nominal design.  Each step's loop is rebuilt and its unity-feedback
-characteristic polynomial (den + num) kept as one row per step; one ``poles``
-call then finds every step's closed-loop poles in one stacked eigenvalue solve
-per degree, and stability is classified.  Pole trajectories are
-matched step to step by the assignment of least total distance so they can be
-plotted as continuous branches.
+nominal design.  Each sweep builds its loop once, through the same ``grid``
+and ``lti`` functions as a single grid, on a cable whose resistance and
+inductance hold one value per step; its unity-feedback characteristic
+polynomial (den + num) gives one row per step, with each step's scalar bits.
+One ``poles`` call then finds every step's closed-loop poles in one stacked
+eigenvalue solve per degree, and stability is classified.  Pole trajectories
+are matched step to step by the assignment of least total distance so they can
+be plotted as continuous branches.
 """
 
 from __future__ import annotations
@@ -114,22 +116,23 @@ class LocusResult:
 
 def _locus(grid: GridConfig, sweep: ImpedanceSweep, build_loop) -> LocusResult:
     rs = sweep.resistances()
-    rs, ls = rs.tolist(), (rs / sweep.ratio_r_over_l).tolist()
+    ls = rs / sweep.ratio_r_over_l
     c0 = grid.converters[0]
-    chars = []    # a row of ascending coefficients per step
-    for r, l in zip(rs, ls):
-        # this step's grid, every part checked by its own constructor
-        conv = ConverterParams(c0.rated_power, c0.voltage_loop_tau, CableParams(r, l))
+    # one grid whose first cable holds every step, checked by its constructors
+    conv = ConverterParams(c0.rated_power, c0.voltage_loop_tau, CableParams(rs, ls))
+    with np.errstate(over="ignore", invalid="ignore"):    # as quiet as Python floats
         loop = build_loop(GridConfig((conv,) + grid.converters[1:], grid.nominal_bus_voltage))
         # the unity-feedback characteristic polynomial, as tf_feedback forms it
         char = loop.den + loop.num
-        if char.is_zero:
-            raise DegenerateLoopError("algebraic loop: closed-loop denominator is zero")
-        chars.append(char.coeffs)
+    if char.is_zero:    # at any step
+        raise DegenerateLoopError("algebraic loop: closed-loop denominator is zero")
+    chars = np.empty((sweep.steps, len(char.coeffs)))    # a row of ascending coefficients per step
+    for k, c in enumerate(char.coeffs):
+        chars[:, k] = c
     return LocusResult(steps=tuple(
         LocusStep(resistance=r, inductance=l, poles=tuple(ps),
                   stable=all(p.real < 0 for p in ps))
-        for r, l, ps in zip(rs, ls, poles(chars))))
+        for r, l, ps in zip(rs.tolist(), ls.tolist(), poles(chars.tolist()))))
 
 
 def sweep_power_loop(grid: GridConfig, gains: PiGains,

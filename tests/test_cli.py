@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcgridlab
 from dcgridlab.cli import RunManifest, main, write_csv
 from dcgridlab.config import load_config
 from dcgridlab.sim import run
@@ -213,6 +218,17 @@ class TestRejectedAtLoad:
         # simulate exited 2 as "diverged"; tune and rootlocus died with a
         # LinAlgError traceback
         message = self._rejected(tmp_path, caplog, [subcommand], text + "\n")
+        # run as its own process, stderr is that one line: the checks of the
+        # 1e-320 and its overflowing reciprocal print no numpy RuntimeWarning
+        src = str(Path(dcgridlab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-c",
+             "import sys; from dcgridlab.cli import main; sys.exit(main())",
+             subcommand, "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "p")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=""))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"ERROR dcgridlab: {message}"]
         assert match in message and "finite reciprocal" in message
 
     @pytest.mark.parametrize("subcommand", ["simulate", "compare"])

@@ -1,6 +1,7 @@
 """Small-signal grid relations: plants, bus divider, load response, superposition."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,24 @@ class TestValidation:
         with pytest.raises(GridModelError):
             ConverterParams(rated_power=1000.0, voltage_loop_tau=0.0, cable=cable)
 
+    @pytest.mark.parametrize("build", [
+        lambda v: CableParams(resistance=v, inductance=3e-3),
+        lambda v: CableParams(resistance=0.5, inductance=v),
+        lambda v: ConverterParams(rated_power=v, voltage_loop_tau=0.005,
+                                  cable=CableParams(0.5, 3e-3)),
+        lambda v: ConverterParams(rated_power=1000.0, voltage_loop_tau=v,
+                                  cable=CableParams(0.5, 3e-3)),
+        lambda v: GridConfig(converters=default_grid().converters,
+                             nominal_bus_voltage=v),
+    ], ids=["resistance", "inductance", "rated_power", "voltage_loop_tau",
+            "nominal_bus_voltage"])
+    def test_nan_rejected(self, build):
+        # nan <= 0 is False: a `value <= 0` check let NaN through
+        with pytest.raises(GridModelError):
+            build(float("nan"))
+        with pytest.raises(GridModelError):    # at one step of a per-step array
+            build(np.array([1.0, float("nan"), 2.0]))
+
     @pytest.mark.parametrize("value", [1e-320, float("inf"), float("nan")])
     def test_time_scale_and_its_reciprocal_finite(self, value):
         # 1/1e-320 overflows to inf, and so would the pole -1/tau or -R/L
@@ -57,6 +76,13 @@ class TestValidation:
         with pytest.raises(GridModelError, match="finite reciprocal"):
             ConverterParams(rated_power=1000.0, voltage_loop_tau=value,
                             cable=CableParams(0.5, 3e-3))
+
+    def test_per_step_time_scale_names_its_first_bad_step(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # 1/1e-320 overflows with no warning
+            with pytest.raises(GridModelError, match="cable inductance 1e-320 must"):
+                CableParams(resistance=np.full(3, 0.5),
+                            inductance=np.array([3e-3, 1e-320, 0.0]))
 
     def test_grid_needs_two_converters(self):
         g = default_grid()

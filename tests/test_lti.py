@@ -121,6 +121,57 @@ def test_property_long_product_matches_exact_convolution(x, y):
         assert abs(Fraction(g) - e) <= Fraction(1e-15) * sc
 
 
+# a step's coefficient: signed zeros and the smallest subnormal drawn often
+STEP_COEFF = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), COEFF)
+
+
+@st.composite
+def per_step_rows(draw):
+    """1-4 steps of 1-4 ascending coefficients.  A step's high-order zeros, the
+    terms its scalar build trims, are +0.0 as a batched build pads them, so a
+    top coefficient may be zero at only some steps."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(STEP_COEFF, min_size=n, max_size=n),
+                         min_size=1, max_size=4))
+    for row in rows:
+        for i in range(n - 1, 0, -1):
+            if row[i] != 0.0:
+                break
+            row[i] = 0.0
+    return rows
+
+
+def batched(rows, floats):
+    """One polynomial holding every row: a coefficient with the same bits at
+    every step is a float where ``floats`` says so, any other a per-step array."""
+    return Polynomial([col[0] if as_float and len(set(bits(col))) == 1 else np.array(col)
+                       for col, as_float in zip(zip(*rows), floats)])
+
+
+def column(p, step):
+    return Polynomial([c[step] if isinstance(c, np.ndarray) else c for c in p.coeffs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(per_step_rows(), per_step_rows(), st.lists(st.booleans(), min_size=8, max_size=8),
+       COEFF)
+@example([[1.0, -0.0, 2.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+         [[-0.0, 5e-324, 1e150], [-0.0, -5e-324, 0.0], [2.0, 0.0, 0.0]],
+         [True] * 8, -1.5)
+def test_property_batched_columns_are_scalar_builds(rows_a, rows_b, floats, k):
+    """Each step's column of a batched product, sum and scaling has the bits of
+    that step's scalar result; a batched polynomial is zero exactly when some
+    step's is."""
+    steps = min(len(rows_a), len(rows_b))
+    rows_a, rows_b = rows_a[:steps], rows_b[:steps]
+    a, b = batched(rows_a, floats[:4]), batched(rows_b, floats[4:])
+    assert a.is_zero == any(Polynomial(row).is_zero for row in rows_a)
+    for step, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+        sa, sb = Polynomial(ra), Polynomial(rb)
+        for got, want in ((a * b, sa * sb), (a + b, sa + sb), (a.scaled(k), sa.scaled(k))):
+            assert bits(column(got, step).coeffs) == bits(want.coeffs)
+
+
 class TestSeriesAndFeedback:
     def test_series_identity(self):
         g = _plant()

@@ -161,21 +161,38 @@ class TestVoltageLoopSweep:
         assert locus.trajectories().shape == (50, 4)
 
 
+# the first cable's L/R equals the second's, within the divider's 1e-9, at 741
+# of these 1000 steps: the batched divider mixes constant and impedance steps
+MIXED_SWEEP = ImpedanceSweep(r_min=0.1, r_max=2.0,
+                             ratio_r_over_l=166.66666683333332, steps=1000)
+
+
 class TestStackedSolve:
-    @pytest.mark.parametrize("loop", ["power", "as-written", "closed-inner"])
-    def test_every_step_equals_its_direct_closure(self, grid, default_sweep, loop):
-        # the sweep's one stacked solve against each step's loop closed by
-        # tf_feedback and solved alone
+    @pytest.mark.parametrize("loop,sweep", [
+        pytest.param("power", None, id="power"),
+        pytest.param("as-written", None, id="as-written"),
+        pytest.param("closed-inner", None, id="closed-inner"),
+        pytest.param("as-written", MIXED_SWEEP, id="as-written-mixed"),
+        pytest.param("closed-inner", MIXED_SWEEP, id="closed-inner-mixed")])
+    def test_every_step_equals_its_direct_closure(self, grid, default_sweep, loop, sweep):
+        # the sweep's one batched build and stacked solve against each step's
+        # loop built alone, closed by tf_feedback and solved alone
+        if sweep is None:
+            sweep = default_sweep
+        else:
+            # the divider's constant steps drop the cable pole: one pole fewer
+            counts = {"as-written": {3, 4}, "closed-inner": {4, 5}}[loop]
         if loop == "power":
-            locus = sweep_power_loop(grid, POWER_PI, default_sweep)
+            locus = sweep_power_loop(grid, POWER_PI, sweep)
             def build(g):
                 return tf_series(pi_tf(POWER_PI), power_plant_tf(g, 0))
         else:
-            locus = sweep_voltage_loop(grid, POWER_PI, VOLTAGE_PI, default_sweep,
-                                       mode=loop)
+            locus = sweep_voltage_loop(grid, POWER_PI, VOLTAGE_PI, sweep, mode=loop)
             def build(g):
                 return tf_series(pi_tf(VOLTAGE_PI),
                                  voltage_loop_plant_tf(g, 0, POWER_PI, mode=loop))
+        if sweep is MIXED_SWEEP:
+            assert {len(s.poles) for s in locus.steps} == counts
         for step in locus.steps:
             g = grid_with_first_cable(grid, step.resistance, step.inductance)
             want = poles(tf_feedback(build(g), tf_constant(1.0)))
