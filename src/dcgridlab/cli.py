@@ -29,7 +29,7 @@ from .config import (CONVENTIONAL_HIGH_PI, CONVENTIONAL_LOW_PI, ConfigError,
                      RunConfig, build_scheme, load_config, render_config)
 from .grid import (OUTER_PLANT_MODES, GridModelError, check_converter_index,
                    pi_tf, power_plant_tf, voltage_loop_plant_tf)
-from .lti import (NoCrossoverError, TransferFunction, freq_response, tf_constant,
+from .lti import (LtiError, TransferFunction, freq_response, tf_constant,
                   tf_series)
 from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
 from .sim import (DEFAULT_ITAE_WINDOW, SimResult, SimulationDiverged,
@@ -401,7 +401,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GridModelError as exc:
         log.error("invalid grid request: %s", exc)
         return EXIT_VALIDATION
-    except (SimulationError, NoCrossoverError) as exc:
+    except (SimulationError, LtiError) as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -110,98 +110,97 @@ class CascadeScheme:
 # pair.  ``step`` receives the fresh local snapshot, the neighbor's snapshot
 # from the previous control tick (telemetry), and on secondary ticks the
 # neighbor's snapshot from the previous secondary tick (coordination; None on
-# other ticks).  The PI states start at zero and stay there until activation.
+# other ticks).  Each controller binds its constants and both periods at
+# construction; its only state is its two PIs and ``active``.  The PI states
+# start at zero and stay there until activation.
+
+
+class _Pi:
+    """One PI: its constants (gains, update period ``dt``, symmetric output
+    ``limit``) and its state (``integrator``, ``prev_error``, None before the
+    first update, and ``out``, the output held until the next update)."""
+
+    def __init__(self, gains: PiGains, dt: float, limit: float):
+        self.gains, self.dt, self.limit = gains, dt, limit
+        self.integrator, self.prev_error, self.out = 0.0, None, 0.0
+
+    def update(self, error: float) -> float:
+        """One :func:`pi_step` on ``error``; returns the new ``out``."""
+        self.out, self.integrator = pi_step(self.gains, self.integrator,
+                                            self.prev_error, error, self.dt,
+                                            -self.limit, self.limit)
+        self.prev_error = error
+        return self.out
 
 
 class ConventionalController:
     """One converter's conventional controller (droop + two secondary PIs).
 
     Droop acts on the fresh local current every control step.  The secondary
-    voltage and current corrections update once per secondary step, from the
-    local snapshot and the neighbor snapshot exchanged on the coordination
-    channel; the current reference is the rated-power share of the total
-    measured current.
+    voltage and current PIs (``v_pi``, ``i_pi``) update once per secondary
+    step, from the local snapshot and the neighbor snapshot exchanged on the
+    coordination channel; the current reference is the rated-power share of
+    the total measured current.  Droop holds no state, so ``control_dt`` is
+    unused.
     """
 
-    def __init__(self, scheme: ConventionalScheme, grid: GridConfig, index: int):
-        self.scheme = scheme
+    def __init__(self, scheme: ConventionalScheme, grid: GridConfig, index: int,
+                 control_dt: float, secondary_dt: float):
+        self.droop = scheme.droop_resistance
         self.weight = weights_from_ratings(grid.rated_powers)[index]
-        self.clamp = 0.1 * grid.nominal_bus_voltage
+        clamp = 0.1 * grid.nominal_bus_voltage
+        self.v_pi = _Pi(scheme.voltage_pi, secondary_dt, clamp)
+        self.i_pi = _Pi(scheme.current_pi, secondary_dt, clamp)
         self.active = False
-        self.v_integrator, self.v_prev_error = 0.0, None
-        self.i_integrator, self.i_prev_error = 0.0, None
-        self.dv = 0.0
-        self.di = 0.0
 
     def step(self, own: tuple[float, float], neighbor_fast: tuple[float, float],
-             neighbor_slow: Optional[tuple[float, float]], control_dt: float,
-             secondary_dt: float) -> float:
+             neighbor_slow: Optional[tuple[float, float]]) -> float:
         """Voltage-reference deviation: droop always, corrections when active."""
         own_v, own_i = own
         if neighbor_slow is not None and self.active:
             nb_v, nb_i = neighbor_slow
-            v_err = 0.0 - 0.5 * (own_v + nb_v)
-            self.dv, self.v_integrator = pi_step(
-                self.scheme.voltage_pi, self.v_integrator, self.v_prev_error,
-                v_err, secondary_dt, -self.clamp, self.clamp)
-            self.v_prev_error = v_err
-            i_err = self.weight * (own_i + nb_i) - own_i
-            self.di, self.i_integrator = pi_step(
-                self.scheme.current_pi, self.i_integrator, self.i_prev_error,
-                i_err, secondary_dt, -self.clamp, self.clamp)
-            self.i_prev_error = i_err
-        ref = -self.scheme.droop_resistance * own_i
+            self.v_pi.update(0.0 - 0.5 * (own_v + nb_v))
+            self.i_pi.update(self.weight * (own_i + nb_i) - own_i)
+        ref = -self.droop * own_i
         if self.active:
-            ref += self.dv + self.di
+            ref += self.v_pi.out + self.i_pi.out
         return ref
 
 
 class CascadeController:
     """One converter's cascade controller (outer voltage PI, inner power PI).
 
-    The outer bus-voltage PI updates once per secondary step from the
-    coordination-channel snapshot.  The weighted power reference (share of
-    the measured total plus corrections) and the inner power PI run every
+    The outer bus-voltage PI (``v_pi``) updates once per secondary step from
+    the coordination-channel snapshot.  The weighted power reference (share of
+    the measured total plus the outer correction, clamped to the outer PI's
+    limit of twice rated power) and the inner power PI (``p_pi``) run every
     control step on the fresh local power and the telemetry-channel neighbor
     power.  Powers are cable currents times the nominal bus voltage.
     """
 
-    def __init__(self, scheme: CascadeScheme, grid: GridConfig, index: int):
-        self.scheme = scheme
+    def __init__(self, scheme: CascadeScheme, grid: GridConfig, index: int,
+                 control_dt: float, secondary_dt: float):
         self.weight = scheme.weights[index]
         self.v_nom = grid.nominal_bus_voltage
         conv = grid.converters[index]
-        self.power_clamp = 2.0 * conv.rated_power
+        power_clamp = 2.0 * conv.rated_power
+        self.v_pi = _Pi(scheme.bus_voltage_pi, secondary_dt, power_clamp)
         # inner output is a voltage reference; clamp it to the voltage swing
         # that corresponds to twice rated power through the cable at DC
-        self.voltage_clamp = 2.0 * conv.rated_power * conv.cable.resistance \
-            / grid.nominal_bus_voltage
+        self.p_pi = _Pi(scheme.power_pi, control_dt,
+                        power_clamp * conv.cable.resistance / grid.nominal_bus_voltage)
         self.active = False
-        self.outer_integrator, self.outer_prev_error = 0.0, None
-        self.inner_integrator, self.inner_prev_error = 0.0, None
-        self.voltage_correction = 0.0
 
     def step(self, own: tuple[float, float], neighbor_fast: tuple[float, float],
-             neighbor_slow: Optional[tuple[float, float]], control_dt: float,
-             secondary_dt: float) -> float:
+             neighbor_slow: Optional[tuple[float, float]]) -> float:
         """Voltage-reference deviation from the inner power PI; 0 until active."""
         if not self.active:
             return 0.0
         own_v, own_i = own
         own_power = self.v_nom * own_i
         if neighbor_slow is not None:
-            v_err = 0.0 - 0.5 * (own_v + neighbor_slow[0])
-            self.voltage_correction, self.outer_integrator = pi_step(
-                self.scheme.bus_voltage_pi, self.outer_integrator,
-                self.outer_prev_error, v_err, secondary_dt,
-                -self.power_clamp, self.power_clamp)
-            self.outer_prev_error = v_err
-        ref = self.weight * (own_power + self.v_nom * neighbor_fast[1]
-                             + self.voltage_correction)
-        ref = min(max(ref, -self.power_clamp), self.power_clamp)
-        p_err = ref - own_power
-        out, self.inner_integrator = pi_step(
-            self.scheme.power_pi, self.inner_integrator, self.inner_prev_error,
-            p_err, control_dt, -self.voltage_clamp, self.voltage_clamp)
-        self.inner_prev_error = p_err
-        return out
+            self.v_pi.update(0.0 - 0.5 * (own_v + neighbor_slow[0]))
+        ref = self.weight * (own_power + self.v_nom * neighbor_fast[1] + self.v_pi.out)
+        limit = self.v_pi.limit
+        ref = min(max(ref, -limit), limit)
+        return self.p_pi.update(ref - own_power)

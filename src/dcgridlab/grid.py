@@ -161,22 +161,20 @@ def bus_voltage_source_weights(grid: GridConfig) -> tuple[TransferFunction, Tran
     same time constant L/R, numerator and denominator share the factor
     (1 + s*L/R), cancelled here, and the weights are the constants
     R2/(R1+R2) and R1/(R1+R2).  Per-step cables are decided step by step:
-    when only some steps have equal L/R, each of those steps gets its
-    constant weight w in the divider's form, as w/1 padded with s-terms 0.0.
+    each step with equal L/R gets its constant weight w in the divider's
+    form, as w/1 padded with s-terms 0.0, which ``Polynomial`` trims when
+    every step (or the one scalar cable) has equal L/R.
     """
     c1, c2 = (c.cable for c in grid.converters)
     equal = np.vectorize(_same_time_constant, otypes=[bool])(
         c1.inductance, c2.resistance, c2.inductance, c1.resistance)
     rsum = c1.resistance + c2.resistance
     w1, w2 = c2.resistance / rsum, c1.resistance / rsum
-    if equal.all():
-        return (tf([w1], [1.0]), tf([w2], [1.0]))
     z1, z2 = c1.impedance(), c2.impedance()
-    zsum = z1 + z2
-    if equal.any():
-        def padded(const, poly):
-            return Polynomial([np.where(equal, k, c) for k, c in zip(const, poly.coeffs)])
-        z2, z1, zsum = padded((w1, 0.0), z2), padded((w2, 0.0), z1), padded((1.0, 0.0), zsum)
+
+    def padded(const, poly):
+        return Polynomial([np.where(equal, k, c) for k, c in zip(const, poly.coeffs)])
+    z2, z1, zsum = padded((w1, 0.0), z2), padded((w2, 0.0), z1), padded((1.0, 0.0), z1 + z2)
     return (TransferFunction(z2, zsum), TransferFunction(z1, zsum))
 
 

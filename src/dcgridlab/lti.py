@@ -46,10 +46,9 @@ _CROSSOVER_GRID = np.logspace(math.log10(CROSSOVER_OMEGA_MIN),
 class NoCrossoverError(LtiError):
     """Raised when no unity-gain crossing exists on the searched frequency range."""
 
-    omega_min, omega_max = CROSSOVER_OMEGA_MIN, CROSSOVER_OMEGA_MAX
-
     def __init__(self, message: str):
-        super().__init__(f"{message} on [{self.omega_min:g}, {self.omega_max:g}] rad/s")
+        super().__init__(f"{message} on [{CROSSOVER_OMEGA_MIN:g}, "
+                         f"{CROSSOVER_OMEGA_MAX:g}] rad/s")
 
 
 def _horner(descending, s):
@@ -77,8 +76,8 @@ class Polynomial:
     coeffs: tuple[float | np.ndarray, ...]
 
     def __init__(self, coeffs: Sequence[float | np.ndarray]):
-        # from a list: an exact-size tuple
-        c = tuple([x if isinstance(x, np.ndarray) else float(x) for x in coeffs])
+        # from a list: an exact-size tuple; a 0-d coefficient keeps float arithmetic
+        c = tuple([x if isinstance(x, np.ndarray) and x.ndim else float(x) for x in coeffs])
         if not c:
             raise ValueError("polynomial needs at least one coefficient")
         # drop high-order zeros: a per-step array's only when zero at every step

@@ -24,7 +24,7 @@ import numpy as np
 from .control import PiGains
 from .grid import (CableParams, ConverterParams, GridConfig, GridModelError,
                    pi_tf, power_plant_tf, voltage_loop_plant_tf)
-from .lti import DegenerateLoopError, poles, tf_series
+from .lti import DegenerateLoopError, LtiError, poles, tf_series
 
 
 class SweepError(Exception):
@@ -129,6 +129,11 @@ def _locus(grid: GridConfig, sweep: ImpedanceSweep, build_loop) -> LocusResult:
     chars = np.empty((sweep.steps, len(char.coeffs)))    # a row of ascending coefficients per step
     for k, c in enumerate(char.coeffs):
         chars[:, k] = c
+    bad = np.flatnonzero(~np.isfinite(chars).all(axis=1))
+    if bad.size:    # an overflowed loop; eigvals would reject it without naming a step
+        k = bad[0]
+        raise LtiError(f"sweep step {k} at r = {rs[k]:g} ohm: closed-loop characteristic "
+                       f"polynomial {chars[k].tolist()} is not finite")
     return LocusResult(steps=tuple(
         LocusStep(resistance=r, inductance=l, poles=tuple(ps),
                   stable=all(p.real < 0 for p in ps))

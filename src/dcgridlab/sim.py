@@ -28,8 +28,10 @@ control rate, so it arrives one control period old; droop and the cascade's
 inner power PI also run every control period.  The coordination layer (the
 bus-voltage PIs of both schemes and the conventional current-sharing PI)
 exchanges its datasets and updates once per secondary period, seeing the
-neighbor one secondary period old.  Runs are deterministic: identical
-scenarios produce bit-identical results.
+neighbor one secondary period old.  Each controller binds both periods at
+construction, so its ``step`` takes only the local and the two neighbor
+snapshots.  Runs are deterministic: identical scenarios produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -217,9 +219,9 @@ class _ControlLoop:
         self.grid = grid = scenario.grid
         unit = (CascadeController if isinstance(scenario.scheme, CascadeScheme)
                 else ConventionalController)
-        self.units = [unit(scenario.scheme, grid, i) for i in range(2)]
+        self.units = [unit(scenario.scheme, grid, i, scenario.control_dt,
+                           scenario.secondary_dt) for i in range(2)]
         self.control_dt = scenario.control_dt
-        self.secondary_dt = scenario.secondary_dt
         self.n_sec = round(scenario.secondary_dt / scenario.control_dt)
         self.load_now = 0.0
         # control tick -> load; steps that share a tick leave the last one's load
@@ -260,8 +262,7 @@ class _ControlLoop:
         snapshots = ((v1, i1), (v2, i2))
         secondary = (k % self.n_sec == 0)
         slow = self.coordination if secondary else (None, None)
-        u = [unit.step(snapshots[i], self.telemetry[i], slow[i],
-                       self.control_dt, self.secondary_dt)
+        u = [unit.step(snapshots[i], self.telemetry[i], slow[i])
              for i, unit in enumerate(self.units)]
         self.telemetry = snapshots[::-1]
         if secondary:

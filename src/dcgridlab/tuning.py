@@ -22,11 +22,6 @@ from .lti import (NoCrossoverError, TransferFunction, analytic_phase,
 class InfeasibleDesignError(Exception):
     """The requested spec is outside what a PI can deliver on this plant."""
 
-    def __init__(self, message: str, achievable_min: float, achievable_max: float):
-        super().__init__(message)
-        self.achievable_min = achievable_min
-        self.achievable_max = achievable_max
-
 
 @dataclass(frozen=True)
 class TuningSpec:
@@ -55,7 +50,6 @@ class DesignReport:
     crossover: Optional[float]
     margin: Optional[float]
     crossover_delta: Optional[float]
-    margin_delta: Optional[float]
     reason: str = ""
 
 
@@ -71,7 +65,7 @@ def design_pi(plant: TransferFunction, spec: TuningSpec) -> TunedController:
     g = plant(1j * wc)
     if not (math.isfinite(abs(g)) and abs(g) > 0):
         raise InfeasibleDesignError(
-            f"plant response at {wc:g} rad/s is zero or singular", 0.0, 0.0)
+            f"plant response at {wc:g} rad/s is zero or singular")
     g_phase = math.degrees(analytic_phase(plant, wc))
     theta = (-180.0 + spec.phase_margin) - g_phase
     lo, hi = 90.0 + g_phase, 180.0 + g_phase
@@ -79,17 +73,17 @@ def design_pi(plant: TransferFunction, spec: TuningSpec) -> TunedController:
         raise InfeasibleDesignError(
             f"requested margin {spec.phase_margin:g} deg needs controller phase "
             f"{theta:.2f} deg, outside the PI range (-90, 0]; achievable margins "
-            f"on this plant are ({lo:.2f}, {hi:.2f}] deg", lo, hi)
+            f"on this plant are ({lo:.2f}, {hi:.2f}] deg")
     mag = 1.0 / abs(g)
     th = math.radians(theta)
     gains = PiGains(kp=mag * math.cos(th), ki=-wc * mag * math.sin(th))
     report = verify_design(plant, gains, spec)
     if not report.ok:
-        raise InfeasibleDesignError(f"designed loop: {report.reason}", lo, hi)
+        raise InfeasibleDesignError(f"designed loop: {report.reason}")
     if abs(report.crossover_delta) > 1e-6 * wc:
         raise InfeasibleDesignError(
             f"designed loop first crosses 0 dB at {report.crossover:.6g} rad/s, "
-            f"not at the requested {wc:g} rad/s", lo, hi)
+            f"not at the requested {wc:g} rad/s")
     return TunedController(gains=gains,
                            achieved_crossover=report.crossover,
                            achieved_margin=report.margin)
@@ -97,15 +91,14 @@ def design_pi(plant: TransferFunction, spec: TuningSpec) -> TunedController:
 
 def verify_design(plant: TransferFunction, gains: PiGains,
                   spec: TuningSpec) -> DesignReport:
-    """Recompute crossover and margin of C*G and report deltas against the spec."""
+    """Recompute crossover and margin of C*G and report the crossover's delta
+    against the spec."""
     loop = tf_series(pi_tf(gains), plant)
     try:
         wc = gain_crossover(loop)
     except NoCrossoverError as exc:
         return DesignReport(ok=False, crossover=None, margin=None,
-                            crossover_delta=None, margin_delta=None,
-                            reason=str(exc))
+                            crossover_delta=None, reason=str(exc))
     pm = 180.0 + math.degrees(analytic_phase(loop, wc))   # phase margin
     return DesignReport(ok=True, crossover=wc, margin=pm,
-                        crossover_delta=wc - spec.crossover_omega,
-                        margin_delta=pm - spec.phase_margin)
+                        crossover_delta=wc - spec.crossover_omega)

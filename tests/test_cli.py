@@ -298,6 +298,25 @@ class TestRootlocus:
         assert header[0].startswith("# dcgrid-lab")
         assert header[1] == "r1_ohm,l1_h,pole_re,pole_im,stable"
 
+    def test_overflowing_loop_exits_numerical(self, tmp_path):
+        # the closed-inner loop squares the inductance, which overflows from
+        # r = 1e154 ohm on; numpy's eigvals once died on the inf with a
+        # LinAlgError traceback
+        cfgp = write(tmp_path, "[sweep]\nr_max = 1e300\nratio_r_over_l = 1.0\n\n"
+                     "[tuning]\nouter_plant_mode = closed-inner\n")
+        src = str(Path(dcgridlab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from dcgridlab.cli import main; sys.exit(main())",
+             "rootlocus", "--config", cfgp, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("ERROR dcgridlab: numerical failure: sweep step 26 "
+                               "at r = 5.17947e+158 ohm: ")
+        assert line.endswith(" is not finite")
+
 
 class TestBode:
     def test_unity_selector_flat(self, tmp_path):

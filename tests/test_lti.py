@@ -280,8 +280,7 @@ class TestCrossoverAndMargin:
     def test_bounded_gain_no_crossing(self):
         with pytest.raises(NoCrossoverError) as exc:
             gain_crossover(tf([1.0], [1.0, 1.0]))
-        assert exc.value.omega_min == pytest.approx(1e-2)
-        assert exc.value.omega_max == pytest.approx(1e5)
+        assert str(exc.value).endswith(" on [0.01, 100000] rad/s")
 
     def test_crossover_tolerance(self):
         g = _plant()
