@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dcgridlab
-from dcgridlab.cli import RunManifest, main, write_csv
+from dcgridlab.cli import _CSV_CHUNK_ROWS, COMPARE_CASES, RunManifest, main, write_csv
 from dcgridlab.config import load_config
 from dcgridlab.sim import run
 
@@ -262,9 +264,47 @@ class TestRunBeyondMemory:
         assert "Unable to allocate 745. GiB" in errors[0]
 
 
+# cell values that one %.12g per distinct bit pattern must keep apart or
+# share: both zeros, NaNs of either sign and with a payload, the extremes
+CELL_POOL = np.array([0.0, -0.0, math.nan, -math.nan,
+                      np.array(0x7FF8_0000_0000_0123).view(np.float64),
+                      math.inf, -math.inf, 5e-324, 0.1, 1e22, 2.0 / 3.0])
+CELL_KINDS = {"float64": lambda idx: CELL_POOL[idx],
+              "float32": lambda idx: CELL_POOL.astype(np.float32)[idx],
+              "int": lambda idx: (idx - 5) * 10**12,
+              "str": lambda idx: np.array(["proposed", "t=1s", "", "nan", "-0"])[idx % 5],
+              "bool": lambda idx: idx % 2 == 0}
+
+
+@st.composite
+def csv_columns(draw):
+    """Columns of a few kinds drawn from CELL_POOL in repeating runs, so
+    equal cells recur down a column, across columns and across chunks."""
+    n_rows = draw(st.sampled_from((0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS,
+                                   _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), min_size=1, max_size=6)):
+        pattern = draw(st.lists(st.integers(0, len(CELL_POOL) - 1), min_size=1, max_size=6))
+        run_length = draw(st.integers(1, 300))
+        columns.append(CELL_KINDS[kind](np.resize(np.repeat(pattern, run_length), n_rows)))
+    return columns
+
+
 class TestWriteCsv:
     MANIFEST = RunManifest(version="0", subcommand="test",
                            config_sha256="0" * 64)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_columns())
+    def test_lines_follow_the_per_cell_rule(self, tmp_path, columns):
+        path = tmp_path / "p.csv"
+        write_csv(path, self.MANIFEST, [f"c{j}" for j in range(len(columns))], columns)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        want = [",".join(format(float(x), ".12g") if c.dtype.kind == "f" else str(x)
+                         for c, x in zip(columns, row))
+                for row in zip(*(c.tolist() for c in columns))]
+        assert lines[2:] == want + [""]
 
     def test_cells_follow_the_12g_rule(self, tmp_path):
         rows = [(-0.0, 5e-324, 1e22, 123456789012.5, math.inf, -math.inf,
@@ -282,9 +322,11 @@ class TestWriteCsv:
         assert ",inf,-inf,nan,7,proposed" in lines[3]
 
     def test_unequal_columns_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "t.csv", self.MANIFEST, ("a", "b"),
-                      ([1.0, 2.0], [1.0]))
+        # a 2-D column has the right length but no single cell per row
+        for second in ([1.0], [[1.0, 3.0], [2.0, 4.0]]):
+            with pytest.raises(ValueError):
+                write_csv(tmp_path / "t.csv", self.MANIFEST, ("a", "b"),
+                          ([1.0, 2.0], second))
 
 
 class TestRootlocus:
@@ -454,6 +496,31 @@ class TestCompare:
         main(["compare", "--config", cfgp, "--out", str(out2)])
         assert (out1 / "comparison.csv").read_bytes() == \
             (out2 / "comparison.csv").read_bytes()
+
+    def test_events_equal_to_six_digits_keep_their_rows(self, tmp_path, monkeypatch):
+        # scoring two events 0.04 s apart at t = 10000 s takes a million-row
+        # run per case; FAST_SCENARIO's two scored events are moved there
+        from dcgridlab import cli as climod
+
+        real_score = climod._score_events
+
+        def moved_score(cfg, result):
+            entries = real_score(cfg, result)
+            for entry, t in zip(entries, (10000.0, 10000.04)):
+                entry["event_time_s"] = t
+            return entries
+
+        monkeypatch.setattr(climod, "_score_events", moved_score)
+        cfgp = write(tmp_path, FAST_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfgp, "--out", str(out)]) == 0
+        rows = [line.split(",")
+                for line in (out / "comparison.csv").read_text().splitlines()[2:]]
+        for case in COMPARE_CASES:
+            assert [row[1] for row in rows if row[0] == case] == ["t=10000s",
+                                                                  "t=10000.04s"]
+        assert set(read_json(out / "comparison.json")["orderings"]) == {
+            "t=10000s", "t=10000.04s"}
 
     def test_failed_case_yields_partial_table_and_nonzero_exit(self, tmp_path,
                                                                monkeypatch):

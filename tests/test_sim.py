@@ -10,15 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcgridlab.config import CONVENTIONAL_HIGH_PI, load_config
 from dcgridlab.control import CascadeScheme, ConventionalScheme, PiGains
 from dcgridlab.grid import default_grid
 from dcgridlab.lti import zoh
-from dcgridlab.sim import (LoadProfile, Scenario, SimResult, SimulationDiverged,
-                           SimulationError, _ControlLoop, _plant_matrices,
-                           itae_current, itae_voltage, run, settling_time,
-                           voltage_settling)
+from dcgridlab.sim import (DEFAULT_ITAE_WINDOW, LoadProfile, Scenario, SimResult,
+                           SimulationDiverged, SimulationError, _ControlLoop,
+                           _plant_matrices, itae_current, itae_voltage, run,
+                           settling_time, voltage_settling)
 
 
 def zero_gain_cascade():
@@ -452,6 +454,36 @@ def test_current_sum_conserved_between_load_steps(case):
         want = power / scenario.grid.nominal_bus_voltage
         drift = np.abs(result.current[after].sum(axis=1) - want).max() / want
         assert drift <= CURRENT_SUM_DRIFT, (t0, drift)
+
+
+def event_scores(scenario: Scenario) -> list[tuple[float, float, float]]:
+    """(itae_v, itae_i, settling_v_s) of each scored event, as the CLI scores them."""
+    result = run(scenario)
+    return [(itae_voltage(result, t0, DEFAULT_ITAE_WINDOW),
+             itae_current(result, t0, DEFAULT_ITAE_WINDOW),
+             voltage_settling(result, t0, span))
+            for t0, span in scenario.scored_events()]
+
+
+@settings(max_examples=6, deadline=None)
+@given(case=st.sampled_from(PINNED_CASES), periods=st.integers(1, 100),
+       levels=st.tuples(st.floats(500.0, 3000.0), st.floats(500.0, 3000.0)))
+def test_scores_unchanged_when_every_event_shifts(case, periods, levels):
+    # the run starts at rest, so moving every event and the horizon by whole
+    # secondary periods (the controllers' phase) only prepends quiet rows
+    base = fast_scenario(case)
+    base = dataclasses.replace(base, load=LoadProfile(tuple(
+        (t, p) for (t, _), p in zip(base.load.steps, levels))))
+    shift = periods * base.secondary_dt
+    moved = dataclasses.replace(
+        base, activation_time=base.activation_time + shift,
+        duration=base.duration + shift,
+        load=LoadProfile(tuple((t + shift, p) for t, p in base.load.steps)))
+    want = event_scores(base)
+    got = event_scores(moved)
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-9, abs=0.0)
 
 
 def reference_run(scenario: Scenario, ad: np.ndarray, bd: np.ndarray,
