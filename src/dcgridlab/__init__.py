@@ -18,7 +18,7 @@ from .lti import (Polynomial, TransferFunction, analytic_phase, bandwidth_3db,
 from .rootlocus import (ImpedanceSweep, LocusResult, max_resistance_bound,
                         sweep_power_loop, sweep_voltage_loop)
 from .sim import (LoadProfile, Scenario, SimResult, itae_current, itae_voltage,
-                  run, settling_time)
+                  run, voltage_settling)
 from .tuning import TunedController, TuningSpec, design_pi, verify_design
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "bandwidth_3db", "default_grid", "design_pi", "freq_response",
     "gain_crossover", "itae_current", "itae_voltage", "max_resistance_bound",
     "pi_step", "poles", "power_plant_tf", "run",
-    "settling_time", "sweep_power_loop", "sweep_voltage_loop", "tf",
+    "sweep_power_loop", "sweep_voltage_loop", "tf",
     "tf_feedback", "tf_series", "total_bus_voltage", "verify_design",
-    "voltage_loop_plant_tf", "weights_from_ratings",
+    "voltage_loop_plant_tf", "voltage_settling", "weights_from_ratings",
 ]

@@ -28,8 +28,8 @@ from .config import (CONVENTIONAL_HIGH_PI, CONVENTIONAL_LOW_PI, ConfigError,
                      RunConfig, build_scheme, load_config, render_config)
 from .grid import (OUTER_PLANT_MODES, GridModelError, check_converter_index,
                    pi_tf, power_plant_tf, voltage_loop_plant_tf)
-from .lti import (LtiError, TransferFunction, freq_response, tf_constant,
-                  tf_series)
+from .lti import (FREQUENCY_GRID, LtiError, TransferFunction, freq_response,
+                  tf_constant, tf_series)
 from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
 from .sim import (DEFAULT_ITAE_WINDOW, SimResult, SimulationDiverged,
                   SimulationError, itae_current, itae_voltage, run, voltage_settling)
@@ -120,9 +120,8 @@ def write_csv(path: Path, manifest: RunManifest, header: Sequence[str],
 
 def _write_bode(path: Path, manifest: RunManifest, g: TransferFunction,
                 note: Optional[str] = None) -> None:
-    omegas = np.logspace(-2, 5, 400)
     write_csv(path, manifest, ("omega_rad_s", "magnitude_db", "phase_deg"),
-              (omegas, *freq_response(g, omegas)), note=note)
+              (FREQUENCY_GRID, *freq_response(g, FREQUENCY_GRID)), note=note)
 
 
 def _json_safe(value):
@@ -210,8 +209,8 @@ def _event_label(t: float) -> str:
 
 def _score_events(cfg: RunConfig, result: SimResult) -> list[dict]:
     return [{"event_time_s": t0,
-             "itae_v": itae_voltage(result, t0, DEFAULT_ITAE_WINDOW),
-             "itae_i": itae_current(result, t0, DEFAULT_ITAE_WINDOW),
+             "itae_v": itae_voltage(result, t0),
+             "itae_i": itae_current(result, t0),
              "itae_window_s": DEFAULT_ITAE_WINDOW,
              "settling_v_s": voltage_settling(result, t0, span)}
             for t0, span in cfg.scenario().scored_events()]
@@ -249,53 +248,43 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, manifest: RunManifest,
 def cmd_compare(cfg: RunConfig, outdir: Path, manifest: RunManifest,
                 args: argparse.Namespace) -> int:
     """Run the three-scheme comparison."""
-    # (case, event) -> (itae_v, itae_i, settling_v); a diverged case has one
-    # ("FAILED") entry of NaNs.  Any other SimulationError (a run too large
-    # for memory) fails every case alike and ends the command in main.
-    table: dict[tuple[str, str], tuple[float, float, float]] = {}
+    # case -> its scored events, or None if it diverged; any other SimulationError
+    # (a run too large for memory) fails every case alike and ends in main
     per_case: dict[str, Optional[list[dict]]] = {}
-    failed = False
     for case, (kind, voltage_pi) in COMPARE_CASES.items():
         scheme = build_scheme(kind, cfg.grid, cfg.power_pi, voltage_pi or cfg.voltage_pi,
                               cfg.current_pi, cfg.droop_ohm)
-        scenario = cfg.scenario(scheme=scheme)
         try:
-            result = run(scenario)
-            scored = _score_events(cfg, result)
+            per_case[case] = _score_events(cfg, run(cfg.scenario(scheme=scheme)))
         except SimulationDiverged as exc:
             log.error("case %s failed: %s", case, exc)
             per_case[case] = None
-            table[case, "FAILED"] = (math.nan, math.nan, math.nan)
-            failed = True
-            continue
-        per_case[case] = scored
-        for entry in scored:
-            table[case, _event_label(entry["event_time_s"])] = (
-                entry["itae_v"], entry["itae_i"], entry["settling_v_s"])
+    failed = None in per_case.values()
 
+    # one row per (case, event); a diverged case has one ("FAILED") row of NaNs
+    rows = [(case, "FAILED", math.nan, math.nan, math.nan) if e is None else
+            (case, _event_label(e["event_time_s"]), e["itae_v"], e["itae_i"], e["settling_v_s"])
+            for case, scored in per_case.items() for e in scored or [None]]
     orderings = {}
     if not failed:
-        events = [_event_label(e["event_time_s"]) for e in per_case["proposed"]]
-        for event in events:
-            p = table["proposed", event]
-            hi = table["conventional-high", event]
-            lo = table["conventional-low", event]
-            orderings[event] = {
+        # every case scores the same events, so they pair by index
+        for p, hi, lo in zip(per_case["proposed"], per_case["conventional-high"],
+                             per_case["conventional-low"]):
+            orderings[_event_label(p["event_time_s"])] = {
                 "itae_v: proposed < conventional-high < conventional-low":
-                    p[0] < hi[0] < lo[0],
+                    p["itae_v"] < hi["itae_v"] < lo["itae_v"],
                 "itae_i: proposed < conventional-low < conventional-high":
-                    p[1] < lo[1] < hi[1],
+                    p["itae_i"] < lo["itae_i"] < hi["itae_i"],
                 "settling: proposed < conventional-high < conventional-low":
-                    p[2] < hi[2] < lo[2],
+                    p["settling_v_s"] < hi["settling_v_s"] < lo["settling_v_s"],
             }
 
     write_csv(outdir / "comparison.csv", manifest,
-              ("case", "event", "itae_v", "itae_i", "settling_v_s"),
-              zip(*(key + scores for key, scores in table.items())))
+              ("case", "event", "itae_v", "itae_i", "settling_v_s"), zip(*rows))
     write_json(outdir / "comparison.json", manifest,
                {"cases": per_case, "orderings": orderings})
 
-    for (case, event), (itae_v, itae_i, settling_v) in table.items():
+    for case, event, itae_v, itae_i, settling_v in rows:
         print(f"{case:18s} {event:10s} itae_v={_fmt(itae_v):>14s} "
               f"itae_i={_fmt(itae_i):>14s} settling={_fmt(settling_v)}")
     for event, checks in orderings.items():
@@ -343,7 +332,7 @@ def cmd_bode(cfg: RunConfig, outdir: Path, manifest: RunManifest,
              args: argparse.Namespace) -> int:
     """Export a frequency response as CSV."""
     plant_name = args.plant
-    annotation = None
+    note = None
     if plant_name == "unity":
         g = tf_constant(1.0)
     elif plant_name in ("power", "power-loop"):
@@ -354,13 +343,11 @@ def cmd_bode(cfg: RunConfig, outdir: Path, manifest: RunManifest,
                                   mode=cfg.tuning.outer_plant_mode)
         gains, spec = cfg.voltage_pi, cfg.tuning.voltage
     if plant_name.endswith("-loop"):   # the open loop: PI in series with the plant
-        annotation = verify_design(g, gains, spec)
+        report = verify_design(g, gains, spec)
+        if report.ok:
+            note = (f"crossover_rad_s={_fmt(report.crossover)} "
+                    f"margin_deg={_fmt(report.margin)}")
         g = tf_series(pi_tf(gains), g)
-
-    note = None
-    if annotation is not None and annotation.ok:
-        note = (f"crossover_rad_s={_fmt(annotation.crossover)} "
-                f"margin_deg={_fmt(annotation.margin)}")
     path = outdir / f"bode_{plant_name}.csv"
     _write_bode(path, manifest, g, note)
     print(f"wrote {path}")

@@ -10,10 +10,9 @@ are matched numerically, so a product's degree, and a closed loop's pole
 count, follow from its structure.  All types are immutable; all
 operations are pure functions, so they are safe to evaluate concurrently.
 
-A coefficient may also be a 1-D float64 array holding one value per step of a
-sweep, so one pass of the algebra builds every step's transfer function.
-numpy's elementwise float64 ``*`` and ``+`` are the IEEE operations Python's
-floats use, so each step's column has the bits of that step's scalar build.
+A coefficient may also hold one value per step of a sweep (see
+``Polynomial``), so one pass of the algebra builds every step's transfer
+function, each step with the bits of its scalar build.
 """
 
 from __future__ import annotations
@@ -35,20 +34,18 @@ class DegenerateLoopError(LtiError):
     """Raised when a feedback interconnection has an identically zero denominator."""
 
 
-# Search grid for crossover hunting: brackets every time constant the bench
-# produces (converter loops ~5 ms, cables ~6 ms, secondary loops ~0.1 s).
-CROSSOVER_OMEGA_MIN = 1e-2
-CROSSOVER_OMEGA_MAX = 1e5
-_CROSSOVER_GRID = np.logspace(math.log10(CROSSOVER_OMEGA_MIN),
-                              math.log10(CROSSOVER_OMEGA_MAX), 400)
+# The frequencies of every Bode export and of the crossover search: brackets
+# every time constant the bench produces (converter loops ~5 ms, cables ~6 ms,
+# secondary loops ~0.1 s).
+FREQUENCY_GRID = np.logspace(-2, 5, 400)
 
 
 class NoCrossoverError(LtiError):
     """Raised when no unity-gain crossing exists on the searched frequency range."""
 
     def __init__(self, message: str):
-        super().__init__(f"{message} on [{CROSSOVER_OMEGA_MIN:g}, "
-                         f"{CROSSOVER_OMEGA_MAX:g}] rad/s")
+        super().__init__(f"{message} on [{FREQUENCY_GRID[0]:g}, "
+                         f"{FREQUENCY_GRID[-1]:g}] rad/s")
 
 
 def _horner(descending, s):
@@ -65,12 +62,10 @@ class Polynomial:
 
     Each coefficient is a float, or a 1-D float64 array with one entry per
     step of a sweep (floats and arrays mix; arithmetic broadcasts the floats).
+    numpy's elementwise float64 ``*`` and ``+`` are Python's IEEE operations.
     A batched polynomial drops a high-order coefficient only when it is zero
-    at every step, so a step may keep high-order zeros that its scalar build
-    trims.  While those are +0.0, as every batched build here makes them, each
-    step's finite coefficients keep their scalar bits: a product adds only
-    signed-zero terms to sums that start from 0.0, and a sum adds +0.0 where
-    the scalar sum adds its 0.0 fill.
+    at every step; the +0.0 a step keeps there leaves its other coefficients
+    with their scalar bits.
     """
 
     coeffs: tuple[float | np.ndarray, ...]
@@ -139,7 +134,8 @@ def _roots(rows) -> list[np.ndarray]:
     """Roots of each row of ascending coefficients, one stacked ``eigvals`` call
     per stripped degree.  As in ``np.roots``, a row stripped of its zero high-order
     and constant terms gives its companion-matrix eigenvalues (none at degree 0),
-    then one zero root per zero constant term; each root gets one Newton polish."""
+    then one zero root per zero constant term; each root gets one Newton polish.
+    Raises :class:`LtiError` for a row whose companion matrix is not finite."""
     polys = [Polynomial(row) for row in rows]
     found = [None] * len(polys)
     groups: dict[int, list[tuple[int, int]]] = {}    # stripped degree -> (row, zero roots)
@@ -149,8 +145,14 @@ def _roots(rows) -> list[np.ndarray]:
     for n, members in groups.items():
         p = np.array([polys[i].coeffs[lo:][::-1] for i, lo in members])    # descending
         companion = np.zeros((len(members), n, n))
-        companion[:, :1] = (-p[:, 1:] / p[:, :1])[:, None]    # empty when n == 0
+        with np.errstate(over="ignore", invalid="ignore"):    # checked below
+            companion[:, :1] = (-p[:, 1:] / p[:, :1])[:, None]    # empty when n == 0
         companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        bad = ~(np.isfinite(p).all(axis=1) & np.isfinite(companion).all(axis=(1, 2)))
+        if bad.any():    # eigvals would reject the whole stack without naming a row
+            i = members[int(np.argmax(bad))][0]
+            raise LtiError(f"cannot find the roots of the polynomial {list(polys[i].coeffs)} "
+                           f"(ascending): a coefficient or a ratio of two is not finite")
         for (i, lo), eigs in zip(members, np.linalg.eigvals(companion)):
             if not eigs.imag.any():    # real, as eigvals of this row alone returns it
                 eigs = eigs.real
@@ -297,7 +299,7 @@ def _bisect_db(g: TransferFunction, level_db: float, wa: float, wb: float) -> fl
 
 def _grid_db(g: TransferFunction) -> np.ndarray:
     """20*log10|g(jw)| at each frequency of the crossover search grid."""
-    return np.array([_db(g, w) for w in _CROSSOVER_GRID])
+    return np.array([_db(g, w) for w in FREQUENCY_GRID])
 
 
 def gain_crossover(g: TransferFunction) -> float:
@@ -308,7 +310,7 @@ def gain_crossover(g: TransferFunction) -> float:
     brackets no crossing.  Raises :class:`NoCrossoverError` when the
     magnitude never crosses 0 dB on the range.
     """
-    grid = _CROSSOVER_GRID
+    grid = FREQUENCY_GRID
     db = _grid_db(g)
     sign, finite = np.sign(db), np.isfinite(db)
     for i in range(len(grid) - 1):
@@ -325,7 +327,7 @@ def bandwidth_3db(g: TransferFunction) -> float:
     if not math.isfinite(dc) or dc == 0.0:
         raise LtiError("3 dB bandwidth needs a finite nonzero DC gain")
     level = 20.0 * math.log10(abs(dc)) - 3.0
-    grid = _CROSSOVER_GRID
+    grid = FREQUENCY_GRID
     above = _grid_db(g) - level
     for i in range(len(grid) - 1):
         if above[i] >= 0 > above[i + 1]:

@@ -47,6 +47,9 @@ class ImpedanceSweep:
             raise SweepError("R/L ratio must be positive")
         if self.steps < 2:
             raise SweepError("a sweep needs at least 2 steps")
+        if self.steps * 8 > np.iinfo(np.intp).max:    # numpy indexes arrays in bytes
+            raise SweepError(f"steps {self.steps!r}: numpy indexes at most "
+                             f"{np.iinfo(np.intp).max // 8} float64 entries")
         # every step's cable lies between these two
         for r in (self.r_min, self.r_max):
             try:
@@ -115,29 +118,33 @@ class LocusResult:
 
 
 def _locus(grid: GridConfig, sweep: ImpedanceSweep, build_loop) -> LocusResult:
-    rs = sweep.resistances()
-    ls = rs / sweep.ratio_r_over_l
-    c0 = grid.converters[0]
-    # one grid whose first cable holds every step, checked by its constructors
-    conv = ConverterParams(c0.rated_power, c0.voltage_loop_tau, CableParams(rs, ls))
-    with np.errstate(over="ignore", invalid="ignore"):    # as quiet as Python floats
-        loop = build_loop(GridConfig((conv,) + grid.converters[1:], grid.nominal_bus_voltage))
-        # the unity-feedback characteristic polynomial, as tf_feedback forms it
-        char = loop.den + loop.num
-    if char.is_zero:    # at any step
-        raise DegenerateLoopError("algebraic loop: closed-loop denominator is zero")
-    chars = np.empty((sweep.steps, len(char.coeffs)))    # a row of ascending coefficients per step
-    for k, c in enumerate(char.coeffs):
-        chars[:, k] = c
-    bad = np.flatnonzero(~np.isfinite(chars).all(axis=1))
-    if bad.size:    # an overflowed loop; eigvals would reject it without naming a step
-        k = bad[0]
-        raise LtiError(f"sweep step {k} at r = {rs[k]:g} ohm: closed-loop characteristic "
-                       f"polynomial {chars[k].tolist()} is not finite")
-    return LocusResult(steps=tuple(
-        LocusStep(resistance=r, inductance=l, poles=tuple(ps),
-                  stable=all(p.real < 0 for p in ps))
-        for r, l, ps in zip(rs.tolist(), ls.tolist(), poles(chars.tolist()))))
+    try:    # every statement here allocates per-step arrays
+        rs = sweep.resistances()
+        ls = rs / sweep.ratio_r_over_l
+        c0 = grid.converters[0]
+        # one grid whose first cable holds every step, checked by its constructors
+        conv = ConverterParams(c0.rated_power, c0.voltage_loop_tau, CableParams(rs, ls))
+        with np.errstate(over="ignore", invalid="ignore"):    # as quiet as Python floats
+            loop = build_loop(GridConfig((conv,) + grid.converters[1:], grid.nominal_bus_voltage))
+            # the unity-feedback characteristic polynomial, as tf_feedback forms it
+            char = loop.den + loop.num
+        if char.is_zero:    # at any step
+            raise DegenerateLoopError("algebraic loop: closed-loop denominator is zero")
+        chars = np.empty((sweep.steps, len(char.coeffs)))    # ascending, a row per step
+        for k, c in enumerate(char.coeffs):
+            chars[:, k] = c
+        bad = np.flatnonzero(~np.isfinite(chars).all(axis=1))
+        if bad.size:    # an overflowed loop; eigvals would reject it without naming a step
+            k = bad[0]
+            raise LtiError(f"sweep step {k} at r = {rs[k]:g} ohm: closed-loop characteristic "
+                           f"polynomial {chars[k].tolist()} is not finite")
+        return LocusResult(steps=tuple(
+            LocusStep(resistance=r, inductance=l, poles=tuple(ps),
+                      stable=all(p.real < 0 for p in ps))
+            for r, l, ps in zip(rs.tolist(), ls.tolist(), poles(chars.tolist()))))
+    except MemoryError as exc:
+        raise LtiError(f"sweep steps {sweep.steps!r}: the per-step arrays do not "
+                       f"fit in memory: {exc}") from exc
 
 
 def sweep_power_loop(grid: GridConfig, gains: PiGains,
@@ -158,10 +165,8 @@ def sweep_voltage_loop(grid: GridConfig, power_gains: PiGains,
     return _locus(grid, sweep, build)
 
 
-def max_resistance_bound(grid: GridConfig, regulation_ratio: float = 0.05,
-                         rated_current: float = 10.0) -> float:
-    """Largest sensible cable resistance: allowed end-to-end regulation drop
-    divided by the rated current, R_max = ratio * V_nominal / I_rated."""
-    if regulation_ratio < 0 or rated_current <= 0:
-        raise SweepError("need regulation_ratio >= 0 and rated_current > 0")
-    return regulation_ratio * grid.nominal_bus_voltage / rated_current
+def max_resistance_bound(grid: GridConfig) -> float:
+    """Largest sensible cable resistance: the 5 % end-to-end regulation drop
+    allowed on the nominal bus at a 10 A rated current,
+    R_max = 0.05 * V_nominal / 10 A (2 ohm on the 400 V bench bus)."""
+    return 0.05 * grid.nominal_bus_voltage / 10.0

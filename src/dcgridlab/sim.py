@@ -11,12 +11,9 @@ product of stacked exact zero-order-hold pairs.  Every row is an exact sample
 of the continuous plant, rounded once per tick instead of once per plant
 step, so integration error never contaminates transient scores.
 
-A run has two parts.  :class:`_ControlLoop` is the control law's only
-orchestration: its ``tick`` does everything a control tick does except
-advance the plant (the load jump, activation, both controllers' steps and the
-two delay registers).  :func:`run` adds the lifted plant and the divergence
-check around it.  Each applied event logs one DEBUG line on this module's
-logger.
+:func:`run` wraps the lifted plant and a divergence check around
+:class:`_ControlLoop`, the control law's only orchestration.  Each applied
+event logs one DEBUG line on this module's logger.
 
 Load steps and activation act on control ticks only: an event at time t acts
 at tick round(t / control_dt).  :class:`Scenario` accepts only times within
@@ -330,7 +327,9 @@ DEFAULT_ITAE_WINDOW = 2.0
 SETTLING_BAND = 0.02    # of the largest deviation in the window
 
 
-def _window_slice(result: SimResult, start: float, length: float) -> np.ndarray:
+def _window_slice(result: SimResult, start: float,
+                  length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the samples in (start, start + length], and their times from start."""
     if start + length > result.time[-1] + 1e-12:
         raise SimulationError(
             f"window [{start:g}, {start + length:g}] exceeds the simulated span")
@@ -339,70 +338,51 @@ def _window_slice(result: SimResult, start: float, length: float) -> np.ndarray:
     if np.count_nonzero(mask) < 2:
         raise SimulationError(
             f"window [{start:g}, {start + length:g}] holds fewer than 2 samples")
-    return mask
+    return mask, t[mask] - start
 
 
-def itae_voltage(result: SimResult, window_start: float,
-                 window_length: float = DEFAULT_ITAE_WINDOW) -> float:
-    """Integral of t * |mean terminal-voltage deviation| over the window.
+def itae_voltage(result: SimResult, window_start: float) -> float:
+    """Integral of t * |mean terminal-voltage deviation| over the
+    ``DEFAULT_ITAE_WINDOW`` after ``window_start``.
 
     Time is measured from the window start; the integrand uses the mean of
     the two converter terminal voltages against the nominal reference.
     """
-    m = _window_slice(result, window_start, window_length)
-    t = result.time[m] - window_start
+    m, t = _window_slice(result, window_start, DEFAULT_ITAE_WINDOW)
     err = np.abs(result.regulated_voltage[m])
     return float(np.trapezoid(t * err, t))
 
 
-def itae_current(result: SimResult, window_start: float,
-                 window_length: float = DEFAULT_ITAE_WINDOW) -> float:
-    """Integral of t * (|I_ref1 - I1| + |I_ref2 - I2|) over the window.
+def itae_current(result: SimResult, window_start: float) -> float:
+    """Integral of t * (|I_ref1 - I1| + |I_ref2 - I2|) over the
+    ``DEFAULT_ITAE_WINDOW`` after ``window_start``.
 
     Current references are the rated-power shares of the total measured
     current at each sample.
     """
-    m = _window_slice(result, window_start, window_length)
-    t = result.time[m] - window_start
+    m, t = _window_slice(result, window_start, DEFAULT_ITAE_WINDOW)
     total = result.current[m].sum(axis=1)
     err = sum(np.abs(result.weights[i] * total - result.current[m][:, i])
               for i in range(2))
     return float(np.trapezoid(t * err, t))
 
 
-def settling_time(times: np.ndarray, series: np.ndarray, target: float,
-                  band_floor: float = 0.0) -> float:
-    """Last time the signal exits the band around the target, from the window start.
+def voltage_settling(result: SimResult, window_start: float,
+                     window_length: float) -> float:
+    """Settling time of the regulated (mean terminal) voltage after an event:
+    the last time, from ``window_start``, that it leaves the band around 0.
 
-    The band is ``SETTLING_BAND`` of the largest deviation seen in the window,
-    raised to ``band_floor`` when given (guards signals that never deviate
-    meaningfully).  Returns ``math.inf`` when the signal is still outside the
-    band at the final sample (not settled).
+    The band is ``SETTLING_BAND`` of the peak deviation in the window, with an
+    absolute floor of 0.05 V, the steady-state voltage band the comparison
+    uses, so signals that never leave it count as settled at 0.  Returns
+    ``math.inf`` when the voltage is still outside the band at the window's
+    last sample.
     """
-    if len(series) == 0:
-        raise SimulationError("settling_time needs a nonempty series")
-    err = np.abs(np.asarray(series) - target)
-    peak = float(err.max())
-    band = max(SETTLING_BAND * peak, band_floor)
-    if band == 0.0:
-        return 0.0
-    outside = np.nonzero(err > band)[0]
+    m, t = _window_slice(result, window_start, window_length)
+    err = np.abs(result.regulated_voltage[m])
+    outside = np.nonzero(err > max(SETTLING_BAND * float(err.max()), 0.05))[0]
     if len(outside) == 0:
         return 0.0
     if outside[-1] == len(err) - 1:
         return math.inf
-    return float(times[outside[-1] + 1])
-
-
-def voltage_settling(result: SimResult, window_start: float,
-                     window_length: float) -> float:
-    """Settling of the regulated (mean terminal) voltage after an event.
-
-    The band is 2 % of the peak deviation with an absolute floor of 0.05 V,
-    the steady-state voltage band the comparison uses, so signals that never
-    leave it count as settled at 0.
-    """
-    m = _window_slice(result, window_start, window_length)
-    times = result.time[m] - window_start
-    series = result.regulated_voltage[m]
-    return settling_time(times, series, 0.0, band_floor=0.05)
+    return float(t[outside[-1] + 1])

@@ -210,6 +210,13 @@ class TestRejectedAtLoad:
         message = self._rejected(tmp_path, caplog, ["simulate"], f"[scenario]\n{text}\n")
         assert f"duration 1e+300 s needs {rows} plant rows" in message
 
+    def test_sweep_steps_beyond_numpy_indexing(self, tmp_path, caplog):
+        # died in np.logspace ("Maximum allowed size exceeded") after writing
+        # config_effective.ini
+        message = self._rejected(tmp_path, caplog, ["rootlocus"],
+                                 f"[sweep]\nsteps = {10**20}\n")
+        assert f"steps {10**20}: numpy indexes at most " in message
+
     @pytest.mark.parametrize("subcommand", ["simulate", "tune", "rootlocus"])
     @pytest.mark.parametrize("text,match", [
         ("[grid]\nvoltage_loop_taus = 1e-320, 0.005", "voltage loop time constant 1e-320"),
@@ -262,6 +269,15 @@ class TestRunBeyondMemory:
         assert len(errors) == 1
         assert "duration 10000000.0 s needs 1.000e+11 plant rows" in errors[0]
         assert "Unable to allocate 745. GiB" in errors[0]
+
+    def test_sweep_steps_beyond_memory(self, tmp_path, caplog):
+        # 2**50 steps ask for 8 PiB per array, more than a process can address,
+        # so the allocation fails at once; its _ArrayMemoryError went uncaught
+        cfgp = write(tmp_path, f"[sweep]\nsteps = {2**50}\n")
+        assert main(["rootlocus", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert f"sweep steps {2**50}: the per-step arrays do not fit in memory" in errors[0]
 
 
 # cell values that one %.12g per distinct bit pattern must keep apart or
@@ -386,6 +402,24 @@ class TestBode:
         lines = (out / "bode_voltage-loop.csv").read_text().splitlines()
         assert lines[-1].endswith("nan,nan")
         assert lines[1].startswith("omega_rad_s,")   # no crossover note
+
+    @pytest.mark.parametrize("plant", ["power-loop", "voltage-loop"])
+    def test_overflowing_loop_exits_numerical(self, tmp_path, plant):
+        # the PI's 1.2e308 gains overflow the loop's coefficients to inf;
+        # numpy's eigvals died on them with a LinAlgError traceback
+        cfgp = write(tmp_path, "[scheme]\npower_kp = 1.2e308\npower_ki = 1.2e308\n")
+        src = str(Path(dcgridlab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from dcgridlab.cli import main; sys.exit(main())",
+             "bode", "--plant", plant, "--config", cfgp, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("ERROR dcgridlab: numerical failure: cannot find the "
+                               "roots of the polynomial [inf, inf")
+        assert line.endswith("a coefficient or a ratio of two is not finite")
 
     def test_tuned_loop_annotation_matches_verify(self, tmp_path):
         out = tmp_path / "out"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from dcgridlab.grid import default_grid
-from dcgridlab.lti import (DegenerateLoopError, NoCrossoverError, Polynomial,
+from dcgridlab.lti import (DegenerateLoopError, LtiError, NoCrossoverError, Polynomial,
                            analytic_phase, bandwidth_3db,
                            freq_response, gain_crossover, poles,
                            tf, tf_constant, tf_feedback, tf_series, zoh)
@@ -377,6 +377,15 @@ class TestStackedRoots:
         padded = np.array([[6.0, 5.0, 1.0], [0.0, 2.0, 1.0], [2.0, 1.0, 0.0]])
         gs = [tf([1.0], row) for row in ragged]
         assert poles(ragged) == poles(padded) == [poles(g) for g in gs]
+
+    @pytest.mark.parametrize("row", [(1.0, math.inf), (math.nan, 2.0, 1.0),
+                                     (1e300, 1e-300)])
+    def test_non_finite_companion_named(self, row):
+        # an inf or NaN coefficient, or a ratio of two that overflows (the
+        # root -1e600): eigvals used to reject the stack with a LinAlgError
+        with pytest.raises(LtiError, match=r"roots of the polynomial \[") as exc:
+            poles([(2.0, 1.0), row])
+        assert str(list(Polynomial(row).coeffs)) in str(exc.value)
 
 
 class TestZoh:

@@ -243,14 +243,3 @@ class TestResistanceBound:
     def test_bench_bound(self, grid):
         # 5 percent regulation at 10 A rated current on the 400 V bus
         assert max_resistance_bound(grid) == pytest.approx(2.0)
-
-    def test_zero_ratio(self, grid):
-        assert max_resistance_bound(grid, regulation_ratio=0.0) == 0.0
-
-    def test_scaled_inputs(self, grid):
-        assert max_resistance_bound(grid, regulation_ratio=0.10,
-                                    rated_current=20.0) == pytest.approx(2.0)
-
-    def test_bad_current_rejected(self, grid):
-        with pytest.raises(SweepError):
-            max_resistance_bound(grid, rated_current=0.0)
