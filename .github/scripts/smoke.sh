@@ -45,6 +45,17 @@ dcgrid-lab compare --out c1
 dcgrid-lab compare --out c2
 cmp c1/comparison.csv c2/comparison.csv
 
+# and where periods fall back to tick-by-tick stepping: a 20 kW step that
+# drives PIs to their clamps, and an activation off the secondary grid whose
+# first bus-voltage update lands one period after it
+printf '[scenario]\nload_steps = 1.0:2000.0, 20.0:20000.0\n' > clamped.ini
+printf '[scenario]\nactivation_time = 5.005\n' > late.ini
+for c in clamped late; do
+  dcgrid-lab simulate --config $c.ini --out ${c}1
+  dcgrid-lab simulate --config $c.ini --out ${c}2
+  cmp ${c}1/timeseries.csv ${c}2/timeseries.csv
+done
+
 # the writer formats each distinct float of a chunk once; on the full 250k-row
 # bench-default timeseries (tier-1 runs a 30k-row one) its rows must be those
 # of one %.12g per cell

@@ -111,8 +111,9 @@ class CascadeScheme:
 # from the previous control tick (telemetry), and on secondary ticks the
 # neighbor's snapshot from the previous secondary tick (coordination; None on
 # other ticks).  Each controller binds its constants and both periods at
-# construction; its only state is its two PIs and ``active``.  The PI states
-# start at zero and stay there until activation.
+# construction; its only state is its two PIs, named by the class's
+# ``PI_NAMES``, and ``active``.  The PI states start at zero and stay there
+# until activation.
 
 
 class _Pi:
@@ -143,6 +144,8 @@ class ConventionalController:
     the total measured current.  Droop holds no state, so ``control_dt`` is
     unused.
     """
+
+    PI_NAMES = ("v_pi", "i_pi")
 
     def __init__(self, scheme: ConventionalScheme, grid: GridConfig, index: int,
                  control_dt: float, secondary_dt: float):
@@ -177,6 +180,8 @@ class CascadeController:
     control step on the fresh local power and the telemetry-channel neighbor
     power.  Powers are cable currents times the nominal bus voltage.
     """
+
+    PI_NAMES = ("v_pi", "p_pi")
 
     def __init__(self, scheme: CascadeScheme, grid: GridConfig, index: int,
                  control_dt: float, secondary_dt: float):

@@ -4,35 +4,34 @@ The plant is the four-state linear interconnection of both converter voltage
 loops and both cable currents.  The load draws a commanded power through the
 nominal bus voltage, which pins the current sum between events; a load step
 therefore enters as a state jump whose split follows the inductive divider.
-The plant is linear and its input is held over a control period, so the
-whole period follows exactly from the state at its start (the lifted
-sampled-data system): each control tick fills its plant rows with one
-product of stacked exact zero-order-hold pairs.  Every row is an exact sample
-of the continuous plant, rounded once per tick instead of once per plant
-step, so integration error never contaminates transient scores.
+With its input held over a control period, a control tick fills its plant
+rows with one product of stacked exact zero-order-hold pairs, so every row is
+an exact sample of the continuous plant.
 
-:func:`run` wraps the lifted plant and a divergence check around
-:class:`_ControlLoop`, the control law's only orchestration.  Each applied
-event logs one DEBUG line on this module's logger.
+:class:`_ControlLoop` is the control law's only orchestration: the load jump,
+activation, both controllers' ``step`` calls and the two delay registers.
+Each applied event logs one DEBUG line.  Events act on control ticks only, at
+round(t / control_dt); :class:`Scenario` accepts only times within 1e-9 of a
+whole tick count.  Telemetry (the neighbor power feeding the cascade
+reference) arrives one control period old; droop and the cascade's inner
+power PI run every control period.  The coordination layer (the bus-voltage
+PIs and the conventional current-sharing PI) updates once per secondary
+period, seeing the neighbor one secondary period old.
 
-Load steps and activation act on control ticks only: an event at time t acts
-at tick round(t / control_dt).  :class:`Scenario` accepts only times within
-1e-9 of a whole tick count, so every event acts at its stated time.
-
-Controllers run on two cadences backed by two sampled channels.  Telemetry
-(the neighbor power feeding the cascade reference arithmetic) flows at the
-control rate, so it arrives one control period old; droop and the cascade's
-inner power PI also run every control period.  The coordination layer (the
-bus-voltage PIs of both schemes and the conventional current-sharing PI)
-exchanges its datasets and updates once per secondary period, seeing the
-neighbor one secondary period old.  Each controller binds both periods at
-construction, so its ``step`` takes only the local and the two neighbor
-snapshots.  Runs are deterministic: identical scenarios produce
+:func:`run` advances one secondary period at a time.  While no PI clamps, a
+period is linear in the loop's state z (plant, PI states, both registers), so
+its rows, references and next z are products with its lifted maps, built once
+per run and per set of ``active`` flags by :func:`_period_map`.  A period runs
+tick by tick when it holds an event, when an active PI has not updated yet,
+when a value that a clamp tests comes within 1e-9 of its limit, when the maps
+give a non-finite result (so a divergence is reported at the tick that finds
+it), and when it is the last, partial one.  Identical scenarios produce
 bit-identical results.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from typing import Union
 import numpy as np
 
 from .control import (CascadeController, CascadeScheme, ConventionalController,
-                      ConventionalScheme, weights_from_ratings)
+                      ConventionalScheme, _Pi, weights_from_ratings)
 from .grid import GridConfig
 from .lti import zoh
 
@@ -55,16 +54,20 @@ class SimulationError(Exception):
 
 class SimulationDiverged(SimulationError):
     """The state left the finite range; reported with the time, the plant
-    state and the held references of the control tick that found it."""
+    state, the held references and the PIs at their clamp (as "converter n
+    name") of the control tick that found it."""
 
-    def __init__(self, time: float, state, inputs):
+    def __init__(self, time: float, state, inputs, saturated=()):
         self.time = time
         self.state = tuple(map(float, state))
         self.inputs = tuple(map(float, inputs))
+        self.saturated = tuple(saturated)
+        clamped = (f"PIs at their clamp: {', '.join(self.saturated)}"
+                   if self.saturated else "no PI at its clamp")
         super().__init__(
             f"simulation diverged (non-finite state) at t = {time:.6f} s: "
             f"[V1, V2, I1, I2] = {list(self.state)}, "
-            f"held references u = {list(self.inputs)}")
+            f"held references u = {list(self.inputs)}; {clamped}")
 
 
 @dataclass(frozen=True)
@@ -209,8 +212,8 @@ def _plant_matrices(grid: GridConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
 class _ControlLoop:
     """Everything one control tick does except advance the plant: the load
     jump, activation, both controllers' ``step`` calls and the telemetry and
-    coordination delay registers.  ``tick`` is called once per tick, from
-    tick 0 upward."""
+    coordination delay registers.  Ticks run in increasing order; a period
+    that a period map advances instead sets the state with ``unpack``."""
 
     def __init__(self, scenario: Scenario):
         self.grid = grid = scenario.grid
@@ -266,6 +269,77 @@ class _ControlLoop:
             self.coordination = self.telemetry
         return x, u
 
+    def pis(self) -> list[tuple[int, str, _Pi]]:
+        """(converter number, name, PI) of every PI, in the order z packs them."""
+        return [(i + 1, name, getattr(unit, name))
+                for i, unit in enumerate(self.units) for name in unit.PI_NAMES]
+
+    def pack(self, x: np.ndarray) -> np.ndarray:
+        """The loop's state z: the plant state x, each PI's integrator,
+        prev_error (0 for None) and out, and both delay registers."""
+        z = x.tolist()
+        for _, _, pi in self.pis():
+            z += [pi.integrator, pi.prev_error or 0.0, pi.out]
+        return np.array(z + [v for reg in (self.telemetry, self.coordination)
+                             for snapshot in reg for v in snapshot])
+
+    def unpack(self, z: np.ndarray) -> None:
+        """Set the PIs and the registers from z; a prev_error of None stays None."""
+        values = z.tolist()
+        for j, (_, _, pi) in enumerate(self.pis(), start=1):
+            pi.integrator, prev, pi.out = values[3 * j + 1:3 * j + 4]
+            pi.prev_error = None if pi.prev_error is None else prev
+        t = values[-8:]
+        self.telemetry = (t[0], t[1]), (t[2], t[3])
+        self.coordination = (t[4], t[5]), (t[6], t[7])
+
+    def clamps(self, x: np.ndarray) -> list[tuple[float, float]]:
+        """(value, limit) of each clamp active controllers apply at a tick on x:
+        PI integrators and outputs, and the cascade's power reference."""
+        pairs = []
+        for i, unit in enumerate(self.units):
+            if unit.active:
+                for pi in (getattr(unit, name) for name in unit.PI_NAMES):
+                    pairs += [(pi.integrator, pi.limit), (pi.out, pi.limit)]
+                if isinstance(unit, CascadeController):    # p_pi's error + own power
+                    pairs.append((unit.p_pi.prev_error + unit.v_nom * x[2 + i],
+                                  unit.v_pi.limit))
+        return pairs
+
+
+def _control_period(loop: _ControlLoop, k: int, x: np.ndarray, phi, gam, block):
+    """Tick k on the state x, then the plant's n_sub rows into block."""
+    x, u = loop.tick(k, x)
+    np.dot(phi, x, out=block)
+    block += gam.dot(u)
+    return x, u
+
+
+def _period_map(loop: _ControlLoop, x: np.ndarray, phi: np.ndarray, gam: np.ndarray):
+    """The maps from z at a period's start to its plant rows, u, clamped values
+    and next z, plus those values' bounds, under the loop's ``active`` flags:
+    its ticks on each basis vector of z, on a copy with every clamp lifted."""
+    probe = copy.deepcopy(loop)
+    probe.load_at, probe.activation = {}, -1
+    for _, _, pi in probe.pis():
+        pi.limit, pi.prev_error = math.inf, 0.0
+    columns = []
+    for e in np.eye(len(loop.pack(x))):
+        probe.unpack(e)
+        xj, rows, refs, tests = e[:4], [], [], []
+        for k in range(loop.n_sec):
+            rows.append(np.empty(len(phi)))
+            xj, u = _control_period(probe, k, xj, phi, gam, rows[-1])
+            refs += u
+            tests += [value for value, _ in probe.clamps(xj)]
+            xj = rows[-1][-4:]
+        columns.append((np.concatenate(rows), refs, tests, probe.pack(xj)))
+    rows, refs, tests, nxt = (np.array(c).T.copy() for c in zip(*columns))
+    # the margin dwarfs the maps' rounding (~1e-13), so a value the maps keep
+    # inside its bound is inside it in the per-tick arithmetic too
+    limits = [limit for _, limit in loop.clamps(x)]
+    return rows, refs, tests, np.tile(limits, loop.n_sec) * (1 - 1e-9), nxt
+
 
 def run(scenario: Scenario) -> SimResult:
     """Simulate one scenario; raises :class:`SimulationDiverged` on blow-up."""
@@ -283,6 +357,10 @@ def run(scenario: Scenario) -> SimResult:
     gam = np.vstack([bd for _, bd in pairs])    # (n_sub * 4, 2)
 
     loop = _ControlLoop(scenario)
+    n_sec, size = loop.n_sec, n_sub * 4
+    # secondary periods that hold a load step or activation
+    eventful = {k // n_sec for k in (*loop.load_at, loop.activation)}
+    maps = {}    # active flags -> _period_map
 
     try:
         time_grid = np.arange(1, n_rows + 1) * scenario.plant_dt
@@ -295,16 +373,37 @@ def run(scenario: Scenario) -> SimResult:
     flat = states.reshape(-1)        # a view: row r is flat[4 r:4 r + 4]
 
     x = np.zeros(4)
-    for k in range(n_ctl):
-        x, inputs[k] = loop.tick(k, x)
-        u = inputs[k]
-        # the whole control period from the state at its start
-        block = flat[k * n_sub * 4:(k + 1) * n_sub * 4]
-        np.dot(phi, x, out=block)
-        block += gam.dot(u)
-        x = block[-4:]
-        if not all(map(math.isfinite, x.tolist())):
-            raise SimulationDiverged(time_grid[(k + 1) * n_sub - 1], x, u)
+    for k0 in range(0, n_ctl, n_sec):
+        k1 = min(k0 + n_sec, n_ctl)
+        periods = flat[k0 * size:k1 * size]
+        if (k1 - k0 == n_sec and k0 // n_sec not in eventful
+                and all(getattr(unit, name).prev_error is not None
+                        for unit in loop.units if unit.active
+                        for name in unit.PI_NAMES)):
+            active = tuple(unit.active for unit in loop.units)
+            if active not in maps:
+                maps[active] = _period_map(loop, x, phi, gam)
+            rows, refs, tests, bound, nxt = maps[active]
+            z = loop.pack(x)
+            np.dot(rows, z, out=periods)
+            np.dot(refs, z, out=inputs[k0:k1].reshape(-1))
+            z_next = nxt @ z
+            if (np.isfinite(periods).all() and np.isfinite(z_next).all()
+                    and (np.abs(tests @ z) < bound).all()):
+                loop.unpack(z_next)
+                x = periods[-4:]
+                continue
+        # the period tick by tick: it holds an event, a PI's first update or a
+        # clamp, or it is the last, partial one
+        for k in range(k0, k1):
+            block = flat[k * size:(k + 1) * size]
+            _, inputs[k] = _control_period(loop, k, x, phi, gam, block)
+            x = block[-4:]
+            if not all(map(math.isfinite, x.tolist())):
+                raise SimulationDiverged(
+                    time_grid[(k + 1) * n_sub - 1], x, inputs[k],
+                    [f"converter {n} {name}" for n, name, pi in loop.pis()
+                     if abs(pi.out) >= pi.limit])
 
     term = states[:, 0:2]
     curr = states[:, 2:4]

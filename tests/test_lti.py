@@ -11,7 +11,7 @@ from scipy import signal
 
 from dcgridlab.grid import default_grid
 from dcgridlab.lti import (DegenerateLoopError, LtiError, NoCrossoverError, Polynomial,
-                           analytic_phase, bandwidth_3db,
+                           _roots, analytic_phase, bandwidth_3db,
                            freq_response, gain_crossover, poles,
                            tf, tf_constant, tf_feedback, tf_series, zoh)
 from dcgridlab.sim import _plant_matrices
@@ -370,6 +370,37 @@ class TestStackedRoots:
     def test_roots_equal_np_roots_then_polish(self, row):
         poly = Polynomial(row)
         assert poly.roots().tobytes() == np_roots_polished(poly).tobytes()
+
+    def test_polish_gets_one_row_root_type(self, monkeypatch):
+        # the Newton polish rounds by its roots' type, numpy's complex128
+        # arithmetic or a real float64 item's, so a stacked solve must hand it
+        # the array a one-row call of that row does: a mixed-degree stack, real
+        # and complex spectra sharing a stripped degree, zero constant terms
+        rows = [(8.1, 2.08, 1.0), (6.0, 5.0, 1.0), (0.0, 8.1, 2.08, 1.0),
+                (0.0, 6.0, 5.0, 1.0), (0.0, 3.0), (0.0, 0.0, 1.0, 2.0),
+                (52.0, 2.4, 0.022, 6e-5), *_degree_six_rows(), (2.0,)]
+        handed = {}
+        polish = Polynomial._polish
+
+        def spy(poly, roots):
+            handed[poly.coeffs] = roots.copy()
+            return polish(poly, roots)
+
+        monkeypatch.setattr(Polynomial, "_polish", spy)
+        _roots(rows)
+        stacked = dict(handed)
+        assert len(stacked) == len(rows)
+        for row in rows:
+            handed.clear()
+            _roots([row])
+            (coeffs, one), = handed.items()
+            got = stacked[coeffs]
+            want = np.roots(coeffs[::-1]).dtype
+            assert got.dtype == one.dtype == want, row
+            assert want in (np.float64, np.complex128), row
+            assert got.tobytes() == one.tobytes(), row
+        assert {a.dtype for a in stacked.values()} == {np.dtype(np.float64),
+                                                       np.dtype(np.complex128)}
 
     def test_rows_equal_transfer_functions(self):
         # rows may differ in length; high-order zero padding is stripped

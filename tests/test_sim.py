@@ -15,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcgridlab import control
+from dcgridlab.cli import COMPARE_CASES, build_scheme
 from dcgridlab.config import CONVENTIONAL_HIGH_PI, load_config
 from dcgridlab.control import CascadeScheme, ConventionalScheme, PiGains, pi_step
 from dcgridlab.grid import default_grid
 from dcgridlab.lti import zoh
 from dcgridlab.sim import (LoadProfile, Scenario, SimResult,
                            SimulationDiverged, SimulationError, _ControlLoop,
-                           _plant_matrices, itae_current, itae_voltage, run,
-                           voltage_settling)
+                           _period_map, _plant_matrices, itae_current,
+                           itae_voltage, run, voltage_settling)
 
 
 def zero_gain_cascade():
@@ -311,6 +312,31 @@ class TestDivergenceGuard:
         assert not all(map(math.isfinite, err.state))
 
 
+    @pytest.mark.parametrize("tick,saturated", [
+        (500, ()),   # activation: every PI active, none at its clamp
+        (1500, ("converter 2 p_pi",)),
+        (2800, ("converter 1 v_pi", "converter 2 v_pi", "converter 2 p_pi"))])
+    def test_saturated_pis_named(self, tick, saturated):
+        # the real control law on the clamped oracle case, with converter 1's
+        # reference turned NaN at one tick; the report names the PIs whose
+        # output sits at its clamp after that tick, or says that none does
+        scenario = oracle_scenario(CLAMPED_CASE)
+        real_tick = _ControlLoop.tick
+
+        def tick_with_nan(loop, k, x):
+            x, u = real_tick(loop, k, x)
+            return x, ([math.nan, u[1]] if k == tick else u)
+
+        with mock.patch.object(_ControlLoop, "tick", tick_with_nan):
+            with pytest.raises(SimulationDiverged) as exc:
+                run(scenario)
+        err = exc.value
+        assert err.time == pytest.approx((tick + 1) * scenario.control_dt)
+        assert err.saturated == saturated
+        assert str(err).endswith(f"; PIs at their clamp: {', '.join(saturated)}"
+                                 if saturated else "; no PI at its clamp")
+
+
 def synthetic_result(t, term1, term2, i1, i2):
     term = np.column_stack([term1, term2])
     curr = np.column_stack([i1, i2])
@@ -499,6 +525,43 @@ def test_scores_unchanged_when_every_event_shifts(case, periods, levels):
         assert g == pytest.approx(w, rel=1e-9, abs=0.0)
 
 
+def swapped(scenario: Scenario) -> Scenario:
+    """The scenario with its converters' order reversed: ratings, cables and
+    voltage-loop time constants, and the cascade weights that follow the
+    ratings."""
+    grid = dataclasses.replace(scenario.grid, converters=scenario.grid.converters[::-1])
+    scheme = scenario.scheme
+    if isinstance(scheme, CascadeScheme):
+        scheme = dataclasses.replace(scheme, weights=scheme.weights[::-1])
+    return dataclasses.replace(scenario, grid=grid, scheme=scheme)
+
+
+@settings(max_examples=6, deadline=None)
+@given(case=st.sampled_from(PINNED_CASES),
+       levels=st.tuples(st.floats(500.0, 3000.0), st.floats(500.0, 3000.0)))
+def test_converter_swap_swaps_columns(case, levels):
+    # converter 2 gets its own cable and time constant, so a swap moves every
+    # converter parameter; the run's per-converter columns swap with it, and
+    # the bus and regulated voltages stay, to rounding
+    base = fast_scenario(case)
+    c1, c2 = base.grid.converters
+    c2 = dataclasses.replace(c2, voltage_loop_tau=0.004, cable=dataclasses.replace(
+        c2.cable, resistance=0.4, inductance=0.005))
+    base = dataclasses.replace(
+        base, grid=dataclasses.replace(base.grid, converters=(c1, c2)),
+        load=LoadProfile(tuple((t, p) for (t, _), p in zip(base.load.steps, levels))))
+    want, got = run(base), run(swapped(base))
+    for name in ("power", "current", "terminal_voltage", "voltage_reference"):
+        for j in range(2):
+            col = getattr(want, name)[:, j]
+            err = np.abs(getattr(got, name)[:, 1 - j] - col).max()
+            assert err <= 1e-12 * np.abs(col).max(), (name, j, err)
+    for name in ("bus_voltage", "regulated_voltage"):
+        col = getattr(want, name)
+        err = np.abs(getattr(got, name) - col).max()
+        assert err <= 1e-12 * np.abs(col).max(), (name, err)
+
+
 def run_recording_clamps(scenario: Scenario) -> tuple[SimResult, bool]:
     """``run``, and whether any PI update ended at its output clamp."""
     clamped = []
@@ -575,6 +638,64 @@ def stepwise_reference(scenario: Scenario) -> dict[str, np.ndarray]:
     return reference_run(scenario, ad, bd, c_vg)
 
 
+def lifted_plant(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """``sim.run``'s stacked exact ZOH pairs over 1..n_sub plant steps."""
+    a, b, _ = _plant_matrices(scenario.grid)
+    n_sub = round(scenario.control_dt / scenario.plant_dt)
+    pairs = [zoh(a, b, j * scenario.plant_dt) for j in range(1, n_sub + 1)]
+    return np.vstack([ad for ad, _ in pairs]), np.vstack([bd for _, bd in pairs])
+
+
+def at_clamp(loop: _ControlLoop) -> bool:
+    return any(abs(pi.out) >= pi.limit for _, _, pi in loop.pis())
+
+
+def per_tick_reference(scenario: Scenario) -> tuple[dict[str, np.ndarray], set[int]]:
+    """The engine before the period maps: every control tick through
+    ``_ControlLoop.tick``, then the plant's rows of its control period from
+    the lifted ZOH pairs.  Also returns the ticks after which a PI output sits
+    at its clamp."""
+    phi, gam = lifted_plant(scenario)
+    c_vg = _plant_matrices(scenario.grid)[2]
+    size, n_ctl = len(phi), round(scenario.duration / scenario.control_dt)
+    loop = _ControlLoop(scenario)
+    states, inputs = np.empty((scenario.n_rows, 4)), np.empty((n_ctl, 2))
+    flat, x, clamped = states.reshape(-1), np.zeros(4), set()
+    for k in range(n_ctl):
+        x, inputs[k] = loop.tick(k, x)
+        block = flat[k * size:(k + 1) * size]
+        np.dot(phi, x, out=block)
+        block += gam.dot(inputs[k])
+        x = block[-4:]
+        if at_clamp(loop):
+            clamped.add(k)
+    term, curr = states[:, 0:2], states[:, 2:4]
+    return {"time": np.arange(1, scenario.n_rows + 1) * scenario.plant_dt,
+            "power": scenario.grid.nominal_bus_voltage * curr, "current": curr,
+            "terminal_voltage": term, "bus_voltage": states @ c_vg,
+            "regulated_voltage": term.mean(axis=1),
+            "voltage_reference": np.repeat(inputs, size // 4, axis=0)}, clamped
+
+
+def run_recording_ticks(scenario: Scenario) -> tuple[SimResult, int, set[int]]:
+    """``run``, the number of control ticks it ran one by one, and those
+    after which a PI output sat at its clamp."""
+    ticked, clamped = [], set()
+    tick = _ControlLoop.tick
+
+    def spy(loop, k, x):
+        out = tick(loop, k, x)
+        if all(math.isfinite(pi.limit) for _, _, pi in loop.pis()):
+            ticked.append(k)    # the engine's loop, not a map's lifted copy
+            if at_clamp(loop):
+                clamped.add(k)
+        return out
+
+    with mock.patch.object(_ControlLoop, "tick", spy):
+        result = run(scenario)
+    return result, len(ticked), clamped
+
+
 def exact_reference(scenario: Scenario) -> dict[str, np.ndarray]:
     """The oracle: the one-step ZOH of the same block matrix as ``lti.zoh``,
     its exponential taken by mpmath at 40 digits, the plant stepped in
@@ -598,6 +719,13 @@ def exact_reference(scenario: Scenario) -> dict[str, np.ndarray]:
 # rating: from 1 s on, converter 2's reference sits at its 5 V clamp (20,000
 # of 30,000 rows) and converter 1's comes within 1e-12 of its 10 V clamp
 CLAMPED_CASE = "cascade-clamped"
+# the cascade case with the 4 kW step raised to 11.9 kW: from 5 to 40 ms after
+# it the power references sit at their clamps (twice each rating) while every
+# PI output stays inside its own
+REFERENCE_CLAMPED_CASE = "cascade-reference-clamped"
+# the cascade case activated 5 ms off the secondary grid: the bus-voltage PIs
+# first update one period after activation
+OFF_GRID_ACTIVATION_CASE = "cascade-activation-off-grid"
 # the cascade case on 3 mH and 5 mH cables with loads off the 400 W grid: the
 # divider split l_j/(l1 + l2) and the jump dP/V are inexact in any dtype
 UNEQUAL_CASE = "cascade-unequal-cables"
@@ -605,9 +733,11 @@ ORACLE_CASES = PINNED_CASES + (CLAMPED_CASE, UNEQUAL_CASE)
 
 
 def oracle_scenario(case: str) -> Scenario:
-    if case == CLAMPED_CASE:
+    if case in (CLAMPED_CASE, REFERENCE_CLAMPED_CASE):
         return dataclasses.replace(fast_scenario("cascade"), load=LoadProfile(
-            ((0.2, 2000.0), (1.0, 20000.0))))
+            ((0.2, 2000.0), (1.0, 20000.0 if case == CLAMPED_CASE else 11900.0))))
+    if case == OFF_GRID_ACTIVATION_CASE:
+        return dataclasses.replace(fast_scenario("cascade"), activation_time=0.505)
     if case == UNEQUAL_CASE:
         scenario = fast_scenario("cascade")
         converters = tuple(
@@ -671,6 +801,70 @@ def test_oracle_load_jump_is_exact_to_longdouble():
             for got, w in zip(x[2:], want):
                 err = Fraction(*got.as_integer_ratio()) - w
                 assert abs(err) <= 8 * np.finfo(np.longdouble).eps * w, (k, float(err / w))
+
+
+def bench_scenario(case: str) -> Scenario:
+    """The bench-default 25 s scenario under one of ``compare``'s cases."""
+    cfg = load_config(None)
+    kind, voltage_pi = COMPARE_CASES[case]
+    return cfg.scenario(scheme=build_scheme(
+        kind, cfg.grid, cfg.power_pi, voltage_pi or cfg.voltage_pi, cfg.current_pi,
+        cfg.droop_ohm))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES + (
+    REFERENCE_CLAMPED_CASE, OFF_GRID_ACTIVATION_CASE) + tuple(f"bench-{c}" for c in COMPARE_CASES))
+def test_run_matches_per_tick_reference(case):
+    # periods advanced by the maps round differently from ticks, by at most
+    # ~1.1e-13 of a column's peak; clamps engage at the same ticks
+    bench = case.startswith("bench-")
+    scenario = bench_scenario(case[len("bench-"):]) if bench else oracle_scenario(case)
+    result, ticked, clamped = run_recording_ticks(scenario)
+    want, want_clamped = per_tick_reference(scenario)
+    assert np.array_equal(result.time, want["time"])
+    got = pinned_columns(vars(result))
+    for name, col in pinned_columns(want).items():
+        err = np.abs(got[name] - col).max()
+        assert err <= 1e-12 * np.abs(col).max(), (name, err)
+    assert clamped == want_clamped
+    assert bool(clamped) == (case == CLAMPED_CASE)
+    # only the periods of the two load steps and activation run tick by tick;
+    # also the one after the step when the references clamp, the one after an
+    # off-grid activation, and every period from the step on in the clamped case
+    assert ticked == {CLAMPED_CASE: 2 * 20 + 2000, REFERENCE_CLAMPED_CASE: 4 * 20,
+                      OFF_GRID_ACTIVATION_CASE: 4 * 20}.get(case, 3 * 20), ticked
+
+
+@pytest.mark.parametrize("case", PINNED_CASES)
+def test_period_map_advances_per_tick_engine(case):
+    # between events, after activation's first update, the period map M
+    # carries the packed loop state z from one secondary tick to the next
+    scenario = fast_scenario(case)
+    phi, gam = lifted_plant(scenario)
+    loop = _ControlLoop(scenario)
+    n_sec, size = loop.n_sec, len(phi)
+    eventful = {k // n_sec for k in (*loop.load_at, loop.activation)}
+    x, block, m, predicted, checked = np.zeros(4), np.empty(size), None, None, 0
+    for k in range(round(scenario.duration / scenario.control_dt)):
+        if k % n_sec == 0:
+            z = loop.pack(x)
+            if predicted is not None:
+                err = np.abs(predicted - z).max()
+                assert err <= 1e-12 * np.abs(z).max(), (k, err)
+                checked += 1
+            predicted = None
+            # after the period of activation's first secondary tick
+            first_update = -(-loop.activation // n_sec)
+            if k // n_sec not in eventful and k // n_sec > first_update:
+                if m is None:
+                    *_, m = _period_map(loop, x, phi, gam)
+                predicted = m @ z
+        x, u = loop.tick(k, x)
+        np.dot(phi, x, out=block)
+        block += gam.dot(u)
+        x = block[-4:].copy()
+    # periods 26-149 but the 1 s step's (50) and the last, which ends the run
+    assert checked == 122, checked
 
 
 def capture_pinned(stride: int = 97) -> dict:
