@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Smoke checks of the installed `dcgrid-lab` console script: every subcommand
 # runs, reruns of rootlocus, simulate and compare are byte-identical, the
-# full-size timeseries follows the per-cell %.12g rule, and a verbose run logs
-# its events.  Needs `dcgrid-lab` on PATH and `python` able to import
-# dcgridlab; writes only into a fresh temporary directory.
+# full-size timeseries follows the per-cell %.12g rule whether one process or
+# two format it, and a verbose run logs its events and its CSV.  Needs
+# `dcgrid-lab` and `taskset` on PATH and `python` able to import dcgridlab;
+# writes only into a fresh temporary directory.
 #
 #   bash .github/scripts/smoke.sh
 set -euo pipefail
@@ -73,8 +74,15 @@ for row in zip(*(c.tolist() for c in columns)):
 PY
 tail -n +3 s1/timeseries.csv | cmp - s1/rows.csv
 
-# a verbose run logs each applied event on stderr
+# on one CPU the writer formats every chunk itself, with the same bytes as
+# when a forked helper formats the odd chunks
+DCGRIDLAB_VERBOSE=1 taskset -c 0 dcgrid-lab simulate --out one 2> one.txt
+grep -q "DEBUG dcgridlab: wrote timeseries.csv: 250000 rows in 250 chunks, all in-process" one.txt
+cmp one/timeseries.csv s1/timeseries.csv
+
+# a verbose run logs each applied event on stderr, then each CSV it writes
 DCGRIDLAB_VERBOSE=1 dcgrid-lab simulate --out v 2> stderr.txt
 cat stderr.txt
 grep -q "DEBUG dcgridlab.sim: tick 5000 (t = 5 s): secondary control activated" stderr.txt
+grep -q "DEBUG dcgridlab: wrote timeseries.csv: 250000 rows in 250 chunks, odd chunks formatted by a helper process" stderr.txt
 echo "smoke checks passed"

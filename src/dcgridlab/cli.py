@@ -11,15 +11,18 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
 import math
 import os
+import signal
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import BinaryIO, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +78,83 @@ def _fmt(x) -> str:
 # distinct cells of 2.75M, against 0.99M for whole columns, while memory
 # stays chunk-sized (a whole-column np.unique raised peak RSS 56 -> 222 MB)
 _CSV_CHUNK_ROWS = 1000
+# a table of at least this many chunks is formatted by two processes.  With
+# the second CPU free the helper costs ~3 ms (fork, pipe, reaping) and halves
+# each chunk's 1.5-3 ms: break-even near 8 chunks of the bench-default
+# timeseries (12: 21 -> 16 ms, 16: 28 -> 20 ms, medians of 40 alternating
+# runs).  Twice that, as a busy second CPU makes the helper a loss
+_CSV_HELPER_MIN_CHUNKS = 16
+
+
+def _format_chunk(columns: list, floats: list, start: int) -> bytes:
+    """Rows ``start`` to ``start + _CSV_CHUNK_ROWS`` as UTF-8 CSV lines."""
+    chunk = [c[start:start + _CSV_CHUNK_ROWS] for c in columns]
+    # one row per float column, as its runs sort faster than rows do
+    # (shape (0, rows) when there is none)
+    block = np.array([c for c, f in zip(chunk, floats) if f],
+                     np.float64).reshape(-1, len(chunk[0]))
+    # numpy 2.0 shapes the inverse unlike later versions: reshaped below
+    uniq, inv = np.unique(block.view(np.int64), return_inverse=True)
+    text = "%.12g\n" * len(uniq) % tuple(uniq.view(np.float64).tolist())
+    strings = np.array(text.split("\n"), object)[inv.reshape(block.shape)]
+    formatted = iter(strings.tolist())
+    cells = [next(formatted) if f else [str(v) for v in c.tolist()]
+             for c, f in zip(chunk, floats)]
+    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")
+
+
+def _fork_helper(columns: list, floats: list,
+                 starts: range) -> Optional[tuple[int, BinaryIO]]:
+    """Fork a process that formats the chunks at ``starts`` and sends each
+    down a pipe as its length (8 bytes, little-endian) and its bytes.
+
+    Returns the helper's pid and the pipe's read end, or None where this
+    process may run on one CPU only or cannot fork.  The helper leaves only
+    through ``os._exit``: 0 once every chunk is sent, 1 on any exception.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
+        return None
+    read_fd, write_fd = os.pipe()
+    # room for 8 chunks, so neither process stalls on the other's jitter
+    # (250 chunks: 464 -> 428 ms against the 64 KiB default)
+    with contextlib.suppress(AttributeError, OSError):   # Linux only, quota
+        import fcntl
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns of forking while BLAS threads are alive.
+            # The helper only slices, sorts and formats, never calls BLAS, so
+            # it needs no lock those threads may hold; and a warning raised as
+            # an error would come after the fork, losing the helper's pid
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:   # no process or memory to spare: format in-process
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for start in starts:
+                    data = _format_chunk(columns, floats, start)
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _receive(pipe: BinaryIO) -> Optional[bytes]:
+    """The helper's next chunk, or None if the pipe ends before all of it."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size) if len(head) == 8 else b""
+    return data if len(head) == 8 and len(data) == size else None
 
 
 def write_csv(path: Path, manifest: RunManifest, header: Sequence[str],
@@ -88,6 +168,15 @@ def write_csv(path: Path, manifest: RunManifest, header: Sequence[str],
     full-size copy of the table is made; within a chunk, ``%.12g`` runs once
     per distinct float64 bit pattern (so ``-0.0`` stays apart from ``0.0``)
     and its string fills every cell that holds it.
+
+    A table of at least ``_CSV_HELPER_MIN_CHUNKS`` chunks, on a process
+    allowed 2 or more CPUs, is formatted by two processes with the same
+    chunk code: a forked helper formats the odd chunks and pipes them back,
+    while this process formats the even ones and writes every chunk in
+    order, so the bytes do not depend on which path ran.  The helper is
+    reaped before this returns or raises; it is killed first if this
+    process fails, and a helper that fails or sends a short chunk raises
+    ``OSError`` with its exit status.
     """
     columns = [np.asarray(c) for c in columns]
     n_rows = len(columns[0]) if columns else 0   # zip(*rows) of no rows is empty
@@ -96,26 +185,38 @@ def write_csv(path: Path, manifest: RunManifest, header: Sequence[str],
         raise ValueError(f"write_csv: {len(header)} header fields need as many "
                          f"equal-length columns")
     floats = [c.dtype.kind == "f" for c in columns]
-    # comma-separated, '.' decimal, LF endings: byte-stable for golden files
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest.comment_line() + "\n")
-        if note is not None:
-            fh.write(f"# {note}\n")
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            chunk = [c[start:start + _CSV_CHUNK_ROWS] for c in columns]
-            # one row per float column, as its runs sort faster than rows do
-            # (shape (0, rows) when there is none)
-            block = np.array([c for c, f in zip(chunk, floats) if f],
-                             np.float64).reshape(-1, len(chunk[0]))
-            # numpy 2.0 shapes the inverse unlike later versions: reshaped below
-            uniq, inv = np.unique(block.view(np.int64), return_inverse=True)
-            text = "%.12g\n" * len(uniq) % tuple(uniq.view(np.float64).tolist())
-            strings = np.array(text.split("\n"), object)[inv.reshape(block.shape)]
-            formatted = iter(strings.tolist())
-            cells = [next(formatted) if f else [str(v) for v in c.tolist()]
-                     for c, f in zip(chunk, floats)]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    starts = range(0, n_rows, _CSV_CHUNK_ROWS)
+    helper = (_fork_helper(columns, floats, starts[1::2])
+              if len(starts) >= _CSV_HELPER_MIN_CHUNKS else None)
+    received = 0
+    try:
+        # comma-separated, '.' decimal, LF endings: byte-stable for golden files
+        with open(path, "wb") as fh:
+            fh.write(f"{manifest.comment_line()}\n".encode("utf-8"))
+            if note is not None:
+                fh.write(f"# {note}\n".encode("utf-8"))
+            fh.write(f"{','.join(header)}\n".encode("utf-8"))
+            for i, start in enumerate(starts):
+                if helper is None or i % 2 == 0:
+                    fh.write(_format_chunk(columns, floats, start))
+                elif (data := _receive(helper[1])) is not None:
+                    fh.write(data)
+                    received += 1
+                else:
+                    break
+    except BaseException:
+        if helper is not None:
+            os.kill(helper[0], signal.SIGKILL)
+        raise
+    finally:
+        if helper is not None:
+            helper[1].close()
+            status = os.waitstatus_to_exitcode(os.waitpid(helper[0], 0)[1])
+    if helper is not None and (status or received < len(starts) // 2):
+        raise OSError(f"{path.name}: the CSV helper process exited with status "
+                      f"{status} after sending {received} of {len(starts) // 2} chunks")
+    log.debug("wrote %s: %d rows in %d chunks, %s", path.name, n_rows, len(starts),
+              "odd chunks formatted by a helper process" if helper else "all in-process")
 
 
 def _write_bode(path: Path, manifest: RunManifest, g: TransferFunction,
@@ -382,7 +483,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(
-        level=logging.DEBUG if os.environ.get("DCGRIDLAB_VERBOSE") else logging.INFO,
+        level=(logging.DEBUG if os.environ.get("DCGRIDLAB_VERBOSE", "") not in ("", "0")
+               else logging.INFO),
         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:

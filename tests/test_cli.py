@@ -1,10 +1,13 @@
 """End-to-end CLI runs: files, exit codes, manifests, reproducibility."""
 
 import json
+import logging
 import math
 import os
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dcgridlab
-from dcgridlab.cli import _CSV_CHUNK_ROWS, COMPARE_CASES, RunManifest, main, write_csv
+from dcgridlab import cli
+from dcgridlab.cli import (_CSV_CHUNK_ROWS, _CSV_HELPER_MIN_CHUNKS, COMPARE_CASES,
+                           RunManifest, main, write_csv)
 from dcgridlab.config import load_config
 from dcgridlab.sim import run
 
@@ -292,12 +297,20 @@ CELL_KINDS = {"float64": lambda idx: CELL_POOL[idx],
               "bool": lambda idx: idx % 2 == 0}
 
 
+# the fewest rows that write_csv formats with a forked helper
+HELPER_ROWS = _CSV_HELPER_MIN_CHUNKS * _CSV_CHUNK_ROWS
+
+
 @st.composite
 def csv_columns(draw):
     """Columns of a few kinds drawn from CELL_POOL in repeating runs, so
     equal cells recur down a column, across columns and across chunks."""
     n_rows = draw(st.sampled_from((0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS,
-                                   _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 1)))
+                                   _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 1,
+                                   # either side of the helper's cutoff: odd and
+                                   # even chunk counts, full and partial last chunks
+                                   HELPER_ROWS - _CSV_CHUNK_ROWS, HELPER_ROWS - 1,
+                                   HELPER_ROWS, HELPER_ROWS + 1)))
     columns = []
     for kind in draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), min_size=1, max_size=6)):
         pattern = draw(st.lists(st.integers(0, len(CELL_POOL) - 1), min_size=1, max_size=6))
@@ -336,6 +349,99 @@ class TestWriteCsv:
         assert lines[3:] == [",".join(g12(v) for v in row) for row in rows]
         assert lines[3].startswith("-0,4.94065645841e-324,1e+22,123456789012,")
         assert ",inf,-inf,nan,7,proposed" in lines[3]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("one_process", ["one CPU", "no fork", "fork fails"])
+    def test_both_paths_write_the_same_bytes(self, tmp_path, monkeypatch, caplog,
+                                             one_process):
+        # a 30k-row timeseries; the helper path is forced by a 2-CPU affinity
+        cfgp = write(tmp_path, FAST_SCENARIO)
+        caplog.set_level(logging.DEBUG, logger="dcgridlab")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "two")]) == 0
+        if one_process == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        elif one_process == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:   # as when the process limit is reached
+            def fork():
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", fork)
+        assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "one")]) == 0
+        assert ((tmp_path / "one" / "timeseries.csv").read_bytes()
+                == (tmp_path / "two" / "timeseries.csv").read_bytes())
+        assert [r.getMessage() for r in caplog.records if r.name == "dcgridlab"] == [
+            "wrote timeseries.csv: 30000 rows in 30 chunks, "
+            "odd chunks formatted by a helper process",
+            "wrote timeseries.csv: 30000 rows in 30 chunks, all in-process"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("failure, status", [
+        (lambda: math.log(0.0), 1),                       # an exception
+        (lambda: os._exit(3), 3),                         # an exit mid-table
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL)])
+    def test_failing_helper_raises_and_is_reaped(self, tmp_path, monkeypatch,
+                                                 failure, status):
+        # the helper formats chunks 1, 3, 5, ... and fails on chunk 5
+        parent, format_chunk = os.getpid(), cli._format_chunk
+
+        def fail_in_helper(columns, floats, start):
+            if os.getpid() != parent and start == 5 * _CSV_CHUNK_ROWS:
+                failure()
+            return format_chunk(columns, floats, start)
+
+        monkeypatch.setattr(cli, "_format_chunk", fail_in_helper)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        chunks = _CSV_HELPER_MIN_CHUNKS + 1
+        with pytest.raises(OSError, match=f"t.csv: the CSV helper process exited with "
+                                          f"status {status} after sending 2 of "
+                                          f"{chunks // 2} chunks"):
+            write_csv(tmp_path / "t.csv", self.MANIFEST, ("a",),
+                      [np.arange(chunks * _CSV_CHUNK_ROWS) / 7.0])
+        with pytest.raises(ChildProcessError):   # no child left, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_warning_raised_as_error_keeps_the_helper(self, tmp_path, monkeypatch):
+        # Python >= 3.12 warns in the parent, after forking, when threads are alive
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("use of fork() may lead to deadlocks", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        column = np.arange(HELPER_ROWS) / 7.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_csv(tmp_path / "t.csv", self.MANIFEST, ("a",), [column])
+        lines = (tmp_path / "t.csv").read_text(encoding="utf-8").split("\n")
+        assert lines[2:] == [format(v, ".12g") for v in column.tolist()] + [""]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("where", ["open", "chunk 4"])
+    def test_failing_parent_reaps_helper(self, tmp_path, monkeypatch, where):
+        parent, format_chunk = os.getpid(), cli._format_chunk
+
+        def fail_in_parent(columns, floats, start):
+            if os.getpid() == parent and start == 4 * _CSV_CHUNK_ROWS:
+                raise ZeroDivisionError("chunk 4")
+            return format_chunk(columns, floats, start)
+
+        monkeypatch.setattr(cli, "_format_chunk", fail_in_parent)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # a directory cannot be opened for writing
+        path, error = ((tmp_path, IsADirectoryError) if where == "open"
+                       else (tmp_path / "t.csv", ZeroDivisionError))
+        with pytest.raises(error):
+            write_csv(path, self.MANIFEST, ("a",), [np.arange(HELPER_ROWS) / 7.0])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_unequal_columns_rejected(self, tmp_path):
         # a 2-D column has the right length but no single cell per row
@@ -481,6 +587,30 @@ class TestSimulate:
         rows = [line.split(",") for line in lines[2:]]
         first = next(row for row in rows if float(row[column]) != 0.0)
         assert float(first[0]) == pytest.approx(5.001, abs=1e-9)
+
+    @pytest.mark.parametrize("verbose", ["", "0", "1"])
+    def test_verbose_logs_events_and_the_csv(self, tmp_path, verbose):
+        # only a set value other than "0" turns DEBUG on
+        cfgp = write(tmp_path, FAST_SCENARIO)
+        src = str(Path(dcgridlab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from dcgridlab.cli import main; sys.exit(main())",
+             "simulate", "--config", cfgp, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, DCGRIDLAB_VERBOSE=verbose))
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        if verbose != "1":
+            assert lines == []
+            return
+        # the two load steps and the activation, then the CSV
+        assert [line.split(":")[0] for line in lines] == ["DEBUG dcgridlab.sim"] * 3 + [
+            "DEBUG dcgridlab"]
+        assert lines[3] in (
+            "DEBUG dcgridlab: wrote timeseries.csv: 30000 rows in 30 chunks, "
+            "odd chunks formatted by a helper process",
+            "DEBUG dcgridlab: wrote timeseries.csv: 30000 rows in 30 chunks, all in-process")
 
     def test_reruns_identical_bytes(self, tmp_path):
         cfgp = write(tmp_path, FAST_SCENARIO)
