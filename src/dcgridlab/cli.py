@@ -31,8 +31,7 @@ from .config import (CONVENTIONAL_HIGH_PI, CONVENTIONAL_LOW_PI, ConfigError,
                      RunConfig, build_scheme, load_config, render_config)
 from .grid import (OUTER_PLANT_MODES, GridModelError, check_converter_index,
                    pi_tf, power_plant_tf, voltage_loop_plant_tf)
-from .lti import (FREQUENCY_GRID, LtiError, TransferFunction, freq_response,
-                  tf_constant, tf_series)
+from .lti import FREQUENCY_GRID, LtiError, TransferFunction, freq_response, tf, tf_series
 from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
 from .sim import (DEFAULT_ITAE_WINDOW, SimResult, SimulationDiverged,
                   SimulationError, itae_current, itae_voltage, run, voltage_settling)
@@ -411,14 +410,11 @@ def cmd_rootlocus(cfg: RunConfig, outdir: Path, manifest: RunManifest,
     power = sweep_power_loop(cfg.grid, cfg.power_pi, cfg.sweep)
     voltage = sweep_voltage_loop(cfg.grid, cfg.power_pi, cfg.voltage_pi,
                                  cfg.sweep, mode=cfg.tuning.outer_plant_mode)
-    write_csv(outdir / "rootlocus_power.csv", manifest,
-              ("r1_ohm", "l1_h", "pole_re", "pole_im", "stable"),
-              _locus_columns(power))
-    write_csv(outdir / "rootlocus_voltage.csv", manifest,
-              ("r1_ohm", "l1_h", "pole_re", "pole_im", "stable"),
-              _locus_columns(voltage))
     summary = {}
     for name, locus in (("power", power), ("voltage", voltage)):
+        write_csv(outdir / f"rootlocus_{name}.csv", manifest,
+                  ("r1_ohm", "l1_h", "pole_re", "pole_im", "stable"),
+                  _locus_columns(locus))
         dom = locus.terminal_dominant_pole
         summary[name] = {"all_stable": locus.all_stable,
                          "terminal_dominant_pole_re": dom.real,
@@ -435,7 +431,7 @@ def cmd_bode(cfg: RunConfig, outdir: Path, manifest: RunManifest,
     plant_name = args.plant
     note = None
     if plant_name == "unity":
-        g = tf_constant(1.0)
+        g = tf([1.0], [1.0])
     elif plant_name in ("power", "power-loop"):
         g = power_plant_tf(cfg.grid, args.converter)
         gains, spec = cfg.power_pi, cfg.tuning.power

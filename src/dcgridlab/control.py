@@ -111,9 +111,10 @@ class CascadeScheme:
 # from the previous control tick (telemetry), and on secondary ticks the
 # neighbor's snapshot from the previous secondary tick (coordination; None on
 # other ticks).  Each controller binds its constants and both periods at
-# construction; its only state is its two PIs, named by the class's
-# ``PI_NAMES``, and ``active``.  The PI states start at zero and stay there
-# until activation.
+# construction; its state is its two PIs, named by the class's ``PI_NAMES``,
+# and ``active``.  The cascade also keeps ``ref``, the power reference its
+# last active step formed before clamping it, which the next step overwrites.
+# The PI states start at zero and stay there until activation.
 
 
 class _Pi:
@@ -195,6 +196,7 @@ class CascadeController:
         self.p_pi = _Pi(scheme.power_pi, control_dt,
                         power_clamp * conv.cable.resistance / grid.nominal_bus_voltage)
         self.active = False
+        self.ref = 0.0
 
     def step(self, own: tuple[float, float], neighbor_fast: tuple[float, float],
              neighbor_slow: Optional[tuple[float, float]]) -> float:
@@ -205,7 +207,6 @@ class CascadeController:
         own_power = self.v_nom * own_i
         if neighbor_slow is not None:
             self.v_pi.update(0.0 - 0.5 * (own_v + neighbor_slow[0]))
-        ref = self.weight * (own_power + self.v_nom * neighbor_fast[1] + self.v_pi.out)
+        self.ref = self.weight * (own_power + self.v_nom * neighbor_fast[1] + self.v_pi.out)
         limit = self.v_pi.limit
-        ref = min(max(ref, -limit), limit)
-        return self.p_pi.update(ref - own_power)
+        return self.p_pi.update(min(max(self.ref, -limit), limit) - own_power)

@@ -88,6 +88,9 @@ class GridConfig:
         if len(self.converters) != 2:
             raise GridModelError(
                 f"exactly 2 converters are required, got {len(self.converters)}")
+        # the sharing weights divide each rating by the sum
+        if not np.isfinite(sum(self.rated_powers)):
+            raise GridModelError(f"rated_powers {list(self.rated_powers)} must have a finite sum")
 
     @property
     def rated_powers(self) -> tuple[float, ...]:

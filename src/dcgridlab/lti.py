@@ -186,10 +186,6 @@ def tf(num: Sequence[float], den: Sequence[float]) -> TransferFunction:
     return TransferFunction(Polynomial(num), Polynomial(den))
 
 
-def tf_constant(k: float) -> TransferFunction:
-    return tf([k], [1.0])
-
-
 def tf_series(g1: TransferFunction, g2: TransferFunction) -> TransferFunction:
     """Series (cascade) interconnection g1*g2, every factor kept: degrees add."""
     return TransferFunction(g1.num * g2.num, g1.den * g2.den)

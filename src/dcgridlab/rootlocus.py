@@ -4,12 +4,12 @@ The first converter's cable resistance sweeps over a range with a fixed R/L
 ratio (so the inductance scales along); controller gains stay at their
 nominal design.  Each sweep builds its loop once, through the same ``grid``
 and ``lti`` functions as a single grid, on a cable whose resistance and
-inductance hold one value per step; its unity-feedback characteristic
-polynomial (den + num) gives one row per step, with each step's scalar bits.
-One ``poles`` call then finds every step's closed-loop poles in one stacked
-eigenvalue solve per degree, and stability is classified.  Pole trajectories
-are matched step to step by the assignment of least total distance so they can
-be plotted as continuous branches.
+inductance hold one value per step; ``tf_feedback`` closes it through unity
+feedback, and its characteristic polynomial gives one row per step, with each
+step's scalar bits.  One ``poles`` call then finds every step's closed-loop
+poles in one stacked eigenvalue solve per degree, and stability is
+classified.  Pole trajectories are matched step to step by the assignment of
+least total distance so they can be plotted as continuous branches.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .control import PiGains
 from .grid import (CableParams, ConverterParams, GridConfig, GridModelError,
                    pi_tf, power_plant_tf, voltage_loop_plant_tf)
-from .lti import DegenerateLoopError, LtiError, poles, tf_series
+from .lti import LtiError, poles, tf, tf_feedback, tf_series
 
 
 class SweepError(Exception):
@@ -126,10 +126,7 @@ def _locus(grid: GridConfig, sweep: ImpedanceSweep, build_loop) -> LocusResult:
         conv = ConverterParams(c0.rated_power, c0.voltage_loop_tau, CableParams(rs, ls))
         with np.errstate(over="ignore", invalid="ignore"):    # as quiet as Python floats
             loop = build_loop(GridConfig((conv,) + grid.converters[1:], grid.nominal_bus_voltage))
-            # the unity-feedback characteristic polynomial, as tf_feedback forms it
-            char = loop.den + loop.num
-        if char.is_zero:    # at any step
-            raise DegenerateLoopError("algebraic loop: closed-loop denominator is zero")
+            char = tf_feedback(loop, tf([1.0], [1.0])).den
         chars = np.empty((sweep.steps, len(char.coeffs)))    # ascending, a row per step
         for k, c in enumerate(char.coeffs):
             chars[:, k] = c

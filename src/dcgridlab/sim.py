@@ -4,29 +4,28 @@ The plant is the four-state linear interconnection of both converter voltage
 loops and both cable currents.  The load draws a commanded power through the
 nominal bus voltage, which pins the current sum between events; a load step
 therefore enters as a state jump whose split follows the inductive divider.
-With its input held over a control period, a control tick fills its plant
-rows with one product of stacked exact zero-order-hold pairs, so every row is
-an exact sample of the continuous plant.
 
-:class:`_ControlLoop` is the control law's only orchestration: the load jump,
-activation, both controllers' ``step`` calls and the two delay registers.
-Each applied event logs one DEBUG line.  Events act on control ticks only, at
-round(t / control_dt); :class:`Scenario` accepts only times within 1e-9 of a
-whole tick count.  Telemetry (the neighbor power feeding the cascade
-reference) arrives one control period old; droop and the cascade's inner
-power PI run every control period.  The coordination layer (the bus-voltage
-PIs and the conventional current-sharing PI) updates once per secondary
-period, seeing the neighbor one secondary period old.
+:func:`run` returns ``Scenario.n_rows`` plant rows, at plant_dt up to
+``Scenario.end_time``:
 
-:func:`run` advances one secondary period at a time.  While no PI clamps, a
-period is linear in the loop's state z (plant, PI states, both registers), so
-its rows, references and next z are products with its lifted maps, built once
-per run and per set of ``active`` flags by :func:`_period_map`.  A period runs
-tick by tick when it holds an event, when an active PI has not updated yet,
-when a value that a clamp tests comes within 1e-9 of its limit, when the maps
-give a non-finite result (so a divergence is reported at the tick that finds
-it), and when it is the last, partial one.  Identical scenarios produce
-bit-identical results.
+- each row is an exact sample of the continuous plant, whose input each
+  converter holds over a control period;
+- events act on control ticks only, at round(t / control_dt), and each
+  applied event logs one DEBUG line; :class:`Scenario` accepts only times
+  within 1e-9 of a whole tick count;
+- telemetry (the neighbor power feeding the cascade reference) arrives one
+  control period old, and droop and the cascade's inner power PI run every
+  control period; the coordination layer (the bus-voltage PIs and the
+  conventional current-sharing PI) updates once per secondary period, seeing
+  the neighbor one secondary period old;
+- every row agrees with control ticks stepped one by one within ~1e-13 of its
+  column's peak, and the PIs clamp at the same ticks;
+- a non-finite state raises :class:`SimulationDiverged` at the control tick
+  that finds it;
+- identical scenarios produce bit-identical results.
+
+:class:`_ControlLoop` owns the closed loop's model: the lifted plant, the
+event schedule, both controllers and the two delay registers.
 """
 
 from __future__ import annotations
@@ -210,13 +209,22 @@ def _plant_matrices(grid: GridConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 class _ControlLoop:
-    """Everything one control tick does except advance the plant: the load
-    jump, activation, both controllers' ``step`` calls and the telemetry and
-    coordination delay registers.  Ticks run in increasing order; a period
-    that a period map advances instead sets the state with ``unpack``."""
+    """The closed loop's model: the plant lifted over a control period
+    (``phi``, ``gam``) and its bus-voltage row ``c_vg``, the event schedule
+    (the load jumps, activation and the ``eventful`` secondary periods that
+    hold them), both controllers and the telemetry and coordination delay
+    registers.  Ticks run in increasing order; a period that a period map
+    advances instead sets the state with ``unpack``."""
 
     def __init__(self, scenario: Scenario):
         self.grid = grid = scenario.grid
+        a, b, self.c_vg = _plant_matrices(grid)
+        # exact ZOH over j plant steps, j = 1..n_sub, stacked: row block j - 1 of
+        # phi @ x + gam @ u is the state j plant steps into a control period
+        n_sub = round(scenario.control_dt / scenario.plant_dt)
+        pairs = [zoh(a, b, j * scenario.plant_dt) for j in range(1, n_sub + 1)]
+        self.phi = np.vstack([ad for ad, _ in pairs])    # (n_sub * 4, 4)
+        self.gam = np.vstack([bd for _, bd in pairs])    # (n_sub * 4, 2)
         unit = (CascadeController if isinstance(scenario.scheme, CascadeScheme)
                 else ConventionalController)
         self.units = [unit(scenario.scheme, grid, i, scenario.control_dt,
@@ -228,6 +236,7 @@ class _ControlLoop:
         self.load_at = {round(t / scenario.control_dt): p
                         for t, p in scenario.load.steps}
         self.activation = round(scenario.activation_time / scenario.control_dt)
+        self.eventful = {k // self.n_sec for k in (*self.load_at, self.activation)}
         # one-step delay registers of the two channels: entry i is what
         # converter i receives, its neighbor's snapshot from the previous
         # control tick (telemetry) or secondary tick (coordination); both
@@ -269,6 +278,14 @@ class _ControlLoop:
             self.coordination = self.telemetry
         return x, u
 
+    def period(self, k: int, x: np.ndarray, block: np.ndarray):
+        """Tick k on the state x, then the plant's rows of its control period
+        into block; returns what :meth:`tick` returns."""
+        x, u = self.tick(k, x)
+        np.dot(self.phi, x, out=block)
+        block += self.gam.dot(u)
+        return x, u
+
     def pis(self) -> list[tuple[int, str, _Pi]]:
         """(converter number, name, PI) of every PI, in the order z packs them."""
         return [(i + 1, name, getattr(unit, name))
@@ -293,73 +310,61 @@ class _ControlLoop:
         self.telemetry = (t[0], t[1]), (t[2], t[3])
         self.coordination = (t[4], t[5]), (t[6], t[7])
 
-    def clamps(self, x: np.ndarray) -> list[tuple[float, float]]:
-        """(value, limit) of each clamp active controllers apply at a tick on x:
-        PI integrators and outputs, and the cascade's power reference."""
+    def clamps(self) -> list[tuple[float, float]]:
+        """(value, limit) of each clamp that the active controllers applied
+        at the last tick: PI integrators and outputs, and the cascade's
+        unclamped power reference."""
         pairs = []
-        for i, unit in enumerate(self.units):
+        for unit in self.units:
             if unit.active:
                 for pi in (getattr(unit, name) for name in unit.PI_NAMES):
                     pairs += [(pi.integrator, pi.limit), (pi.out, pi.limit)]
-                if isinstance(unit, CascadeController):    # p_pi's error + own power
-                    pairs.append((unit.p_pi.prev_error + unit.v_nom * x[2 + i],
-                                  unit.v_pi.limit))
+                if isinstance(unit, CascadeController):
+                    pairs.append((unit.ref, unit.v_pi.limit))
         return pairs
 
 
-def _control_period(loop: _ControlLoop, k: int, x: np.ndarray, phi, gam, block):
-    """Tick k on the state x, then the plant's n_sub rows into block."""
-    x, u = loop.tick(k, x)
-    np.dot(phi, x, out=block)
-    block += gam.dot(u)
-    return x, u
-
-
-def _period_map(loop: _ControlLoop, x: np.ndarray, phi: np.ndarray, gam: np.ndarray):
-    """The maps from z at a period's start to its plant rows, u, clamped values
-    and next z, plus those values' bounds, under the loop's ``active`` flags:
-    its ticks on each basis vector of z, on a copy with every clamp lifted."""
+def _period_map(loop: _ControlLoop, k0: int, x: np.ndarray):
+    """The maps from z, the loop's state (plant, PI states, both registers),
+    at the start of the secondary period from tick k0 to its plant rows, u,
+    clamped values and next z, plus those values' bounds, under the loop's
+    ``active`` flags: the period's ticks on each basis vector of z, on a copy
+    with every clamp lifted.  The period holds no event."""
     probe = copy.deepcopy(loop)
-    probe.load_at, probe.activation = {}, -1
     for _, _, pi in probe.pis():
         pi.limit, pi.prev_error = math.inf, 0.0
     columns = []
     for e in np.eye(len(loop.pack(x))):
         probe.unpack(e)
         xj, rows, refs, tests = e[:4], [], [], []
-        for k in range(loop.n_sec):
-            rows.append(np.empty(len(phi)))
-            xj, u = _control_period(probe, k, xj, phi, gam, rows[-1])
+        for k in range(k0, k0 + loop.n_sec):
+            rows.append(np.empty(len(loop.phi)))
+            xj, u = probe.period(k, xj, rows[-1])
             refs += u
-            tests += [value for value, _ in probe.clamps(xj)]
+            tests += [value for value, _ in probe.clamps()]
             xj = rows[-1][-4:]
         columns.append((np.concatenate(rows), refs, tests, probe.pack(xj)))
     rows, refs, tests, nxt = (np.array(c).T.copy() for c in zip(*columns))
     # the margin dwarfs the maps' rounding (~1e-13), so a value the maps keep
     # inside its bound is inside it in the per-tick arithmetic too
-    limits = [limit for _, limit in loop.clamps(x)]
+    limits = [limit for _, limit in loop.clamps()]
     return rows, refs, tests, np.tile(limits, loop.n_sec) * (1 - 1e-9), nxt
 
 
 def run(scenario: Scenario) -> SimResult:
-    """Simulate one scenario; raises :class:`SimulationDiverged` on blow-up."""
+    """Simulate one scenario; raises :class:`SimulationDiverged` on blow-up.
+
+    A secondary period that holds no event, in which every active PI has
+    updated, advances by the :func:`_period_map` of the ``active`` flags
+    unless a value that a clamp tests comes within 1e-9 of its limit or a
+    result is not finite.  Any other period, the last, partial one included,
+    runs tick by tick."""
     grid = scenario.grid
-    a, b, c_vg = _plant_matrices(grid)
-
-    n_sub = int(round(scenario.control_dt / scenario.plant_dt))
-    n_ctl = int(round(scenario.duration / scenario.control_dt))
-    n_rows = scenario.n_rows
-
-    # exact ZOH over j plant steps, j = 1..n_sub, stacked: row block j - 1 of
-    # phi @ x + gam @ u is the state j plant steps into a control period
-    pairs = [zoh(a, b, j * scenario.plant_dt) for j in range(1, n_sub + 1)]
-    phi = np.vstack([ad for ad, _ in pairs])    # (n_sub * 4, 4)
-    gam = np.vstack([bd for _, bd in pairs])    # (n_sub * 4, 2)
-
     loop = _ControlLoop(scenario)
-    n_sec, size = loop.n_sec, n_sub * 4
-    # secondary periods that hold a load step or activation
-    eventful = {k // n_sec for k in (*loop.load_at, loop.activation)}
+    n_sub = round(scenario.control_dt / scenario.plant_dt)
+    n_ctl = round(scenario.duration / scenario.control_dt)
+    n_rows = scenario.n_rows
+    n_sec, size = loop.n_sec, len(loop.phi)
     maps = {}    # active flags -> _period_map
 
     try:
@@ -376,13 +381,13 @@ def run(scenario: Scenario) -> SimResult:
     for k0 in range(0, n_ctl, n_sec):
         k1 = min(k0 + n_sec, n_ctl)
         periods = flat[k0 * size:k1 * size]
-        if (k1 - k0 == n_sec and k0 // n_sec not in eventful
+        if (k1 - k0 == n_sec and k0 // n_sec not in loop.eventful
                 and all(getattr(unit, name).prev_error is not None
                         for unit in loop.units if unit.active
                         for name in unit.PI_NAMES)):
             active = tuple(unit.active for unit in loop.units)
             if active not in maps:
-                maps[active] = _period_map(loop, x, phi, gam)
+                maps[active] = _period_map(loop, k0, x)
             rows, refs, tests, bound, nxt = maps[active]
             z = loop.pack(x)
             np.dot(rows, z, out=periods)
@@ -393,11 +398,9 @@ def run(scenario: Scenario) -> SimResult:
                 loop.unpack(z_next)
                 x = periods[-4:]
                 continue
-        # the period tick by tick: it holds an event, a PI's first update or a
-        # clamp, or it is the last, partial one
         for k in range(k0, k1):
             block = flat[k * size:(k + 1) * size]
-            _, inputs[k] = _control_period(loop, k, x, phi, gam, block)
+            _, inputs[k] = loop.period(k, x, block)
             x = block[-4:]
             if not all(map(math.isfinite, x.tolist())):
                 raise SimulationDiverged(
@@ -412,7 +415,7 @@ def run(scenario: Scenario) -> SimResult:
         power=grid.nominal_bus_voltage * curr,
         current=curr,
         terminal_voltage=term,
-        bus_voltage=states @ c_vg,
+        bus_voltage=states @ loop.c_vg,
         regulated_voltage=term.mean(axis=1),
         voltage_reference=np.repeat(inputs, n_sub, axis=0),
         weights=weights_from_ratings(grid.rated_powers),

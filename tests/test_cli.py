@@ -245,6 +245,19 @@ class TestRejectedAtLoad:
         assert proc.stderr.splitlines() == [f"ERROR dcgridlab: {message}"]
         assert match in message and "finite reciprocal" in message
 
+    @pytest.mark.parametrize("argv", [
+        ["tune"], ["simulate"], ["compare"], ["rootlocus"], ["bode", "--plant", "unity"]])
+    @pytest.mark.parametrize("kind", ["conventional", "cascade"])
+    def test_rated_powers_with_overflowing_sum(self, tmp_path, caplog, argv, kind):
+        # the sum overflowed and both sharing weights became 0: simulate scored
+        # against them and exited 0, compare died with a ControlError traceback
+        # after writing config_effective.ini, and the cascade's error named the
+        # weights, not the ratings
+        message = self._rejected(tmp_path, caplog, argv,
+                                 "[grid]\nrated_powers = 1e308, 1e308\n"
+                                 f"[scheme]\nkind = {kind}\n")
+        assert "rated_powers [1e+308, 1e+308] must have a finite sum" in message
+
     @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
     def test_settling_span_under_two_plant_steps(self, tmp_path, caplog, subcommand):
         # used to write timeseries.csv, then exit 2 while scoring settling

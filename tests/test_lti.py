@@ -12,8 +12,8 @@ from scipy import signal
 from dcgridlab.grid import default_grid
 from dcgridlab.lti import (DegenerateLoopError, LtiError, NoCrossoverError, Polynomial,
                            _roots, analytic_phase, bandwidth_3db,
-                           freq_response, gain_crossover, poles,
-                           tf, tf_constant, tf_feedback, tf_series, zoh)
+                           freq_response, gain_crossover, poles, tf,
+                           tf_feedback, tf_series, zoh)
 from dcgridlab.sim import _plant_matrices
 
 
@@ -175,7 +175,7 @@ def test_property_batched_columns_are_scalar_builds(rows_a, rows_b, floats, k):
 class TestSeriesAndFeedback:
     def test_series_identity(self):
         g = _plant()
-        out = tf_series(g, tf_constant(1.0))
+        out = tf_series(g, tf([1.0], [1.0]))
         assert out.num.coeffs == g.num.coeffs
         assert out.den.coeffs == g.den.coeffs
 
@@ -218,17 +218,17 @@ class TestSeriesAndFeedback:
 
     def test_feedback_open_loop(self):
         g = _plant()
-        out = tf_feedback(g, tf_constant(0.0))
+        out = tf_feedback(g, tf([0.0], [1.0]))
         assert out(1j) == pytest.approx(g(1j), rel=1e-12)
 
     def test_feedback_unity_constant(self):
-        out = tf_feedback(tf_constant(1.0), tf_constant(1.0))
+        out = tf_feedback(tf([1.0], [1.0]), tf([1.0], [1.0]))
         assert out.dc_gain() == pytest.approx(0.5)
         assert out.den.degree == 0
 
     def test_feedback_integrator(self):
         k = 7.0
-        out = tf_feedback(tf([k], [0.0, 1.0]), tf_constant(1.0))
+        out = tf_feedback(tf([k], [0.0, 1.0]), tf([1.0], [1.0]))
         ps = poles(out)
         assert len(ps) == 1
         assert ps[0] == pytest.approx(-k)
@@ -244,7 +244,7 @@ class TestSeriesAndFeedback:
 
 class TestFrequencyResponse:
     def test_unity_everywhere(self):
-        mag, phase = freq_response(tf_constant(1.0), [0.1, 1.0, 10.0])
+        mag, phase = freq_response(tf([1.0], [1.0]), [0.1, 1.0, 10.0])
         assert len(mag) == len(phase) == 3
         assert mag == pytest.approx([0.0] * 3, abs=1e-12)
         assert phase == pytest.approx([0.0] * 3, abs=1e-9)
@@ -266,7 +266,7 @@ class TestFrequencyResponse:
 
     def test_requires_positive_ascending(self):
         with pytest.raises(ValueError):
-            freq_response(tf_constant(1.0), [1.0, 0.5])
+            freq_response(tf([1.0], [1.0]), [1.0, 0.5])
 
     def test_analytic_phase_double_integrator(self):
         g = tf([100.0], [0.0, 0.0, 1.0])

@@ -10,8 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from dcgridlab.config import POWER_PI, VOLTAGE_PI
 from dcgridlab.grid import (CableParams, default_grid, pi_tf, power_plant_tf,
                             voltage_loop_plant_tf)
-from dcgridlab.lti import (DegenerateLoopError, poles, tf, tf_constant,
-                           tf_feedback, tf_series)
+from dcgridlab.lti import DegenerateLoopError, poles, tf, tf_feedback, tf_series
 from dcgridlab.rootlocus import (ImpedanceSweep, LocusResult, LocusStep,
                                  SweepError, _locus,
                                  max_resistance_bound, sweep_power_loop,
@@ -85,7 +84,7 @@ class TestPowerLoopSweep:
         # poles of the directly closed nominal loop
         step = min(power_locus.steps, key=lambda s: abs(s.resistance - 0.5))
         loop = tf_series(pi_tf(POWER_PI), power_plant_tf(grid, 0))
-        closed = tf_feedback(loop, tf_constant(1.0))
+        closed = tf_feedback(loop, tf([1.0], [1.0]))
         want = poles(closed)
         # nominal step resistance differs slightly from 0.5 on the log grid
         rel = abs(step.resistance - 0.5) / 0.5
@@ -195,7 +194,7 @@ class TestStackedSolve:
             assert {len(s.poles) for s in locus.steps} == counts
         for step in locus.steps:
             g = grid_with_first_cable(grid, step.resistance, step.inductance)
-            want = poles(tf_feedback(build(g), tf_constant(1.0)))
+            want = poles(tf_feedback(build(g), tf([1.0], [1.0])))
             assert np.array_equal(step.poles, want)
             assert step.stable == all(p.real < 0 for p in want)
 
@@ -220,7 +219,7 @@ class TestStabilityTimeDomainConsistency:
                      power_locus.steps[-1]):
             g = grid_with_first_cable(grid, step.resistance, step.inductance)
             loop = tf_series(pi_tf(POWER_PI), power_plant_tf(g, 0))
-            closed = tf_feedback(loop, tf_constant(1.0))
+            closed = tf_feedback(loop, tf([1.0], [1.0]))
             y = step_samples(closed, dt=1e-4, n_steps=40000)
             tail = np.abs(y[-100:] - closed.dc_gain())
             head = np.abs(y[:100] - closed.dc_gain())
@@ -233,7 +232,7 @@ class TestStabilityTimeDomainConsistency:
         from dcgridlab.control import PiGains
         bad = PiGains(kp=-0.01, ki=0.0)
         loop = tf_series(pi_tf(bad), power_plant_tf(grid, 0))
-        closed = tf_feedback(loop, tf_constant(1.0))
+        closed = tf_feedback(loop, tf([1.0], [1.0]))
         assert any(p.real > 0 for p in poles(closed))
         y = step_samples(closed, dt=1e-4, n_steps=20000)
         assert np.abs(y[-1]) > 10 * np.abs(y[100])

@@ -638,14 +638,6 @@ def stepwise_reference(scenario: Scenario) -> dict[str, np.ndarray]:
     return reference_run(scenario, ad, bd, c_vg)
 
 
-def lifted_plant(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """``sim.run``'s stacked exact ZOH pairs over 1..n_sub plant steps."""
-    a, b, _ = _plant_matrices(scenario.grid)
-    n_sub = round(scenario.control_dt / scenario.plant_dt)
-    pairs = [zoh(a, b, j * scenario.plant_dt) for j in range(1, n_sub + 1)]
-    return np.vstack([ad for ad, _ in pairs]), np.vstack([bd for _, bd in pairs])
-
-
 def at_clamp(loop: _ControlLoop) -> bool:
     return any(abs(pi.out) >= pi.limit for _, _, pi in loop.pis())
 
@@ -653,26 +645,22 @@ def at_clamp(loop: _ControlLoop) -> bool:
 def per_tick_reference(scenario: Scenario) -> tuple[dict[str, np.ndarray], set[int]]:
     """The engine before the period maps: every control tick through
     ``_ControlLoop.tick``, then the plant's rows of its control period from
-    the lifted ZOH pairs.  Also returns the ticks after which a PI output sits
-    at its clamp."""
-    phi, gam = lifted_plant(scenario)
-    c_vg = _plant_matrices(scenario.grid)[2]
-    size, n_ctl = len(phi), round(scenario.duration / scenario.control_dt)
+    the lifted ZOH pairs (``_ControlLoop.period``).  Also returns the ticks
+    after which a PI output sits at its clamp."""
     loop = _ControlLoop(scenario)
+    size, n_ctl = len(loop.phi), round(scenario.duration / scenario.control_dt)
     states, inputs = np.empty((scenario.n_rows, 4)), np.empty((n_ctl, 2))
     flat, x, clamped = states.reshape(-1), np.zeros(4), set()
     for k in range(n_ctl):
-        x, inputs[k] = loop.tick(k, x)
         block = flat[k * size:(k + 1) * size]
-        np.dot(phi, x, out=block)
-        block += gam.dot(inputs[k])
+        _, inputs[k] = loop.period(k, x, block)
         x = block[-4:]
         if at_clamp(loop):
             clamped.add(k)
     term, curr = states[:, 0:2], states[:, 2:4]
     return {"time": np.arange(1, scenario.n_rows + 1) * scenario.plant_dt,
             "power": scenario.grid.nominal_bus_voltage * curr, "current": curr,
-            "terminal_voltage": term, "bus_voltage": states @ c_vg,
+            "terminal_voltage": term, "bus_voltage": states @ loop.c_vg,
             "regulated_voltage": term.mean(axis=1),
             "voltage_reference": np.repeat(inputs, size // 4, axis=0)}, clamped
 
@@ -726,6 +714,8 @@ REFERENCE_CLAMPED_CASE = "cascade-reference-clamped"
 # the cascade case activated 5 ms off the secondary grid: the bus-voltage PIs
 # first update one period after activation
 OFF_GRID_ACTIVATION_CASE = "cascade-activation-off-grid"
+# the cascade case run 7 ms past 3 s: its last secondary period is partial
+PARTIAL_PERIOD_CASE = "cascade-partial-period"
 # the cascade case on 3 mH and 5 mH cables with loads off the 400 W grid: the
 # divider split l_j/(l1 + l2) and the jump dP/V are inexact in any dtype
 UNEQUAL_CASE = "cascade-unequal-cables"
@@ -738,6 +728,8 @@ def oracle_scenario(case: str) -> Scenario:
             ((0.2, 2000.0), (1.0, 20000.0 if case == CLAMPED_CASE else 11900.0))))
     if case == OFF_GRID_ACTIVATION_CASE:
         return dataclasses.replace(fast_scenario("cascade"), activation_time=0.505)
+    if case == PARTIAL_PERIOD_CASE:
+        return dataclasses.replace(fast_scenario("cascade"), duration=3.007)
     if case == UNEQUAL_CASE:
         scenario = fast_scenario("cascade")
         converters = tuple(
@@ -813,7 +805,8 @@ def bench_scenario(case: str) -> Scenario:
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES + (
-    REFERENCE_CLAMPED_CASE, OFF_GRID_ACTIVATION_CASE) + tuple(f"bench-{c}" for c in COMPARE_CASES))
+    REFERENCE_CLAMPED_CASE, OFF_GRID_ACTIVATION_CASE, PARTIAL_PERIOD_CASE)
+    + tuple(f"bench-{c}" for c in COMPARE_CASES))
 def test_run_matches_per_tick_reference(case):
     # periods advanced by the maps round differently from ticks, by at most
     # ~1.1e-13 of a column's peak; clamps engage at the same ticks
@@ -830,9 +823,44 @@ def test_run_matches_per_tick_reference(case):
     assert bool(clamped) == (case == CLAMPED_CASE)
     # only the periods of the two load steps and activation run tick by tick;
     # also the one after the step when the references clamp, the one after an
-    # off-grid activation, and every period from the step on in the clamped case
+    # off-grid activation, the last, partial one, and every period from the
+    # step on in the clamped case
     assert ticked == {CLAMPED_CASE: 2 * 20 + 2000, REFERENCE_CLAMPED_CASE: 4 * 20,
-                      OFF_GRID_ACTIVATION_CASE: 4 * 20}.get(case, 3 * 20), ticked
+                      OFF_GRID_ACTIVATION_CASE: 4 * 20,
+                      PARTIAL_PERIOD_CASE: 3 * 20 + 7}.get(case, 3 * 20), ticked
+
+
+def control_tick(periods: range):
+    """A control tick of one of the given secondary periods of 20 ticks: its
+    first, its last or one inside it."""
+    return st.builds(lambda period, offset: 20 * period + offset,
+                     st.sampled_from(periods),
+                     st.one_of(st.sampled_from((0, 19)), st.integers(1, 18)))
+
+
+@settings(max_examples=20, deadline=None)    # ~0.07 s a draw
+@given(case=st.sampled_from(PINNED_CASES),
+       ticks=st.lists(control_tick(range(50)), min_size=3, max_size=3, unique=True),
+       levels=st.tuples(st.floats(500.0, 4000.0), st.floats(500.0, 4000.0)))
+def test_tick_map_split_is_deterministic(case, ticks, levels):
+    # where the events fall decides which periods the maps advance; wherever
+    # that is, reruns are bit-identical and every row matches the per-tick
+    # engine.  Every event lies in the first second, so activation and the
+    # steps after it keep their ITAE windows inside the 3 s run
+    activation, *steps = ticks
+    base = fast_scenario(case)
+    scenario = dataclasses.replace(
+        base, activation_time=activation * base.control_dt,
+        load=LoadProfile(tuple((k * base.control_dt, p)
+                               for k, p in zip(sorted(steps), levels))))
+    first, again = run(scenario), run(scenario)
+    for name in SERIES:
+        assert getattr(first, name).tobytes() == getattr(again, name).tobytes(), name
+    want, _ = per_tick_reference(scenario)
+    got = pinned_columns(vars(first))
+    for name, col in pinned_columns(want).items():
+        err = np.abs(got[name] - col).max()
+        assert err <= 1e-12 * np.abs(col).max(), (name, err)
 
 
 @pytest.mark.parametrize("case", PINNED_CASES)
@@ -840,11 +868,9 @@ def test_period_map_advances_per_tick_engine(case):
     # between events, after activation's first update, the period map M
     # carries the packed loop state z from one secondary tick to the next
     scenario = fast_scenario(case)
-    phi, gam = lifted_plant(scenario)
     loop = _ControlLoop(scenario)
-    n_sec, size = loop.n_sec, len(phi)
-    eventful = {k // n_sec for k in (*loop.load_at, loop.activation)}
-    x, block, m, predicted, checked = np.zeros(4), np.empty(size), None, None, 0
+    n_sec = loop.n_sec
+    x, block, m, predicted, checked = np.zeros(4), np.empty(len(loop.phi)), None, None, 0
     for k in range(round(scenario.duration / scenario.control_dt)):
         if k % n_sec == 0:
             z = loop.pack(x)
@@ -855,13 +881,11 @@ def test_period_map_advances_per_tick_engine(case):
             predicted = None
             # after the period of activation's first secondary tick
             first_update = -(-loop.activation // n_sec)
-            if k // n_sec not in eventful and k // n_sec > first_update:
+            if k // n_sec not in loop.eventful and k // n_sec > first_update:
                 if m is None:
-                    *_, m = _period_map(loop, x, phi, gam)
+                    *_, m = _period_map(loop, k, x)
                 predicted = m @ z
-        x, u = loop.tick(k, x)
-        np.dot(phi, x, out=block)
-        block += gam.dot(u)
+        loop.period(k, x, block)
         x = block[-4:].copy()
     # periods 26-149 but the 1 s step's (50) and the last, which ends the run
     assert checked == 122, checked
