@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke checks of the installed `dcgrid-lab` console script: every subcommand
-# runs, reruns of rootlocus, simulate and compare are byte-identical, the
-# full-size timeseries follows the per-cell %.12g rule whether one process or
-# two format it, and a verbose run logs its events and its CSV.  Needs
+# runs, reruns of rootlocus, simulate and compare are byte-identical, the dense
+# root loci are those of a one-step-at-a-time scalar path, the full-size
+# timeseries follows the per-cell %.12g rule whether one process or two format
+# it, and a verbose run logs its events and its CSV.  Needs
 # `dcgrid-lab` and `taskset` on PATH and `python` able to import dcgridlab;
 # writes only into a fresh temporary directory.
 #
@@ -34,6 +35,46 @@ for c in dense dense-ci mixed mixed-ci; do
   dcgrid-lab rootlocus --config $c.ini --out ${c}2
   cmp ${c}1/rootlocus_power.csv ${c}2/rootlocus_power.csv
   cmp ${c}1/rootlocus_voltage.csv ${c}2/rootlocus_voltage.csv
+done
+
+# the stacked solve's array Newton step and the whole-sweep pairing change no
+# bit: the dense loci, in both outer-plant modes, must be those of a scalar
+# path, one step at a time: the step's own characteristic polynomial, then
+# np.roots, then one Newton step per root in that root's own type, then %.12g
+for c in dense dense-ci; do
+  for loop in power voltage; do
+    python - $c.ini $loop > ${c}1/scalar_$loop.csv <<'PY'
+import cmath, dataclasses, sys
+import numpy as np
+from dcgridlab.config import load_config
+from dcgridlab.grid import CableParams, pi_tf, power_plant_tf, voltage_loop_plant_tf
+from dcgridlab.lti import Polynomial, tf, tf_feedback, tf_series
+cfg = load_config(sys.argv[1])
+rs = cfg.sweep.resistances()
+for r, l in zip(rs.tolist(), (rs / cfg.sweep.ratio_r_over_l).tolist()):
+    c0 = dataclasses.replace(cfg.grid.converters[0], cable=CableParams(r, l))
+    grid = dataclasses.replace(cfg.grid, converters=(c0,) + cfg.grid.converters[1:])
+    if sys.argv[2] == "power":
+        loop = tf_series(pi_tf(cfg.power_pi), power_plant_tf(grid, 0))
+    else:
+        loop = tf_series(pi_tf(cfg.voltage_pi), voltage_loop_plant_tf(
+            grid, 0, cfg.power_pi, mode=cfg.tuning.outer_plant_mode))
+    char = tf_feedback(loop, tf([1.0], [1.0])).den
+    deriv = Polynomial([k * c for k, c in enumerate(char.coeffs)][1:] or [0.0])
+    poles = []
+    for root in np.roots(char.coeffs[::-1]):
+        dv = deriv(root)
+        if abs(dv) > 0.0:
+            step = char(root) / dv
+            if cmath.isfinite(step):
+                root = root - step
+        poles.append(complex(root))
+    stable = int(all(p.real < 0 for p in poles))
+    for p in poles:
+        print(f"{r:.12g},{l:.12g},{p.real:.12g},{p.imag:.12g},{stable}")
+PY
+    tail -n +3 ${c}1/rootlocus_$loop.csv | cmp - ${c}1/scalar_$loop.csv
+  done
 done
 
 # the scenario engine's reruns are bit-identical too: the time series, the

@@ -89,8 +89,12 @@ class GridConfig:
             raise GridModelError(
                 f"exactly 2 converters are required, got {len(self.converters)}")
         # the sharing weights divide each rating by the sum
-        if not np.isfinite(sum(self.rated_powers)):
+        total = sum(self.rated_powers)
+        if not np.isfinite(total):
             raise GridModelError(f"rated_powers {list(self.rated_powers)} must have a finite sum")
+        if not all(p / total > 0.0 for p in self.rated_powers):
+            raise GridModelError(f"rated_powers {list(self.rated_powers)} must each be a "
+                                 f"positive share of their sum")
 
     @property
     def rated_powers(self) -> tuple[float, ...]:

@@ -12,7 +12,12 @@ operations are pure functions, so they are safe to evaluate concurrently.
 
 A coefficient may also hold one value per step of a sweep (see
 ``Polynomial``), so one pass of the algebra builds every step's transfer
-function, each step with the bits of its scalar build.
+function, each step with the bits of its scalar build.  Their roots come from
+one stacked eigenvalue solve per group of like rows and one Newton step on
+every root at once (``_roots``).  That step is float64 ufuncs that write out
+the complex arithmetic a loop over one row's roots meets: CPython's for the
+float64 roots of a real spectrum, numpy's complex128 scalars' for a complex
+one.  numpy's complex ufuncs round differently, so they are not used.
 """
 
 from __future__ import annotations
@@ -46,14 +51,6 @@ class NoCrossoverError(LtiError):
     def __init__(self, message: str):
         super().__init__(f"{message} on [{FREQUENCY_GRID[0]:g}, "
                          f"{FREQUENCY_GRID[-1]:g}] rad/s")
-
-
-def _horner(descending, s):
-    """The polynomial at s, by Horner's rule in the arithmetic of s's own type."""
-    acc = 0.0 + 0.0j
-    for c in descending:
-        acc = acc * s + c
-    return acc
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,11 @@ class Polynomial:
         return bool(np.any(zero))
 
     def __call__(self, s: complex) -> complex:
-        return _horner(reversed(self.coeffs), s)
+        """The polynomial at s, by Horner's rule in the arithmetic of s's own type."""
+        acc = 0.0 + 0.0j
+        for c in reversed(self.coeffs):
+            acc = acc * s + c
+        return acc
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Polynomial product, the Python convolution of the coefficients.  When
@@ -112,52 +113,93 @@ class Polynomial:
     def scaled(self, k: float) -> "Polynomial":
         return Polynomial([k * c for c in self.coeffs])
 
-    def roots(self) -> np.ndarray:
-        """All roots, as ``np.roots`` finds them, each given one Newton polish."""
-        return _roots([self.coeffs])[0]
 
-    def _polish(self, roots: np.ndarray) -> np.ndarray:
-        p = self.coeffs[::-1]    # descending, as _horner takes them
-        dp = [k * c for k, c in zip(range(len(p) - 1, 0, -1), p)] or [0.0]
-        polished = []
-        for root in roots:
-            dv = _horner(dp, root)
-            if abs(dv) > 0.0:
-                step = _horner(p, root) / dv
-                if cmath.isfinite(step):
-                    root = root - step
-            polished.append(root)
-        return np.array(polished, dtype=complex)
+_SIGNS = np.array([-1.0, 1.0])
+# rows per _newton call: keeps its temporaries small (a sweep has 1000s of rows)
+_NEWTON_ROWS = 256
+
+
+def _newton(p, roots, real):
+    """One Newton step on each root of each row of descending coefficients
+    ``p``, kept where the step is finite, in the arithmetic a one-row loop
+    meets: a real row's ``np.float64`` root takes CPython's complex product
+    and Smith quotient, a complex row's ``np.complex128`` root numpy's scalar
+    product and ``CDOUBLE_divide``, which multiplies by 1/denominator.  Each
+    complex operation is written out in float64 ufuncs on (re, im) pairs, so
+    the bits match: Horner's ``acc * x + c`` from 0j is (ar xr + ai (-xi) + c,
+    ai xr + ar xi + 0.0), for the polynomial and its derivative at once."""
+    x = roots.view(float).reshape(*roots.shape, 2)    # (row, root, re/im)
+    np.copyto(x[..., 1], 0.0, where=real[:, None])
+    d = p.shape[1] - 1
+    # (coefficient, p or its derivative, row, root, re/im).  At a finite root
+    # Horner's first step from 0j gives (c, 0.0), so acc starts there and the
+    # derivative's leading 0.0 changes nothing; at a root that is not finite
+    # the Newton step comes out non-finite either way
+    c = np.zeros((d + 1, 2, len(p), 1, 2))
+    c[:, 0, :, 0, 0] = p.T
+    c[1:, 1, :, 0, 0] = p[:, :-1].T * np.arange(d, 0, -1.0)[:, None]
+    acc = np.repeat(c[0], x.shape[1], axis=-2)
+    xr, xs = x[..., :1], x[..., 1:] * _SIGNS
+    for ck in c[1:]:
+        swapped = acc[..., ::-1] * xs
+        acc *= xr
+        acc += swapped
+        acc += ck
+    num, dv = acc
+    with np.errstate(all="ignore"):    # a zero or non-finite derivative: no step
+        # Smith: divide through by the derivative's larger part, u
+        wide = np.abs(dv[..., :1]) >= np.abs(dv[..., 1:])
+        uv = np.where(wide, dv, dv[..., ::-1])
+        u, v = uv[..., 0], uv[..., 1]
+        ratio = v / u
+        den = (u + v * ratio)[..., None]
+        scaled = num * ratio[..., None]
+        step = (np.where(wide, num, scaled)
+                - np.where(wide, scaled[..., ::-1], num[..., ::-1]) * _SIGNS)
+        step = np.where(real[:, None, None], step / den, step * (1.0 / den))
+    return np.where(np.isfinite(step).all(axis=-1, keepdims=True),
+                    x - step, x).view(complex)[..., 0]
 
 
 def _roots(rows) -> list[np.ndarray]:
     """Roots of each row of ascending coefficients, one stacked ``eigvals`` call
-    per stripped degree.  As in ``np.roots``, a row stripped of its zero high-order
-    and constant terms gives its companion-matrix eigenvalues (none at degree 0),
-    then one zero root per zero constant term; each root gets one Newton polish.
-    Raises :class:`LtiError` for a row whose companion matrix is not finite."""
+    per (stripped degree, number of zero constant terms).  As in ``np.roots``,
+    a row stripped of its zero high-order and constant terms gives its
+    companion-matrix eigenvalues (none at degree 0), then one zero root per
+    zero constant term.  Then one ``_newton`` call polishes every root of
+    every row, each row left-padded with 0.0 to the largest degree, with the
+    bits of a loop over the row's roots in the type a one-row ``eigvals``
+    gives them: float64 for a real spectrum, complex128 otherwise.  Raises
+    :class:`LtiError` for a row whose companion matrix is not finite."""
     polys = [Polynomial(row) for row in rows]
-    found = [None] * len(polys)
-    groups: dict[int, list[tuple[int, int]]] = {}    # stripped degree -> (row, zero roots)
+    degree = max(poly.degree for poly in polys)
+    full = np.zeros((len(polys), degree + 1))    # descending, left-padded with 0.0
+    roots = np.zeros((len(polys), degree), complex)
+    groups: dict[tuple[int, int], list[int]] = {}    # (stripped degree, zero roots) -> rows
     for i, poly in enumerate(polys):
+        full[i, degree - poly.degree:] = poly.coeffs[::-1]
         lo = next((k for k, c in enumerate(poly.coeffs) if c), 0)    # 0 for the zero row
-        groups.setdefault(poly.degree - lo, []).append((i, lo))
-    for n, members in groups.items():
-        p = np.array([polys[i].coeffs[lo:][::-1] for i, lo in members])    # descending
-        companion = np.zeros((len(members), n, n))
+        groups.setdefault((poly.degree - lo, lo), []).append(i)
+    for (n, lo), members in groups.items():
+        p = full[members, degree - n - lo:degree - lo + 1]
         with np.errstate(over="ignore", invalid="ignore"):    # checked below
-            companion[:, :1] = (-p[:, 1:] / p[:, :1])[:, None]    # empty when n == 0
-        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        bad = ~(np.isfinite(p).all(axis=1) & np.isfinite(companion).all(axis=(1, 2)))
+            ratios = -p[:, 1:] / p[:, :1]    # the companion matrix's first row
+        bad = ~(np.isfinite(p).all(axis=1) & np.isfinite(ratios).all(axis=1))
         if bad.any():    # eigvals would reject the whole stack without naming a row
-            i = members[int(np.argmax(bad))][0]
+            i = members[int(np.argmax(bad))]
             raise LtiError(f"cannot find the roots of the polynomial {list(polys[i].coeffs)} "
                            f"(ascending): a coefficient or a ratio of two is not finite")
-        for (i, lo), eigs in zip(members, np.linalg.eigvals(companion)):
-            if not eigs.imag.any():    # real, as eigvals of this row alone returns it
-                eigs = eigs.real
-            found[i] = polys[i]._polish(np.concatenate((eigs, np.zeros(lo, eigs.dtype))))
-    return found
+        if n:
+            companion = np.zeros((len(members), n, n))
+            companion[:, 0] = ratios
+            companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            roots[members, :n] = np.linalg.eigvals(companion)
+    if degree:
+        real = ~roots.imag.any(axis=1)
+        for i in range(0, len(roots), _NEWTON_ROWS):
+            rows = slice(i, i + _NEWTON_ROWS)
+            roots[rows] = _newton(full[rows], roots[rows], real[rows])
+    return [r[:poly.degree] for r, poly in zip(roots, polys)]
 
 
 @dataclass(frozen=True)
@@ -233,9 +275,10 @@ def analytic_phase(g: TransferFunction, omega: float) -> float:
     """
     lead = g.num.coeffs[-1] / g.den.coeffs[-1]
     phase = 0.0 if lead > 0 else -math.pi
-    for z in g.num.roots():
+    zs, ps = _roots([g.num.coeffs, g.den.coeffs])
+    for z in zs:
         phase += _branch_angle(z, omega)
-    for p in g.den.roots():
+    for p in ps:
         phase -= _branch_angle(p, omega)
     return phase
 

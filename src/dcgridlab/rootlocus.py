@@ -9,7 +9,9 @@ feedback, and its characteristic polynomial gives one row per step, with each
 step's scalar bits.  One ``poles`` call then finds every step's closed-loop
 poles in one stacked eigenvalue solve per degree, and stability is
 classified.  Pole trajectories are matched step to step by the assignment of
-least total distance so they can be plotted as continuous branches.
+least total distance so they can be plotted as continuous branches: every
+step's assignments are scored at once, and the few steps whose two best
+scores nearly tie are decided again one at a time in branch order.
 """
 
 from __future__ import annotations
@@ -95,26 +97,51 @@ class LocusResult:
 
     @cached_property
     def _pairing(self) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+        """Each step's poles matched to the previous step's by the assignment of
+        least total distance, every step scored at once: with poles in
+        ``eigvals`` order, an assignment's cost does not depend on how the
+        branches were ordered before.  A step whose two best costs lie within
+        1e-12 relative, where the sum's order could decide, is decided again
+        in branch order, scoring every assignment in permutation order as a
+        one-step-at-a-time pairing does, so ties resolve the same way."""
         n = len(self.steps[0].poles)
         if any(len(s.poles) != n for s in self.steps):
             raise SweepError("pole count changes along the sweep; cannot pair")
-        # every assignment is scored: n! is 120 for the largest loop here (5 poles)
+        raw = np.array([s.poles for s in self.steps], dtype=complex)
+        # dist[k - 1, i, j]: from pole i of step k - 1 to pole j of step k
+        dist = np.empty((len(raw) - 1, n, n))
+        for i in range(n):
+            dist[:, i] = np.abs(raw[:-1, i, None] - raw[1:])
+        # every assignment is scored: n! is 120 for the largest loop here (5
+        # poles).  best and second hold each step's two least costs (NaN where
+        # a cost is NaN), pick the first assignment of least cost
+        best, second = np.full(len(dist), np.inf), np.full(len(dist), np.inf)
+        pick = np.zeros(len(dist), dtype=int)
         assignments = np.array(list(itertools.permutations(range(n))), dtype=int)
+        for t, perm in enumerate(assignments.tolist()):
+            cost = sum((dist[:, i, j] for i, j in enumerate(perm)), np.zeros(len(dist)))
+            pick[cost < best] = t
+            np.minimum(second, np.maximum(best, cost), out=second)
+            np.minimum(best, cost, out=best)
+        clear = second - best > 1e-12 * best
+        moves = assignments[pick].tolist()
         branch = np.arange(n)
-        paths = np.empty((len(self.steps), n), dtype=complex)
-        paths[0] = self.steps[0].poles
-        flags = []
-        for k, step in enumerate(self.steps[1:], start=1):
-            candidates = np.array(step.poles, dtype=complex)
-            dist = np.abs(paths[k - 1][:, None] - candidates[None, :])
-            chosen = assignments[np.argmin(dist[branch, assignments].sum(axis=1))]
-            paths[k] = candidates[chosen]
-            assigned = dist[branch, chosen]
-            dist[branch, chosen] = np.inf
-            unclear = np.nonzero(dist.min(axis=1) < 2.0 * assigned)[0]
-            flags += [(k, int(j)) for j in unclear]
+        order = [list(range(n))]    # order[k][b]: the step-k pole on branch b
+        for k, (move, ok) in enumerate(zip(moves, clear.tolist())):
+            if ok:
+                order.append([move[i] for i in order[-1]])
+            else:
+                d = dist[k][order[-1]]
+                order.append(assignments[np.argmin(d[branch, assignments].sum(axis=1))].tolist())
+        order = np.array(order, dtype=int)
+        steps = np.arange(len(dist))[:, None]
+        rows, cols = order[:-1], order[1:]
+        assigned = dist[steps, rows, cols]
+        dist[steps, rows, cols] = np.inf
+        unclear = dist.min(axis=2)[steps, rows] < 2.0 * assigned
+        paths = np.take_along_axis(raw, order, axis=1)
         paths.flags.writeable = False
-        return paths, tuple(flags)
+        return paths, tuple((int(k) + 1, int(b)) for k, b in zip(*np.nonzero(unclear)))
 
 
 def _locus(grid: GridConfig, sweep: ImpedanceSweep, build_loop) -> LocusResult:

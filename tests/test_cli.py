@@ -259,6 +259,18 @@ class TestRejectedAtLoad:
         assert "rated_powers [1e+308, 1e+308] must have a finite sum" in message
 
     @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
+    @pytest.mark.parametrize("kind", ["conventional", "cascade"])
+    def test_rated_power_with_a_vanishing_share(self, tmp_path, caplog, subcommand, kind):
+        # 1e-300 / 1e300 underflows to a weight of 0: the conventional scheme
+        # scored against weights (0.0, 1.0) and exited 0, and the cascade's
+        # error named the weights, not the ratings
+        message = self._rejected(tmp_path, caplog, [subcommand],
+                                 "[grid]\nrated_powers = 1e-300, 1e300\n"
+                                 f"[scheme]\nkind = {kind}\n")
+        assert ("rated_powers [1e-300, 1e+300] must each be a positive share "
+                "of their sum") in message
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
     def test_settling_span_under_two_plant_steps(self, tmp_path, caplog, subcommand):
         # used to write timeseries.csv, then exit 2 while scoring settling
         message = self._rejected(
@@ -314,16 +326,19 @@ CELL_KINDS = {"float64": lambda idx: CELL_POOL[idx],
 HELPER_ROWS = _CSV_HELPER_MIN_CHUNKS * _CSV_CHUNK_ROWS
 
 
+# row counts at the chunk edges, and either side of the helper's cutoff: odd and
+# even chunk counts, full and partial last chunks
+EDGE_ROWS = st.sampled_from((0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS,
+                             _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 1,
+                             HELPER_ROWS - _CSV_CHUNK_ROWS, HELPER_ROWS - 1,
+                             HELPER_ROWS, HELPER_ROWS + 1))
+
+
 @st.composite
-def csv_columns(draw):
+def csv_columns(draw, rows=EDGE_ROWS):
     """Columns of a few kinds drawn from CELL_POOL in repeating runs, so
     equal cells recur down a column, across columns and across chunks."""
-    n_rows = draw(st.sampled_from((0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS,
-                                   _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 1,
-                                   # either side of the helper's cutoff: odd and
-                                   # even chunk counts, full and partial last chunks
-                                   HELPER_ROWS - _CSV_CHUNK_ROWS, HELPER_ROWS - 1,
-                                   HELPER_ROWS, HELPER_ROWS + 1)))
+    n_rows = draw(rows)
     columns = []
     for kind in draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), min_size=1, max_size=6)):
         pattern = draw(st.lists(st.integers(0, len(CELL_POOL) - 1), min_size=1, max_size=6))
@@ -347,6 +362,26 @@ class TestWriteCsv:
                          for c, x in zip(columns, row))
                 for row in zip(*(c.tolist() for c in columns))]
         assert lines[2:] == want + [""]
+
+    # a draw writes both tables in 0.02-0.06 s on a 2-vCPU x86-64 VM
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_columns(st.integers(HELPER_ROWS + 1, 3 * HELPER_ROWS)))
+    def test_property_one_and_two_processes_write_the_same_bytes(
+            self, tmp_path, monkeypatch, caplog, columns):
+        caplog.set_level(logging.DEBUG, logger="dcgridlab")
+        header = [f"c{j}" for j in range(len(columns))]
+        written = []
+        for cpus, how in (({0}, "all in-process"),
+                          ({0, 1}, "odd chunks formatted by a helper process")):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            caplog.clear()
+            write_csv(tmp_path / "t.csv", self.MANIFEST, header, columns)
+            assert caplog.records[-1].getMessage().endswith(how)
+            written.append((tmp_path / "t.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_cells_follow_the_12g_rule(self, tmp_path):
         rows = [(-0.0, 5e-324, 1e22, 123456789012.5, math.inf, -math.inf,

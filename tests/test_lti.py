@@ -325,13 +325,13 @@ class TestPoles:
     def test_residual_small_after_polish(self):
         den = Polynomial([52.0, 2.4, 0.022, 6e-5])
         scale = math.sqrt(sum(c * c for c in den.coeffs))
-        for r in den.roots():
+        for r in _roots([den.coeffs])[0]:
             assert abs(den(r)) / scale < 1e-8
 
     def test_degree_six_against_companion_eigenvalues(self):
         for row in _degree_six_rows():
             coeffs_desc = np.array(row[::-1])
-            got = Polynomial(row).roots()
+            got = _roots([row])[0]
             # independent oracle: eigenvalues of a hand-built companion matrix
             monic = coeffs_desc / coeffs_desc[0]
             n = len(monic) - 1
@@ -369,38 +369,7 @@ class TestStackedRoots:
     @pytest.mark.parametrize("row", ROWS)
     def test_roots_equal_np_roots_then_polish(self, row):
         poly = Polynomial(row)
-        assert poly.roots().tobytes() == np_roots_polished(poly).tobytes()
-
-    def test_polish_gets_one_row_root_type(self, monkeypatch):
-        # the Newton polish rounds by its roots' type, numpy's complex128
-        # arithmetic or a real float64 item's, so a stacked solve must hand it
-        # the array a one-row call of that row does: a mixed-degree stack, real
-        # and complex spectra sharing a stripped degree, zero constant terms
-        rows = [(8.1, 2.08, 1.0), (6.0, 5.0, 1.0), (0.0, 8.1, 2.08, 1.0),
-                (0.0, 6.0, 5.0, 1.0), (0.0, 3.0), (0.0, 0.0, 1.0, 2.0),
-                (52.0, 2.4, 0.022, 6e-5), *_degree_six_rows(), (2.0,)]
-        handed = {}
-        polish = Polynomial._polish
-
-        def spy(poly, roots):
-            handed[poly.coeffs] = roots.copy()
-            return polish(poly, roots)
-
-        monkeypatch.setattr(Polynomial, "_polish", spy)
-        _roots(rows)
-        stacked = dict(handed)
-        assert len(stacked) == len(rows)
-        for row in rows:
-            handed.clear()
-            _roots([row])
-            (coeffs, one), = handed.items()
-            got = stacked[coeffs]
-            want = np.roots(coeffs[::-1]).dtype
-            assert got.dtype == one.dtype == want, row
-            assert want in (np.float64, np.complex128), row
-            assert got.tobytes() == one.tobytes(), row
-        assert {a.dtype for a in stacked.values()} == {np.dtype(np.float64),
-                                                       np.dtype(np.complex128)}
+        assert _roots([row])[0].tobytes() == np_roots_polished(poly).tobytes()
 
     def test_rows_equal_transfer_functions(self):
         # rows may differ in length; high-order zero padding is stripped
@@ -572,3 +541,55 @@ def test_property_batched_poles_equal_one_by_one(gs):
         return np.array(ps, dtype=complex).tobytes()
     rows = [g.den.coeffs for g in gs]
     assert [bits(ps) for ps in poles(rows)] == [bits(poles(g)) for g in gs]
+
+
+_ROOT = st.one_of(st.floats(-50.0, 50.0), st.floats(-5.0, 5.0).map(lambda x: round(x, 1)))
+
+
+@st.composite
+def stack_rows(draw):
+    """Ascending rows of degree 0-6 with 0-2 zero constant terms of either sign: drawn
+    coefficients, or a drawn spectrum whose roots are all real, or come in
+    conjugate pairs, and may repeat."""
+    degree = draw(st.integers(0, 6))
+    zeros = draw(st.integers(0, min(2, degree)))
+    n = degree - zeros
+    kind = draw(st.sampled_from(["coefficients", "real", "pairs"]))
+    if kind == "coefficients":
+        body = [draw(_COEFF) for _ in range(n)] + [draw(_COEFF.filter(lambda c: abs(c) >= 0.01))]
+    elif kind == "real":
+        roots = [draw(_ROOT) for _ in range(n)]
+        if n >= 2 and draw(st.booleans()):
+            roots[-1] = roots[0]
+    else:
+        roots = [draw(_ROOT) for _ in range(n % 2)]
+        for _ in range(n // 2):
+            pair = complex(draw(_ROOT), draw(_ROOT.filter(lambda x: x != 0.0)))
+            roots += [pair, pair.conjugate()]
+        if n >= 4 and draw(st.booleans()):
+            roots[-2:] = roots[-4:-2]
+    if kind != "coefficients":
+        lead = draw(st.sampled_from([1.0, -0.5, 3.0]))
+        body = (np.atleast_1d(np.real(np.poly(roots))) * lead)[::-1].tolist()
+    return tuple(draw(st.sampled_from([0.0, -0.0])) for _ in range(zeros)) + tuple(body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(stack_rows(), min_size=1, max_size=8))
+# real and complex spectra sharing a stripped degree, with and without zero
+# constant terms, next to other degrees
+@example([(8.1, 2.08, 1.0), (6.0, 5.0, 1.0), (0.0, 8.1, 2.08, 1.0),
+          (0.0, 6.0, 5.0, 1.0), (0.0, 3.0), (0.0, 0.0, 1.0, 2.0),
+          (52.0, 2.4, 0.022, 6e-5), *_degree_six_rows(), (2.0,), (0.0,)])
+# s^4 + s^2 with a -0.0 linear term: the 0.0 that Horner's "+ c" adds to the
+# imaginary part decides a zero's sign
+@example([(0.0, -0.0, 1.0, 0.0, 1.0)])
+# a real spectrum whose Newton step is CPython's quotient, and a complex one
+# whose step is numpy's: each rounds otherwise under the other's division
+@example([(2.6360205985498584e-206, 9.327496024468239e-153, 0.0, 1.0, 1.0),
+          (1.2, 1.0, 1.2, 1.0)])
+def test_property_stacked_roots_equal_np_roots_then_polish(rows):
+    # the array Newton step against the one-root-at-a-time loop, each root in
+    # the type np.roots gives it
+    for row, got in zip(rows, _roots(rows)):
+        assert got.tobytes() == np_roots_polished(Polynomial(row)).tobytes(), row

@@ -1,9 +1,12 @@
 """Impedance-sweep pole trajectories and stability classification."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal
 from scipy.optimize import linear_sum_assignment
 
@@ -132,6 +135,74 @@ class TestPairing:
             rows, cols = linear_sum_assignment(dist)
             moved = np.abs(paths[k] - paths[k - 1]).sum()
             assert moved == pytest.approx(dist[rows, cols].sum(), rel=1e-12)
+
+
+def sequential_pairing(steps):
+    """The pairing one step at a time, in branch order: every assignment
+    scored in permutation order, the first of least total distance taken."""
+    n = len(steps[0].poles)
+    assignments = np.array(list(itertools.permutations(range(n))), dtype=int)
+    branch = np.arange(n)
+    paths = np.empty((len(steps), n), dtype=complex)
+    paths[0] = steps[0].poles
+    flags = []
+    for k, step in enumerate(steps[1:], start=1):
+        candidates = np.array(step.poles, dtype=complex)
+        dist = np.abs(paths[k - 1][:, None] - candidates[None, :])
+        chosen = assignments[np.argmin(dist[branch, assignments].sum(axis=1))]
+        paths[k] = candidates[chosen]
+        assigned = dist[branch, chosen]
+        dist[branch, chosen] = np.inf
+        unclear = np.nonzero(dist.min(axis=1) < 2.0 * assigned)[0]
+        flags += [(k, int(j)) for j in unclear]
+    return paths, flags
+
+
+# a pole part: any, or on a coarse grid, or rounded to one decimal, so poles
+# repeat and distances tie
+_PART = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                  st.floats(-5.0, 5.0).map(lambda x: round(x, 1)))
+
+
+@st.composite
+def loci(draw):
+    """2-8 steps of n = 1-5 poles, each new, a duplicate or the conjugate of
+    an earlier pole of its step."""
+    n = draw(st.integers(1, 5))
+    steps = []
+    for _ in range(draw(st.integers(2, 8))):
+        ps = []
+        for _ in range(n):
+            kind = draw(st.sampled_from(["new", "duplicate", "conjugate"])) if ps else "new"
+            p = complex(draw(_PART), draw(_PART)) if kind == "new" else draw(st.sampled_from(ps))
+            ps.append(p.conjugate() if kind == "conjugate" else p)
+        steps.append(LocusStep(1.0, 1.0, tuple(ps), True))
+    return tuple(steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(loci())
+# a conjugate pair that meets on the real axis and splits again: the split's
+# two assignments cost the same
+@example(tuple(LocusStep(1.0, 1.0, ps, True) for ps in
+               [(-1 + 1j, -1 - 1j), (-1 + 0j, -1 + 0j), (-1 + 1j, -1 - 1j)]))
+def test_property_pairing_equals_sequential(steps):
+    # all steps scored at once in eigvals order, near-ties decided again in
+    # branch order, against the one-step-at-a-time loop
+    locus = LocusResult(steps=steps)
+    paths, flags = sequential_pairing(steps)
+    assert locus.trajectories().tobytes() == paths.tobytes()
+    assert locus.pairing_ambiguities() == flags
+
+
+@pytest.mark.parametrize("mode", ["power", "as-written", "closed-inner"])
+def test_sweep_pairing_equals_sequential(grid, mode):
+    sweep = ImpedanceSweep(r_min=0.1, r_max=2.0, ratio_r_over_l=RATIO, steps=200)
+    locus = (sweep_power_loop(grid, POWER_PI, sweep) if mode == "power" else
+             sweep_voltage_loop(grid, POWER_PI, VOLTAGE_PI, sweep, mode=mode))
+    paths, flags = sequential_pairing(locus.steps)
+    assert locus.trajectories().tobytes() == paths.tobytes()
+    assert locus.pairing_ambiguities() == flags
 
 
 class TestVoltageLoopSweep:
