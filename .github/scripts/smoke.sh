@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke checks of the installed `dcgrid-lab` console script: every subcommand
 # runs, reruns of rootlocus, simulate and compare are byte-identical, the dense
-# root loci are those of a one-step-at-a-time scalar path, the full-size
+# and mixed-L/R root loci are those of a one-step-at-a-time scalar path, the full-size
 # timeseries follows the per-cell %.12g rule whether one process or two format
 # it, and a verbose run logs its events and its CSV.  Needs
 # `dcgrid-lab` and `taskset` on PATH and `python` able to import dcgridlab;
@@ -37,11 +37,12 @@ for c in dense dense-ci mixed mixed-ci; do
   cmp ${c}1/rootlocus_voltage.csv ${c}2/rootlocus_voltage.csv
 done
 
-# the stacked solve's array Newton step and the whole-sweep pairing change no
-# bit: the dense loci, in both outer-plant modes, must be those of a scalar
+# the stacked solve's array Newton step, the per-step arrays and the array
+# L/R decision change no bit: the dense loci, and the mixed ones whose steps
+# have 3/4 or 4/5 poles, in both outer-plant modes, must be those of a scalar
 # path, one step at a time: the step's own characteristic polynomial, then
 # np.roots, then one Newton step per root in that root's own type, then %.12g
-for c in dense dense-ci; do
+for c in dense dense-ci mixed mixed-ci; do
   for loop in power voltage; do
     python - $c.ini $loop > ${c}1/scalar_$loop.csv <<'PY'
 import cmath, dataclasses, sys

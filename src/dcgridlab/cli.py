@@ -395,13 +395,10 @@ def cmd_compare(cfg: RunConfig, outdir: Path, manifest: RunManifest,
 
 def _locus_columns(result: LocusResult):
     """One row per pole: the step's impedance, the pole and the step's verdict."""
-    per_step = [len(step.poles) for step in result.steps]
-    poles = np.array([p for step in result.steps for p in step.poles],
-                     dtype=complex)
-    return (np.repeat([step.resistance for step in result.steps], per_step),
-            np.repeat([step.inductance for step in result.steps], per_step),
-            poles.real, poles.imag,
-            np.repeat([int(step.stable) for step in result.steps], per_step))
+    counts = result.counts
+    poles = result.poles[np.arange(result.poles.shape[1]) < counts[:, None]]
+    return (np.repeat(result.resistance, counts), np.repeat(result.inductance, counts),
+            poles.real, poles.imag, np.repeat(result.stable.astype(int), counts))
 
 
 def cmd_rootlocus(cfg: RunConfig, outdir: Path, manifest: RunManifest,

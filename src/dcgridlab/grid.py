@@ -153,11 +153,28 @@ def _same_time_constant(l1, r2, l2, r1) -> bool:
     turns inf for a tiny R, and no product underflows to 0."""
     # each float is an integer ratio n/d; x and y are both products over one
     # common denominator
-    (l1, dl1), (r2, dr2), (l2, dl2), (r1, dr1) = (
-        v.as_integer_ratio() for v in (l1, r2, l2, r1))
+    (l1, dl1), (r2, dr2), (l2, dl2), (r1, dr1) = (v.as_integer_ratio() for v in (l1, r2, l2, r1))
     x, y = l1 * r2 * dl2 * dr1, l2 * r1 * dl1 * dr2
     tol, tol_den = (1e-9).as_integer_ratio()
     return abs(x - y) * tol_den <= tol * max(x, y)
+
+
+def _same_time_constants(l1, r2, l2, r1) -> np.ndarray:
+    """``_same_time_constant`` at every step, as arrays.  With each float
+    written m * 2**e, m in [1/2, 1), L1*R2 and L2*R1 over their common power
+    of two are products of mantissas, in [1/4, 1), each rounded once, one of
+    them shifted by at most 64 bits (further is far from equal).  The float64
+    test of the 1e-9 band then errs by less than 2**-48 of the larger
+    product, so only a step within that of the band's edge, or one that is
+    not finite, takes the exact rule."""
+    l1, r2, l2, r1 = np.broadcast_arrays(l1, r2, l2, r1)    # 0-d for one cable
+    (a, ea), (b, eb), (c, ec), (d, ed) = (np.frexp(v) for v in (l1, r2, l2, r1))
+    x, y = np.ldexp(a * b, np.clip(ea + eb - ec - ed, -64, 64)), c * d
+    gap, edge = np.abs(x - y) - 1e-9 * np.maximum(x, y), 2.0 ** -48 * np.maximum(x, y)
+    equal = np.array(gap < 0.0)
+    for k in np.flatnonzero(~(np.abs(gap) > edge)):
+        equal.flat[k] = _same_time_constant(*(float(v.flat[k]) for v in (l1, r2, l2, r1)))
+    return equal
 
 
 def bus_voltage_source_weights(grid: GridConfig) -> tuple[TransferFunction, TransferFunction]:
@@ -167,14 +184,14 @@ def bus_voltage_source_weights(grid: GridConfig) -> tuple[TransferFunction, Tran
     the weights sum to one at every frequency.  When both cables have the
     same time constant L/R, numerator and denominator share the factor
     (1 + s*L/R), cancelled here, and the weights are the constants
-    R2/(R1+R2) and R1/(R1+R2).  Per-step cables are decided step by step:
-    each step with equal L/R gets its constant weight w in the divider's
-    form, as w/1 padded with s-terms 0.0, which ``Polynomial`` trims when
-    every step (or the one scalar cable) has equal L/R.
+    R2/(R1+R2) and R1/(R1+R2).  Per-step cables are decided at every step
+    at once (``_same_time_constants``): each step with equal L/R gets its
+    constant weight w in the divider's form, as w/1 padded with s-terms 0.0,
+    which ``Polynomial`` trims when every step (or the one scalar cable) has
+    equal L/R.
     """
     c1, c2 = (c.cable for c in grid.converters)
-    equal = np.vectorize(_same_time_constant, otypes=[bool])(
-        c1.inductance, c2.resistance, c2.inductance, c1.resistance)
+    equal = _same_time_constants(c1.inductance, c2.resistance, c2.inductance, c1.resistance)
     rsum = c1.resistance + c2.resistance
     w1, w2 = c2.resistance / rsum, c1.resistance / rsum
     z1, z2 = c1.impedance(), c2.impedance()

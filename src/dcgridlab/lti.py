@@ -161,45 +161,48 @@ def _newton(p, roots, real):
                     x - step, x).view(complex)[..., 0]
 
 
-def _roots(rows) -> list[np.ndarray]:
-    """Roots of each row of ascending coefficients, one stacked ``eigvals`` call
-    per (stripped degree, number of zero constant terms).  As in ``np.roots``,
-    a row stripped of its zero high-order and constant terms gives its
-    companion-matrix eigenvalues (none at degree 0), then one zero root per
-    zero constant term.  Then one ``_newton`` call polishes every root of
-    every row, each row left-padded with 0.0 to the largest degree, with the
-    bits of a loop over the row's roots in the type a one-row ``eigvals``
-    gives them: float64 for a real spectrum, complex128 otherwise.  Raises
-    :class:`LtiError` for a row whose companion matrix is not finite."""
-    polys = [Polynomial(row) for row in rows]
-    degree = max(poly.degree for poly in polys)
-    full = np.zeros((len(polys), degree + 1))    # descending, left-padded with 0.0
-    roots = np.zeros((len(polys), degree), complex)
-    groups: dict[tuple[int, int], list[int]] = {}    # (stripped degree, zero roots) -> rows
-    for i, poly in enumerate(polys):
-        full[i, degree - poly.degree:] = poly.coeffs[::-1]
-        lo = next((k for k, c in enumerate(poly.coeffs) if c), 0)    # 0 for the zero row
-        groups.setdefault((poly.degree - lo, lo), []).append(i)
-    for (n, lo), members in groups.items():
-        p = full[members, degree - n - lo:degree - lo + 1]
+def _roots(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of each row of an ascending coefficient matrix whose rows may end
+    in zeros of either sign, so one matrix holds several degrees: ``(roots,
+    degree)``, row i's roots being ``roots[i, :degree[i]]``, then 0j.  One
+    stacked ``eigvals`` call per (stripped degree, number of zero constant
+    terms): as in ``np.roots``, a row stripped of its zero high-order and
+    constant terms gives its companion-matrix eigenvalues (none at degree 0),
+    then one zero root per zero constant term.  Then ``_newton`` polishes
+    every root of every row, each row left-padded to the largest degree with
+    its own high-order zeros, with the bits of a loop over the row's roots in
+    the type a one-row ``eigvals`` gives them: float64 for a real spectrum,
+    complex128 otherwise.  A padding zero's sign changes no bit: while Horner's
+    sum at a finite root is a signed zero, each ``+ c`` leaves its imaginary
+    part +0.0, and adding the row's leading coefficient gives exactly that
+    coefficient, as when the sum starts there.
+    Raises :class:`LtiError` for a row whose companion matrix is not finite."""
+    nonzero, cols = rows != 0.0, np.arange(rows.shape[1])
+    degree = (nonzero * cols).max(axis=1)    # 0 for the zero row, as for its Polynomial
+    lo = np.argmax(nonzero, axis=1)    # zero constant terms
+    d = int(degree.max())
+    full = rows[:, d::-1]    # descending
+    roots = np.zeros((len(rows), d), complex)
+    for n, zeros in sorted(set(zip((degree - lo).tolist(), lo.tolist()))):
+        members = np.flatnonzero((degree - lo == n) & (lo == zeros))
+        p = full[members, d - n - zeros:d - zeros + 1]
         with np.errstate(over="ignore", invalid="ignore"):    # checked below
             ratios = -p[:, 1:] / p[:, :1]    # the companion matrix's first row
         bad = ~(np.isfinite(p).all(axis=1) & np.isfinite(ratios).all(axis=1))
         if bad.any():    # eigvals would reject the whole stack without naming a row
-            i = members[int(np.argmax(bad))]
-            raise LtiError(f"cannot find the roots of the polynomial {list(polys[i].coeffs)} "
-                           f"(ascending): a coefficient or a ratio of two is not finite")
+            row = np.trim_zeros(rows[members[np.argmax(bad)]], "b").tolist()
+            raise LtiError(f"cannot find the roots of the polynomial {row} (ascending): "
+                           f"a coefficient or a ratio of two is not finite")
         if n:
             companion = np.zeros((len(members), n, n))
             companion[:, 0] = ratios
             companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
             roots[members, :n] = np.linalg.eigvals(companion)
-    if degree:
-        real = ~roots.imag.any(axis=1)
-        for i in range(0, len(roots), _NEWTON_ROWS):
-            rows = slice(i, i + _NEWTON_ROWS)
-            roots[rows] = _newton(full[rows], roots[rows], real[rows])
-    return [r[:poly.degree] for r, poly in zip(roots, polys)]
+    for i in range(0, len(roots), _NEWTON_ROWS):
+        chunk = slice(i, i + _NEWTON_ROWS)
+        roots[chunk] = _newton(full[chunk], roots[chunk], ~roots[chunk].imag.any(axis=1))
+    roots[cols[:d] >= degree[:, None]] = 0.0
+    return roots, degree
 
 
 @dataclass(frozen=True)
@@ -244,13 +247,14 @@ def tf_feedback(forward: TransferFunction,
     return TransferFunction(num, den)
 
 
-def poles(g: TransferFunction | Sequence) -> list:
-    """Denominator roots; empty for a constant denominator.  A sequence of
-    ascending denominator rows, of any lengths, gives one list per row from one
-    stacked eigenvalue solve per degree."""
+def poles(g: TransferFunction | np.ndarray):
+    """Denominator roots as a list; empty for a constant denominator.  A matrix
+    of ascending denominator rows gives ``_roots``' arrays instead: every
+    row's roots from one stacked eigenvalue solve per degree, and their
+    counts."""
     if isinstance(g, TransferFunction):
-        return poles([g.den.coeffs])[0]
-    return [list(r) for r in _roots(g)]
+        return list(_roots(np.array([g.den.coeffs]))[0][0])
+    return _roots(g)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +279,10 @@ def analytic_phase(g: TransferFunction, omega: float) -> float:
     """
     lead = g.num.coeffs[-1] / g.den.coeffs[-1]
     phase = 0.0 if lead > 0 else -math.pi
-    zs, ps = _roots([g.num.coeffs, g.den.coeffs])
-    for z in zs:
+    r, (nz, npl) = _roots(np.array(list(zip_longest(g.num.coeffs, g.den.coeffs, fillvalue=0.0))).T)
+    for z in r[0, :nz]:
         phase += _branch_angle(z, omega)
-    for p in ps:
+    for p in r[1, :npl]:
         phase -= _branch_angle(p, omega)
     return phase
 

@@ -8,24 +8,29 @@ inductance hold one value per step; ``tf_feedback`` closes it through unity
 feedback, and its characteristic polynomial gives one row per step, with each
 step's scalar bits.  One ``poles`` call then finds every step's closed-loop
 poles in one stacked eigenvalue solve per degree, and stability is
-classified.  Pole trajectories are matched step to step by the assignment of
-least total distance so they can be plotted as continuous branches: every
-step's assignments are scored at once, and the few steps whose two best
-scores nearly tie are decided again one at a time in branch order.
+classified.  A sweep stays in arrays from the characteristic polynomial to
+the CSV: a :class:`LocusResult` holds each step's cable, its poles and their
+count, which varies where the cables' L/R is equal at some steps only, and
+builds per-step objects only when a caller asks for ``steps``.  Pole
+trajectories are matched step to step by the assignment of least total
+distance so they can be plotted as continuous branches: every step's
+assignments are scored at once, and the few steps whose two best scores
+nearly tie are decided again one at a time in branch order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .control import PiGains
-from .grid import (CableParams, ConverterParams, GridConfig, GridModelError,
-                   pi_tf, power_plant_tf, voltage_loop_plant_tf)
+from .grid import (CableParams, GridConfig, GridModelError, pi_tf, power_plant_tf,
+                   voltage_loop_plant_tf)
 from .lti import LtiError, poles, tf, tf_feedback, tf_series
 
 
@@ -52,36 +57,55 @@ class ImpedanceSweep:
         if self.steps * 8 > np.iinfo(np.intp).max:    # numpy indexes arrays in bytes
             raise SweepError(f"steps {self.steps!r}: numpy indexes at most "
                              f"{np.iinfo(np.intp).max // 8} float64 entries")
-        # every step's cable lies between these two
-        for r in (self.r_min, self.r_max):
+        # every step's cable lies between these two, the ends resistances() gives
+        with np.errstate(over="ignore"):    # an end that overflows is inf, rejected below
+            ends = np.power(10.0, [math.log10(self.r_min), math.log10(self.r_max)])
+        for name, r in zip(("r_min", "r_max"), ends.tolist()):
             try:
                 CableParams(resistance=r, inductance=r / self.ratio_r_over_l)
             except GridModelError as exc:
-                raise SweepError(f"the swept cable at r = {r!r} ohm: {exc}") from exc
+                raise SweepError(f"the swept cable at r = {r!r} ohm ({name}): {exc}") from exc
 
     def resistances(self) -> np.ndarray:
         return np.logspace(math.log10(self.r_min), math.log10(self.r_max), self.steps)
 
 
-@dataclass(frozen=True)
-class LocusStep:
-    resistance: float
-    inductance: float
-    poles: tuple[complex, ...]
-    stable: bool
+# one step of a LocusResult, as its ``steps`` builds it on first use: ohm,
+# henry, the step's poles as a tuple of complex and their stability verdict
+LocusStep = namedtuple("LocusStep", "resistance inductance poles stable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocusResult:
-    steps: tuple[LocusStep, ...]
+    """A sweep as per-step arrays: step k's cable, ``resistance[k]`` and
+    ``inductance[k]``, and its ``counts[k]`` poles ``poles[k, :counts[k]]`` in
+    ``eigvals`` order, then 0j up to the most poles of any step."""
+
+    resistance: np.ndarray    # (steps,) ohm
+    inductance: np.ndarray    # (steps,) henry
+    poles: np.ndarray         # (steps, most poles) complex
+    counts: np.ndarray        # (steps,) int
+
+    @cached_property
+    def stable(self) -> np.ndarray:
+        """Per step: all its poles in the open left half plane, which the 0j
+        padding never is."""
+        return (self.poles.real < 0).sum(axis=1) == self.counts
+
+    @cached_property
+    def steps(self) -> tuple[LocusStep, ...]:
+        """The steps as objects, built on first use."""
+        poles = (tuple(ps[:n]) for ps, n in zip(self.poles, self.counts.tolist()))
+        return tuple(map(LocusStep, self.resistance.tolist(), self.inductance.tolist(),
+                         poles, self.stable.tolist()))
 
     @property
     def all_stable(self) -> bool:
-        return all(s.stable for s in self.steps)
+        return bool(self.stable.all())
 
     @property
     def terminal_dominant_pole(self) -> complex:
-        return max(self.steps[-1].poles, key=lambda p: p.real)
+        return max(self.poles[-1, :self.counts[-1]], key=lambda p: p.real)
 
     def trajectories(self) -> np.ndarray:
         """Pole paths as a read-only (n_steps, n_poles) array, matched step to step."""
@@ -104,14 +128,11 @@ class LocusResult:
         1e-12 relative, where the sum's order could decide, is decided again
         in branch order, scoring every assignment in permutation order as a
         one-step-at-a-time pairing does, so ties resolve the same way."""
-        n = len(self.steps[0].poles)
-        if any(len(s.poles) != n for s in self.steps):
+        raw, n = self.poles, self.poles.shape[1]
+        if (self.counts != n).any():
             raise SweepError("pole count changes along the sweep; cannot pair")
-        raw = np.array([s.poles for s in self.steps], dtype=complex)
         # dist[k - 1, i, j]: from pole i of step k - 1 to pole j of step k
-        dist = np.empty((len(raw) - 1, n, n))
-        for i in range(n):
-            dist[:, i] = np.abs(raw[:-1, i, None] - raw[1:])
+        dist = np.abs(raw[:-1, :, None] - raw[1:, None])
         # every assignment is scored: n! is 120 for the largest loop here (5
         # poles).  best and second hold each step's two least costs (NaN where
         # a cost is NaN), pick the first assignment of least cost
@@ -148,24 +169,18 @@ def _locus(grid: GridConfig, sweep: ImpedanceSweep, build_loop) -> LocusResult:
     try:    # every statement here allocates per-step arrays
         rs = sweep.resistances()
         ls = rs / sweep.ratio_r_over_l
-        c0 = grid.converters[0]
         # one grid whose first cable holds every step, checked by its constructors
-        conv = ConverterParams(c0.rated_power, c0.voltage_loop_tau, CableParams(rs, ls))
+        conv = replace(grid.converters[0], cable=CableParams(rs, ls))
         with np.errstate(over="ignore", invalid="ignore"):    # as quiet as Python floats
             loop = build_loop(GridConfig((conv,) + grid.converters[1:], grid.nominal_bus_voltage))
             char = tf_feedback(loop, tf([1.0], [1.0])).den
-        chars = np.empty((sweep.steps, len(char.coeffs)))    # ascending, a row per step
-        for k, c in enumerate(char.coeffs):
-            chars[:, k] = c
+        # ascending, a row per step
+        chars = np.stack([np.broadcast_to(c, rs.shape) for c in char.coeffs], axis=1)
         bad = np.flatnonzero(~np.isfinite(chars).all(axis=1))
         if bad.size:    # an overflowed loop; eigvals would reject it without naming a step
-            k = bad[0]
-            raise LtiError(f"sweep step {k} at r = {rs[k]:g} ohm: closed-loop characteristic "
-                           f"polynomial {chars[k].tolist()} is not finite")
-        return LocusResult(steps=tuple(
-            LocusStep(resistance=r, inductance=l, poles=tuple(ps),
-                      stable=all(p.real < 0 for p in ps))
-            for r, l, ps in zip(rs.tolist(), ls.tolist(), poles(chars.tolist()))))
+            raise LtiError(f"sweep step {bad[0]} at r = {rs[bad[0]]:g} ohm: closed-loop "
+                           f"characteristic polynomial {chars[bad[0]].tolist()} is not finite")
+        return LocusResult(rs, ls, *poles(chars))
     except MemoryError as exc:
         raise LtiError(f"sweep steps {sweep.steps!r}: the per-step arrays do not "
                        f"fit in memory: {exc}") from exc

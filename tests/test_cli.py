@@ -245,6 +245,25 @@ class TestRejectedAtLoad:
         assert proc.stderr.splitlines() == [f"ERROR dcgridlab: {message}"]
         assert match in message and "finite reciprocal" in message
 
+    @pytest.mark.parametrize("subcommand", ["rootlocus", "simulate"])
+    def test_sweep_end_that_overflows(self, tmp_path, caplog, subcommand):
+        # 10**log10(r_max) overflows to inf, the end resistances() gives:
+        # rootlocus printed numpy's RuntimeWarning, wrote config_effective.ini
+        # and exited 1 as "cable inductance inf", naming no sweep key
+        text = "[sweep]\nr_max = 1.7976931348623157e308\n"
+        message = self._rejected(tmp_path, caplog, [subcommand], text)
+        assert "swept cable at r = inf ohm (r_max): cable inductance inf" in message
+        src = str(Path(dcgridlab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-c",
+             "import sys; from dcgridlab.cli import main; sys.exit(main())",
+             subcommand, "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "p")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=""))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"ERROR dcgridlab: {message}"]
+        assert not (tmp_path / "p").exists()
+
     @pytest.mark.parametrize("argv", [
         ["tune"], ["simulate"], ["compare"], ["rootlocus"], ["bode", "--plant", "unity"]])
     @pytest.mark.parametrize("kind", ["conventional", "cascade"])

@@ -325,13 +325,13 @@ class TestPoles:
     def test_residual_small_after_polish(self):
         den = Polynomial([52.0, 2.4, 0.022, 6e-5])
         scale = math.sqrt(sum(c * c for c in den.coeffs))
-        for r in _roots([den.coeffs])[0]:
+        for r in row_roots([den.coeffs])[0]:
             assert abs(den(r)) / scale < 1e-8
 
     def test_degree_six_against_companion_eigenvalues(self):
         for row in _degree_six_rows():
             coeffs_desc = np.array(row[::-1])
-            got = _roots([row])[0]
+            got = row_roots([row])[0]
             # independent oracle: eigenvalues of a hand-built companion matrix
             monic = coeffs_desc / coeffs_desc[0]
             n = len(monic) - 1
@@ -340,6 +340,22 @@ class TestPoles:
             comp[:, -1] = -monic[1:][::-1]
             want = np.linalg.eigvals(comp)
             assert_roots_paired(got, want)
+
+
+def padded(rows, signs=(), extra=0):
+    """The rows as one ascending matrix ``extra`` columns wider than the
+    longest row, each padded with 0.0, or with ``signs``' zeros in turn."""
+    width = max(len(row) for row in rows) + extra
+    zeros = iter(signs)
+    return np.array([list(row) + [next(zeros, 0.0) for _ in range(width - len(row))]
+                     for row in rows])
+
+
+def row_roots(rows, signs=(), extra=0):
+    """Each row's roots, from one ``_roots`` call on the padded matrix."""
+    roots, degree = _roots(padded(rows, signs, extra))
+    assert not roots[np.arange(roots.shape[1]) >= degree[:, None]].any()
+    return [r[:n] for r, n in zip(roots, degree)]
 
 
 def np_roots_polished(poly):
@@ -352,7 +368,8 @@ def np_roots_polished(poly):
     for root in np.roots(poly.coeffs[::-1]):
         dv = d(root)
         if abs(dv) > 0.0:
-            step = poly(root) / dv
+            with np.errstate(over="ignore", invalid="ignore"):    # checked below
+                step = poly(root) / dv
             if np.isfinite(step):
                 root = root - step
         polished.append(root)
@@ -369,14 +386,17 @@ class TestStackedRoots:
     @pytest.mark.parametrize("row", ROWS)
     def test_roots_equal_np_roots_then_polish(self, row):
         poly = Polynomial(row)
-        assert _roots([row])[0].tobytes() == np_roots_polished(poly).tobytes()
+        assert row_roots([row])[0].tobytes() == np_roots_polished(poly).tobytes()
 
     def test_rows_equal_transfer_functions(self):
-        # rows may differ in length; high-order zero padding is stripped
-        ragged = [(6.0, 5.0, 1.0), (0.0, 2.0, 1.0), (2.0, 1.0)]
-        padded = np.array([[6.0, 5.0, 1.0], [0.0, 2.0, 1.0], [2.0, 1.0, 0.0]])
-        gs = [tf([1.0], row) for row in ragged]
-        assert poles(ragged) == poles(padded) == [poles(g) for g in gs]
+        # rows may end in zeros of either sign, which are stripped: a row's
+        # roots are those of its own transfer function, then 0j
+        ragged = [(6.0, 5.0, 1.0), (0.0, 2.0, 1.0), (2.0, 1.0), (3.0,)]
+        roots, counts = poles(padded(ragged, (-0.0, 0.0, -0.0)))
+        assert counts.tolist() == [2, 2, 1, 0]
+        assert [list(r[:n]) for r, n in zip(roots, counts)] == [
+            poles(tf([1.0], row)) for row in ragged]
+        assert roots[2:].tolist() == [[-2 + 0j, 0j], [0j, 0j]]
 
     @pytest.mark.parametrize("row", [(1.0, math.inf), (math.nan, 2.0, 1.0),
                                      (1e300, 1e-300)])
@@ -384,7 +404,7 @@ class TestStackedRoots:
         # an inf or NaN coefficient, or a ratio of two that overflows (the
         # root -1e600): eigvals used to reject the stack with a LinAlgError
         with pytest.raises(LtiError, match=r"roots of the polynomial \[") as exc:
-            poles([(2.0, 1.0), row])
+            poles(padded([(2.0, 1.0), row]))
         assert str(list(Polynomial(row).coeffs)) in str(exc.value)
 
 
@@ -539,8 +559,8 @@ def test_property_batched_poles_equal_one_by_one(gs):
     # one stacked eigvals call per degree gives each row its own call's bits
     def bits(ps):
         return np.array(ps, dtype=complex).tobytes()
-    rows = [g.den.coeffs for g in gs]
-    assert [bits(ps) for ps in poles(rows)] == [bits(poles(g)) for g in gs]
+    roots, counts = poles(padded([g.den.coeffs for g in gs]))
+    assert [bits(r[:n]) for r, n in zip(roots, counts)] == [bits(poles(g)) for g in gs]
 
 
 _ROOT = st.one_of(st.floats(-50.0, 50.0), st.floats(-5.0, 5.0).map(lambda x: round(x, 1)))
@@ -575,21 +595,28 @@ def stack_rows(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(stack_rows(), min_size=1, max_size=8))
+@given(st.lists(stack_rows(), min_size=1, max_size=8),
+       st.lists(st.sampled_from([0.0, -0.0]), max_size=60), st.integers(0, 2))
 # real and complex spectra sharing a stripped degree, with and without zero
 # constant terms, next to other degrees
 @example([(8.1, 2.08, 1.0), (6.0, 5.0, 1.0), (0.0, 8.1, 2.08, 1.0),
           (0.0, 6.0, 5.0, 1.0), (0.0, 3.0), (0.0, 0.0, 1.0, 2.0),
-          (52.0, 2.4, 0.022, 6e-5), *_degree_six_rows(), (2.0,), (0.0,)])
+          (52.0, 2.4, 0.022, 6e-5), *_degree_six_rows(), (2.0,), (0.0,)], [], 0)
 # s^4 + s^2 with a -0.0 linear term: the 0.0 that Horner's "+ c" adds to the
 # imaginary part decides a zero's sign
-@example([(0.0, -0.0, 1.0, 0.0, 1.0)])
+@example([(0.0, -0.0, 1.0, 0.0, 1.0)], [], 0)
 # a real spectrum whose Newton step is CPython's quotient, and a complex one
 # whose step is numpy's: each rounds otherwise under the other's division
 @example([(2.6360205985498584e-206, 9.327496024468239e-153, 0.0, 1.0, 1.0),
-          (1.2, 1.0, 1.2, 1.0)])
-def test_property_stacked_roots_equal_np_roots_then_polish(rows):
+          (1.2, 1.0, 1.2, 1.0)], [], 0)
+# the first 3-pole and 4-pole rows of the as-written voltage locus of
+# tests/test_rootlocus.py's MIXED_SWEEP, as its one matrix holds them
+@example([(61.07833333333333, 15.950666666666669, 1.1190833333333334, 0.005, 0.0),
+          (36.647, 9.790282000000001, 0.7341024191847846, 0.00708623021040125,
+           1.815690057238664e-05)], [], 0)
+def test_property_stacked_roots_equal_np_roots_then_polish(rows, signs, extra):
     # the array Newton step against the one-root-at-a-time loop, each root in
-    # the type np.roots gives it
-    for row, got in zip(rows, _roots(rows)):
+    # the type np.roots gives it; the rows share one matrix, padded with high-
+    # order zeros of either sign, so degrees drop inside it
+    for row, got in zip(rows, row_roots(rows, signs, extra)):
         assert got.tobytes() == np_roots_polished(Polynomial(row)).tobytes(), row

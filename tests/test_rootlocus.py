@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy import signal
 from scipy.optimize import linear_sum_assignment
 
+from dcgridlab import rootlocus
+from dcgridlab.cli import _locus_columns, main
 from dcgridlab.config import POWER_PI, VOLTAGE_PI
 from dcgridlab.grid import (CableParams, default_grid, pi_tf, power_plant_tf,
                             voltage_loop_plant_tf)
@@ -111,10 +113,18 @@ class TestPowerLoopSweep:
         assert power_locus.pairing_ambiguities() == []
 
 
+def locus_of(steps):
+    """A LocusResult holding these steps of equal pole counts."""
+    return LocusResult(np.array([s.resistance for s in steps]),
+                       np.array([s.inductance for s in steps]),
+                       np.array([s.poles for s in steps], dtype=complex),
+                       np.array([len(s.poles) for s in steps]))
+
+
 class TestPairing:
     def test_least_total_distance_not_greedy(self):
         # nearest-first would send 0 -> 0.55 and leave 1 -> -0.6 (total 2.15)
-        locus = LocusResult(steps=(
+        locus = locus_of((
             LocusStep(0.1, 0.1 / RATIO, (0j, 1 + 0j), True),
             LocusStep(0.2, 0.2 / RATIO, (0.55 + 0j, -0.6 + 0j), False)))
         paths = locus.trajectories()
@@ -129,7 +139,7 @@ class TestPairing:
         steps = tuple(LocusStep(1.0, 1.0, tuple(rng.normal(size=n)
                                                 + 1j * rng.normal(size=n)), True)
                       for _ in range(20))
-        paths = LocusResult(steps=steps).trajectories()
+        paths = locus_of(steps).trajectories()
         for k in range(1, len(steps)):
             dist = np.abs(paths[k - 1][:, None] - np.array(steps[k].poles)[None, :])
             rows, cols = linear_sum_assignment(dist)
@@ -189,7 +199,7 @@ def loci(draw):
 def test_property_pairing_equals_sequential(steps):
     # all steps scored at once in eigvals order, near-ties decided again in
     # branch order, against the one-step-at-a-time loop
-    locus = LocusResult(steps=steps)
+    locus = locus_of(steps)
     paths, flags = sequential_pairing(steps)
     assert locus.trajectories().tobytes() == paths.tobytes()
     assert locus.pairing_ambiguities() == flags
@@ -273,6 +283,40 @@ class TestStackedSolve:
         # a loop gain of -1 makes 1 + L(s) identically zero at every step
         with pytest.raises(DegenerateLoopError, match="algebraic loop"):
             _locus(grid, default_sweep, lambda g: tf([-1.0], [1.0]))
+
+
+class TestLocusArrays:
+    @pytest.mark.parametrize("mode", ["as-written", "closed-inner"])
+    def test_csv_columns_concatenate_the_steps(self, grid, mode):
+        # a ragged locus: 3/4 or 4/5 poles per step
+        locus = sweep_voltage_loop(grid, POWER_PI, VOLTAGE_PI, MIXED_SWEEP, mode=mode)
+        r, l, re, im, stable = _locus_columns(locus)
+        steps = locus.steps
+        counts = [len(s.poles) for s in steps]
+        assert len(set(counts)) == 2 and locus.counts.tolist() == counts
+        assert r.tolist() == np.repeat([s.resistance for s in steps], counts).tolist()
+        assert l.tolist() == np.repeat([s.inductance for s in steps], counts).tolist()
+        poles = np.array([p for s in steps for p in s.poles])
+        assert re.tobytes() == poles.real.tobytes() and im.tobytes() == poles.imag.tobytes()
+        assert stable.tolist() == np.repeat([int(s.stable) for s in steps], counts).tolist()
+        assert locus.all_stable == all(s.stable for s in steps)
+        assert locus.terminal_dominant_pole == max(steps[-1].poles, key=lambda p: p.real)
+
+    def test_ragged_locus_cannot_pair(self, grid):
+        locus = sweep_voltage_loop(grid, POWER_PI, VOLTAGE_PI, MIXED_SWEEP)
+        with pytest.raises(SweepError, match="pole count changes along the sweep"):
+            locus.trajectories()
+
+    def test_rootlocus_command_builds_no_steps(self, grid, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(rootlocus, "LocusStep", lambda *step: built.append(step))
+        ini = tmp_path / "mixed.ini"
+        ini.write_text("[sweep]\nr_min = 0.1\nratio_r_over_l = 166.66666683333332\n")
+        assert main(["rootlocus", "--config", str(ini), "--out", str(tmp_path / "o")]) == 0
+        assert built == []
+        # the spy sees the steps a caller asks for
+        sweep = dataclasses.replace(MIXED_SWEEP, steps=50)
+        assert len(sweep_power_loop(grid, POWER_PI, sweep).steps) == len(built) == 50
 
 
 def step_samples(g, dt, n_steps):
