@@ -3,7 +3,7 @@
 # runs, reruns of rootlocus, simulate and compare are byte-identical, the dense
 # and mixed-L/R root loci are those of a one-step-at-a-time scalar path, the full-size
 # timeseries follows the per-cell %.12g rule whether one process or two format
-# it, and a verbose run logs its events and its CSV.  Needs
+# it, and a verbose run logs its events, its periods and its CSV.  Needs
 # `dcgrid-lab` and `taskset` on PATH and `python` able to import dcgridlab;
 # writes only into a fresh temporary directory.
 #
@@ -89,15 +89,22 @@ dcgrid-lab compare --out c2
 cmp c1/comparison.csv c2/comparison.csv
 
 # and where periods fall back to tick-by-tick stepping: a 20 kW step that
-# drives PIs to their clamps, and an activation off the secondary grid whose
-# first bus-voltage update lands one period after it
+# drives PIs to their clamps, an activation off the secondary grid whose
+# first bus-voltage update lands one period after it, and a clamp first met
+# by the second period of a block of mapped periods (converter 2's power
+# reference clamps through periods 51 and 53 after the 1 s step, not 52)
 printf '[scenario]\nload_steps = 1.0:2000.0, 20.0:20000.0\n' > clamped.ini
 printf '[scenario]\nactivation_time = 5.005\n' > late.ini
-for c in clamped late; do
+printf '[scheme]\nvoltage_kp = 300.0\nvoltage_ki = 2000.0\n[scenario]\nactivation_time = 0.5\nduration = 3.0\nload_steps = 0.2:2000.0, 1.0:11800.0\n' > midblock.ini
+for c in clamped late midblock; do
   dcgrid-lab simulate --config $c.ini --out ${c}1
   dcgrid-lab simulate --config $c.ini --out ${c}2
   cmp ${c}1/timeseries.csv ${c}2/timeseries.csv
+  cmp ${c}1/itae.json ${c}2/itae.json
 done
+DCGRIDLAB_VERBOSE=1 dcgrid-lab simulate --config midblock.ini --out midblock3 2> midblock.txt
+grep -q "DEBUG dcgridlab.sim: run: 145 secondary periods advanced by period maps, 5 ticked; blocks cut short by a test: 2" midblock.txt
+cmp midblock1/timeseries.csv midblock3/timeseries.csv
 
 # the writer formats each distinct float of a chunk once; on the full 250k-row
 # bench-default timeseries (tier-1 runs a 30k-row one) its rows must be those
@@ -122,9 +129,12 @@ DCGRIDLAB_VERBOSE=1 taskset -c 0 dcgrid-lab simulate --out one 2> one.txt
 grep -q "DEBUG dcgridlab: wrote timeseries.csv: 250000 rows in 250 chunks, all in-process" one.txt
 cmp one/timeseries.csv s1/timeseries.csv
 
-# a verbose run logs each applied event on stderr, then each CSV it writes
+# a verbose run logs each applied event on stderr, then the run's periods
+# (advanced by maps, ticked, and blocks of mapped periods cut short), then
+# each CSV it writes
 DCGRIDLAB_VERBOSE=1 dcgrid-lab simulate --out v 2> stderr.txt
 cat stderr.txt
 grep -q "DEBUG dcgridlab.sim: tick 5000 (t = 5 s): secondary control activated" stderr.txt
+grep -q "DEBUG dcgridlab.sim: run: 1247 secondary periods advanced by period maps, 3 ticked; blocks cut short by a test: 0" stderr.txt
 grep -q "DEBUG dcgridlab: wrote timeseries.csv: 250000 rows in 250 chunks, odd chunks formatted by a helper process" stderr.txt
 echo "smoke checks passed"

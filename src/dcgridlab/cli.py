@@ -92,8 +92,16 @@ def _format_chunk(columns: list, floats: list, start: int) -> bytes:
     # (shape (0, rows) when there is none)
     block = np.array([c for c, f in zip(chunk, floats) if f],
                      np.float64).reshape(-1, len(chunk[0]))
-    # numpy 2.0 shapes the inverse unlike later versions: reshaped below
-    uniq, inv = np.unique(block.view(np.int64), return_inverse=True)
+    # the distinct bit patterns, ascending, as np.unique finds them, from one
+    # stable sort (its runs follow the columns' runs) and a hand-built inverse
+    keys = block.view(np.int64).ravel()
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(keys), bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inv = np.empty(len(keys), np.intp)
+    inv[order] = np.cumsum(first) - 1
+    uniq = ordered[first]
     text = "%.12g\n" * len(uniq) % tuple(uniq.view(np.float64).tolist())
     strings = np.array(text.split("\n"), object)[inv.reshape(block.shape)]
     formatted = iter(strings.tolist())

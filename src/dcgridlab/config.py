@@ -7,9 +7,11 @@ study.  Unknown sections or keys are errors; a silent typo in a gain name
 would otherwise corrupt a comparison.  Every number must be finite.  Every
 object the file describes (grid, gains, tuning specs, scenario, sweep) is
 built and checked at load, so a bad file exits before any output is written:
-crossovers must be > 0 and margins lie in (0, 180) degrees, and each scored
+crossovers must be > 0 and margins lie in (0, 180) degrees, each scored
 event needs its ITAE window inside the run and at least two plant steps
-before the next scored event.
+before the next scored event, and each swept loop needs a finite
+characteristic polynomial at the sweep's last step where it has one at the
+first.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional
 from .control import CascadeScheme, ConventionalScheme, PiGains, weights_from_ratings
 from .grid import (OUTER_PLANT_MODES, CableParams, ConverterParams, GridConfig,
                    default_grid)
-from .rootlocus import ImpedanceSweep
+from .rootlocus import ImpedanceSweep, check_last_step
 from .sim import LoadProfile, Scenario
 from .tuning import TuningSpec
 
@@ -235,6 +237,7 @@ def load_config(path: Optional[str] = None) -> RunConfig:
             raw=raw,
         )
         scenario.scored_events()    # the scoring's bounds, checked before any output
+        check_last_step(grid, power_pi, voltage_pi, cfg.sweep, t["outer_plant_mode"])
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

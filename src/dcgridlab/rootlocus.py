@@ -20,6 +20,7 @@ nearly tie are decided again one at a time in branch order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -165,17 +166,24 @@ class LocusResult:
         return paths, tuple((int(k) + 1, int(b)) for k, b in zip(*np.nonzero(unclear)))
 
 
+def _characteristic_rows(grid: GridConfig, rs: np.ndarray, ls: np.ndarray,
+                         build_loop) -> np.ndarray:
+    """Ascending closed-loop characteristic polynomial coefficients, a row
+    per step, of the loop ``build_loop`` makes of one grid whose first cable
+    holds every step's resistance ``rs`` and inductance ``ls``."""
+    # the constructors check every step's cable
+    conv = replace(grid.converters[0], cable=CableParams(rs, ls))
+    with np.errstate(over="ignore", invalid="ignore"):    # as quiet as Python floats
+        loop = build_loop(GridConfig((conv,) + grid.converters[1:], grid.nominal_bus_voltage))
+        char = tf_feedback(loop, tf([1.0], [1.0])).den
+    return np.stack([np.broadcast_to(c, rs.shape) for c in char.coeffs], axis=1)
+
+
 def _locus(grid: GridConfig, sweep: ImpedanceSweep, build_loop) -> LocusResult:
     try:    # every statement here allocates per-step arrays
         rs = sweep.resistances()
         ls = rs / sweep.ratio_r_over_l
-        # one grid whose first cable holds every step, checked by its constructors
-        conv = replace(grid.converters[0], cable=CableParams(rs, ls))
-        with np.errstate(over="ignore", invalid="ignore"):    # as quiet as Python floats
-            loop = build_loop(GridConfig((conv,) + grid.converters[1:], grid.nominal_bus_voltage))
-            char = tf_feedback(loop, tf([1.0], [1.0])).den
-        # ascending, a row per step
-        chars = np.stack([np.broadcast_to(c, rs.shape) for c in char.coeffs], axis=1)
+        chars = _characteristic_rows(grid, rs, ls, build_loop)
         bad = np.flatnonzero(~np.isfinite(chars).all(axis=1))
         if bad.size:    # an overflowed loop; eigvals would reject it without naming a step
             raise LtiError(f"sweep step {bad[0]} at r = {rs[bad[0]]:g} ohm: closed-loop "
@@ -186,22 +194,48 @@ def _locus(grid: GridConfig, sweep: ImpedanceSweep, build_loop) -> LocusResult:
                        f"fit in memory: {exc}") from exc
 
 
+def _power_loop(gains: PiGains):
+    """Builds converter 0's open power loop on a grid."""
+    return lambda g: tf_series(pi_tf(gains), power_plant_tf(g, 0))
+
+
+def _voltage_loop(power_gains: PiGains, voltage_gains: PiGains, mode: str):
+    """Builds converter 0's open bus-voltage loop on a grid."""
+    return lambda g: tf_series(pi_tf(voltage_gains),
+                               voltage_loop_plant_tf(g, 0, power_gains, mode=mode))
+
+
 def sweep_power_loop(grid: GridConfig, gains: PiGains,
                      sweep: ImpedanceSweep) -> LocusResult:
     """Closed power-loop poles of converter 0 as its cable impedance grows."""
-    def build(g: GridConfig):
-        return tf_series(pi_tf(gains), power_plant_tf(g, 0))
-    return _locus(grid, sweep, build)
+    return _locus(grid, sweep, _power_loop(gains))
 
 
 def sweep_voltage_loop(grid: GridConfig, power_gains: PiGains,
                        voltage_gains: PiGains, sweep: ImpedanceSweep,
                        mode: str = "as-written") -> LocusResult:
     """Closed bus-voltage-loop poles of converter 0 along the same sweep."""
-    def build(g: GridConfig):
-        plant = voltage_loop_plant_tf(g, 0, power_gains, mode=mode)
-        return tf_series(pi_tf(voltage_gains), plant)
-    return _locus(grid, sweep, build)
+    return _locus(grid, sweep, _voltage_loop(power_gains, voltage_gains, mode))
+
+
+@functools.lru_cache(maxsize=8)
+def check_last_step(grid: GridConfig, power_gains: PiGains, voltage_gains: PiGains,
+                    sweep: ImpedanceSweep, mode: str) -> None:
+    """Raise :class:`SweepError`, naming ``r_max``, where a loop's closed-loop
+    characteristic polynomial, as the sweep computes it, is finite at the
+    sweep's first step but not at its last.  (A loop that overflows at both
+    ends does so for its gains, which the sweep reports with its step.)
+    Memoized: building the loops takes about 1 ms, and a caller may load one
+    configuration several times."""
+    rs = replace(sweep, steps=2).resistances()    # the sweep's first and last steps
+    for name, build in (("power", _power_loop(power_gains)),
+                        ("voltage", _voltage_loop(power_gains, voltage_gains, mode))):
+        first, last = _characteristic_rows(grid, rs, rs / sweep.ratio_r_over_l, build).tolist()
+        if all(map(math.isfinite, first)) and not all(map(math.isfinite, last)):
+            raise SweepError(
+                f"[sweep] r_max {sweep.r_max!r}: at the last step, r = {rs[1]:g} ohm, "
+                f"the {name} loop's closed-loop characteristic polynomial {last} "
+                f"is not finite")
 
 
 def max_resistance_bound(grid: GridConfig) -> float:

@@ -13,13 +13,18 @@ therefore enters as a state jump whose split follows the inductive divider.
 - events act on control ticks only, at round(t / control_dt), and each
   applied event logs one DEBUG line; :class:`Scenario` accepts only times
   within 1e-9 of a whole tick count;
+- between events, whole secondary periods advance by the closed loop's
+  linear period maps, in blocks, while no clamp can act; a run logs one
+  DEBUG line with how many periods the maps advanced and how many ran tick
+  by tick;
 - telemetry (the neighbor power feeding the cascade reference) arrives one
   control period old, and droop and the cascade's inner power PI run every
   control period; the coordination layer (the bus-voltage PIs and the
   conventional current-sharing PI) updates once per secondary period, seeing
   the neighbor one secondary period old;
 - every row agrees with control ticks stepped one by one within ~1e-13 of its
-  column's peak, and the PIs clamp at the same ticks;
+  column's peak, and the PIs clamp at the same ticks; how mapped periods are
+  grouped into blocks changes no bit;
 - a non-finite state raises :class:`SimulationDiverged` at the control tick
   that finds it;
 - identical scenarios produce bit-identical results.
@@ -351,6 +356,51 @@ def _period_map(loop: _ControlLoop, k0: int, x: np.ndarray):
     return rows, refs, tests, np.tile(limits, loop.n_sec) * (1 - 1e-9), nxt
 
 
+# the most periods a block of mapped periods spans: it bounds the block's
+# temporaries (its clamp tests are 256 x 200 floats on bench defaults, 0.4
+# MB) on long runs, while its fixed cost (pack, checks, unpack) stays under
+# 1% of its products
+_MAX_BLOCK = 256
+
+
+def _advance(loop: _ControlLoop, maps, x: np.ndarray, flat: np.ndarray,
+             inputs: np.ndarray, k0: int, count: int) -> int:
+    """Advance up to ``count`` event-free secondary periods from tick k0 by
+    the period maps ``maps``, from the plant state x: write each period's
+    plant rows into ``flat`` and its references into ``inputs``, then check
+    every period's results and clamp tests at once.  The loop takes the state
+    after the last period that passes; returns how many passed, the leading
+    ones.  A later period's rows may be written, to be written over."""
+    rows, refs, tests, bound, nxt = maps
+    span, size = len(rows), len(loop.phi)
+    z, z_next = np.empty((count, len(nxt))), np.empty((count, len(nxt)))
+    tested = np.empty((count, len(tests)))
+    # 0.0 at z's prev_error entries (3 per PI after the plant's 4, before the
+    # registers' 8), -0.0 elsewhere
+    zero = np.full(len(nxt), -0.0)
+    zero[5:-8:3] = 0.0
+    periods = flat[k0 * size:k0 * size + count * span].reshape(count, span)
+    held = inputs[k0:k0 + count * loop.n_sec].reshape(count, -1)
+    z[0] = loop.pack(x)
+    for b in range(count):
+        np.dot(rows, z[b], out=periods[b])
+        np.dot(refs, z[b], out=held[b])
+        np.matmul(nxt, z[b], out=z_next[b])
+        np.matmul(tests, z[b], out=tested[b])
+        if b + 1 < count:
+            # pack(x) after unpack(z_next): each prev_error + 0.0, as pack's
+            # "or 0.0" turns -0.0 into 0.0, every other entry + -0.0, which
+            # keeps it; then the plant state from the period's last row
+            np.add(z_next[b], zero, out=z[b + 1])
+            z[b + 1, :4] = periods[b, -4:]
+    passed = (np.isfinite(periods).all(axis=1) & np.isfinite(z_next).all(axis=1)
+              & (np.abs(tested) < bound).all(axis=1))
+    done = count if passed.all() else int(np.argmin(passed))
+    if done:
+        loop.unpack(z_next[done - 1])
+    return done
+
+
 def run(scenario: Scenario) -> SimResult:
     """Simulate one scenario; raises :class:`SimulationDiverged` on blow-up.
 
@@ -358,13 +408,26 @@ def run(scenario: Scenario) -> SimResult:
     updated, advances by the :func:`_period_map` of the ``active`` flags
     unless a value that a clamp tests comes within 1e-9 of its limit or a
     result is not finite.  Any other period, the last, partial one included,
-    runs tick by tick."""
+    runs tick by tick.
+
+    Consecutive mapped periods advance in blocks (:func:`_advance`): each
+    period takes the same matrix-vector products of its maps as it would
+    alone, so a block changes no bit, and the block's results and clamp tests
+    are checked in one pass.  A block ends before the next period that holds
+    an event or is partial.  It spans at most two periods at the start and
+    after any period that ran tick by tick, where clamps are likeliest, and at
+    most twice as many as the block before after one that passed, up to
+    ``_MAX_BLOCK``.  The first period that fails a test runs tick by tick,
+    from the state after the ones before it.  Logs one DEBUG line per run: the
+    periods advanced by maps, the periods ticked and the blocks that a test
+    cut short."""
     grid = scenario.grid
     loop = _ControlLoop(scenario)
     n_sub = round(scenario.control_dt / scenario.plant_dt)
     n_ctl = round(scenario.duration / scenario.control_dt)
     n_rows = scenario.n_rows
     n_sec, size = loop.n_sec, len(loop.phi)
+    n_full = n_ctl // n_sec    # the secondary periods that end by the horizon
     maps = {}    # active flags -> _period_map
 
     try:
@@ -378,27 +441,28 @@ def run(scenario: Scenario) -> SimResult:
     flat = states.reshape(-1)        # a view: row r is flat[4 r:4 r + 4]
 
     x = np.zeros(4)
-    for k0 in range(0, n_ctl, n_sec):
-        k1 = min(k0 + n_sec, n_ctl)
-        periods = flat[k0 * size:k1 * size]
-        if (k1 - k0 == n_sec and k0 // n_sec not in loop.eventful
+    mapped = ticked = cut = 0
+    period, width = 0, 2
+    while period * n_sec < n_ctl:
+        if (period < n_full and period not in loop.eventful
                 and all(getattr(unit, name).prev_error is not None
                         for unit in loop.units if unit.active
                         for name in unit.PI_NAMES)):
             active = tuple(unit.active for unit in loop.units)
             if active not in maps:
-                maps[active] = _period_map(loop, k0, x)
-            rows, refs, tests, bound, nxt = maps[active]
-            z = loop.pack(x)
-            np.dot(rows, z, out=periods)
-            np.dot(refs, z, out=inputs[k0:k1].reshape(-1))
-            z_next = nxt @ z
-            if (np.isfinite(periods).all() and np.isfinite(z_next).all()
-                    and (np.abs(tests @ z) < bound).all()):
-                loop.unpack(z_next)
-                x = periods[-4:]
+                maps[active] = _period_map(loop, period * n_sec, x)
+            end = min([period + width, n_full] + [p for p in loop.eventful if p > period])
+            done = _advance(loop, maps[active], x, flat, inputs, period * n_sec,
+                            end - period)
+            mapped, period = mapped + done, period + done
+            if done:
+                x = flat[period * n_sec * size - 4:period * n_sec * size]
+            if period == end:
+                width = min(2 * width, _MAX_BLOCK)
                 continue
-        for k in range(k0, k1):
+            cut += 1
+        k0 = period * n_sec
+        for k in range(k0, min(k0 + n_sec, n_ctl)):
             block = flat[k * size:(k + 1) * size]
             _, inputs[k] = loop.period(k, x, block)
             x = block[-4:]
@@ -407,6 +471,9 @@ def run(scenario: Scenario) -> SimResult:
                     time_grid[(k + 1) * n_sub - 1], x, inputs[k],
                     [f"converter {n} {name}" for n, name, pi in loop.pis()
                      if abs(pi.out) >= pi.limit])
+        ticked, period, width = ticked + 1, period + 1, 2
+    log.debug("run: %d secondary periods advanced by period maps, %d ticked; "
+              "blocks cut short by a test: %d", mapped, ticked, cut)
 
     term = states[:, 0:2]
     curr = states[:, 2:4]
@@ -416,7 +483,7 @@ def run(scenario: Scenario) -> SimResult:
         current=curr,
         terminal_voltage=term,
         bus_voltage=states @ loop.c_vg,
-        regulated_voltage=term.mean(axis=1),
+        regulated_voltage=(states[:, 0] + states[:, 1]) / 2,
         voltage_reference=np.repeat(inputs, n_sub, axis=0),
         weights=weights_from_ratings(grid.rated_powers),
     )
@@ -430,17 +497,18 @@ SETTLING_BAND = 0.02    # of the largest deviation in the window
 
 
 def _window_slice(result: SimResult, start: float,
-                  length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the samples in (start, start + length], and their times from start."""
+                  length: float) -> tuple[slice, np.ndarray]:
+    """The samples in (start, start + length], each bound 1e-12 later, as a
+    slice of the (increasing) time grid, and their times from start."""
     if start + length > result.time[-1] + 1e-12:
         raise SimulationError(
             f"window [{start:g}, {start + length:g}] exceeds the simulated span")
     t = result.time
-    mask = (t > start + 1e-12) & (t <= start + length + 1e-12)
-    if np.count_nonzero(mask) < 2:
+    lo, hi = np.searchsorted(t, (start + 1e-12, start + length + 1e-12), side="right")
+    if hi - lo < 2:
         raise SimulationError(
             f"window [{start:g}, {start + length:g}] holds fewer than 2 samples")
-    return mask, t[mask] - start
+    return slice(lo, hi), t[lo:hi] - start
 
 
 def itae_voltage(result: SimResult, window_start: float) -> float:
@@ -450,8 +518,8 @@ def itae_voltage(result: SimResult, window_start: float) -> float:
     Time is measured from the window start; the integrand uses the mean of
     the two converter terminal voltages against the nominal reference.
     """
-    m, t = _window_slice(result, window_start, DEFAULT_ITAE_WINDOW)
-    err = np.abs(result.regulated_voltage[m])
+    w, t = _window_slice(result, window_start, DEFAULT_ITAE_WINDOW)
+    err = np.abs(result.regulated_voltage[w])
     return float(np.trapezoid(t * err, t))
 
 
@@ -462,9 +530,9 @@ def itae_current(result: SimResult, window_start: float) -> float:
     Current references are the rated-power shares of the total measured
     current at each sample.
     """
-    m, t = _window_slice(result, window_start, DEFAULT_ITAE_WINDOW)
-    total = result.current[m].sum(axis=1)
-    err = sum(np.abs(result.weights[i] * total - result.current[m][:, i])
+    w, t = _window_slice(result, window_start, DEFAULT_ITAE_WINDOW)
+    total = result.current[w].sum(axis=1)
+    err = sum(np.abs(result.weights[i] * total - result.current[w][:, i])
               for i in range(2))
     return float(np.trapezoid(t * err, t))
 
@@ -480,8 +548,8 @@ def voltage_settling(result: SimResult, window_start: float,
     ``math.inf`` when the voltage is still outside the band at the window's
     last sample.
     """
-    m, t = _window_slice(result, window_start, window_length)
-    err = np.abs(result.regulated_voltage[m])
+    w, t = _window_slice(result, window_start, window_length)
+    err = np.abs(result.regulated_voltage[w])
     outside = np.nonzero(err > max(SETTLING_BAND * float(err.max()), 0.05))[0]
     if len(outside) == 0:
         return 0.0

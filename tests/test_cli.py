@@ -264,6 +264,30 @@ class TestRejectedAtLoad:
         assert proc.stderr.splitlines() == [f"ERROR dcgridlab: {message}"]
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("subcommand", ["rootlocus", "simulate"])
+    def test_sweep_whose_loop_overflows_at_its_last_step(self, tmp_path, caplog,
+                                                         subcommand):
+        # the closed-inner loop squares the inductance, which overflows from
+        # r = 1e154 ohm on: rootlocus exited 2 naming sweep step 26 after
+        # writing config_effective.ini, and simulate ran
+        text = ("[sweep]\nr_max = 1e300\nratio_r_over_l = 1.0\n\n"
+                "[tuning]\nouter_plant_mode = closed-inner\n")
+        message = self._rejected(tmp_path, caplog, [subcommand], text)
+        assert message.startswith("config error: [sweep] r_max 1e+300: at the last "
+                                  "step, r = 1e+300 ohm, the voltage loop's closed-loop "
+                                  "characteristic polynomial [")
+        assert message.endswith("] is not finite")
+        src = str(Path(dcgridlab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-c",
+             "import sys; from dcgridlab.cli import main; sys.exit(main())",
+             subcommand, "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "p")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=""))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"ERROR dcgridlab: {message}"]
+        assert not (tmp_path / "p").exists()
+
     @pytest.mark.parametrize("argv", [
         ["tune"], ["simulate"], ["compare"], ["rootlocus"], ["bode", "--plant", "unity"]])
     @pytest.mark.parametrize("kind", ["conventional", "cascade"])
@@ -530,11 +554,10 @@ class TestRootlocus:
         assert header[1] == "r1_ohm,l1_h,pole_re,pole_im,stable"
 
     def test_overflowing_loop_exits_numerical(self, tmp_path):
-        # the closed-inner loop squares the inductance, which overflows from
-        # r = 1e154 ohm on; numpy's eigvals once died on the inf with a
-        # LinAlgError traceback
-        cfgp = write(tmp_path, "[sweep]\nr_max = 1e300\nratio_r_over_l = 1.0\n\n"
-                     "[tuning]\nouter_plant_mode = closed-inner\n")
+        # the PI's 1.2e308 gains overflow the power loop at every step of the
+        # sweep, its first included; numpy's eigvals once died on such an inf
+        # with a LinAlgError traceback
+        cfgp = write(tmp_path, "[scheme]\npower_kp = 1.2e308\npower_ki = 1.2e308\n")
         src = str(Path(dcgridlab.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -544,8 +567,8 @@ class TestRootlocus:
             env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 2
         [line] = proc.stderr.splitlines()
-        assert line.startswith("ERROR dcgridlab: numerical failure: sweep step 26 "
-                               "at r = 5.17947e+158 ohm: ")
+        assert line.startswith("ERROR dcgridlab: numerical failure: sweep step 0 "
+                               "at r = 0.1 ohm: ")
         assert line.endswith(" is not finite")
 
 
@@ -671,10 +694,12 @@ class TestSimulate:
         if verbose != "1":
             assert lines == []
             return
-        # the two load steps and the activation, then the CSV
-        assert [line.split(":")[0] for line in lines] == ["DEBUG dcgridlab.sim"] * 3 + [
+        # the two load steps and the activation, the run's periods, then the CSV
+        assert [line.split(":")[0] for line in lines] == ["DEBUG dcgridlab.sim"] * 4 + [
             "DEBUG dcgridlab"]
-        assert lines[3] in (
+        assert lines[3] == ("DEBUG dcgridlab.sim: run: 147 secondary periods advanced "
+                            "by period maps, 3 ticked; blocks cut short by a test: 0")
+        assert lines[4] in (
             "DEBUG dcgridlab: wrote timeseries.csv: 30000 rows in 30 chunks, "
             "odd chunks formatted by a helper process",
             "DEBUG dcgridlab: wrote timeseries.csv: 30000 rows in 30 chunks, all in-process")

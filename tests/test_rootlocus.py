@@ -13,11 +13,14 @@ from scipy.optimize import linear_sum_assignment
 from dcgridlab import rootlocus
 from dcgridlab.cli import _locus_columns, main
 from dcgridlab.config import POWER_PI, VOLTAGE_PI
+from dcgridlab.control import PiGains
 from dcgridlab.grid import (CableParams, default_grid, pi_tf, power_plant_tf,
                             voltage_loop_plant_tf)
-from dcgridlab.lti import DegenerateLoopError, poles, tf, tf_feedback, tf_series
+from dcgridlab.lti import (DegenerateLoopError, LtiError, poles, tf, tf_feedback,
+                           tf_series)
 from dcgridlab.rootlocus import (ImpedanceSweep, LocusResult, LocusStep,
-                                 SweepError, _locus,
+                                 SweepError, _characteristic_rows, _locus,
+                                 _power_loop, _voltage_loop, check_last_step,
                                  max_resistance_bound, sweep_power_loop,
                                  sweep_voltage_loop)
 
@@ -74,6 +77,51 @@ class TestSweepValidation:
         assert rs[-1] == pytest.approx(2.0)
         # at the top of the range: 2 ohm at the fixed ratio means 12 mH
         assert rs[-1] / RATIO == pytest.approx(0.012)
+
+
+# r_max = 1e300 at R/L = 1: the closed-inner loop squares the inductance,
+# which overflows from r = 1e154 ohm on; the as-written loop stays finite
+OVERFLOWING_SWEEP = ImpedanceSweep(r_min=0.1, r_max=1e300, ratio_r_over_l=1.0, steps=50)
+
+
+class TestLastStepCheck:
+    @pytest.mark.parametrize("sweep", [
+        ImpedanceSweep(r_min=0.1, r_max=2.0, ratio_r_over_l=RATIO, steps=50),
+        # equal L/R at some steps only: 3 or 4 power-loop poles along the sweep
+        ImpedanceSweep(r_min=0.1, r_max=2.0, ratio_r_over_l=166.66666683333332, steps=1000),
+        OVERFLOWING_SWEEP])
+    @pytest.mark.parametrize("mode", ["as-written", "closed-inner"])
+    def test_ends_are_the_sweeps_own_rows(self, grid, sweep, mode):
+        # the check's two rows are the sweep's first and last, bit for bit,
+        # but for the zero high-order terms that a step with equal L/R pads
+        # with where the others have none
+        rs = sweep.resistances()
+        ends = dataclasses.replace(sweep, steps=2).resistances()
+        assert ends.tobytes() == rs[[0, -1]].tobytes()
+        for build in (_power_loop(POWER_PI), _voltage_loop(POWER_PI, VOLTAGE_PI, mode)):
+            want = _characteristic_rows(grid, rs, rs / sweep.ratio_r_over_l, build)
+            got = _characteristic_rows(grid, ends, ends / sweep.ratio_r_over_l, build)
+            width = got.shape[1]
+            assert got.tobytes() == want[[0, -1], :width].tobytes()
+            assert not want[[0, -1], width:].any()
+
+    def test_loop_that_overflows_at_the_last_step_rejected(self, grid):
+        with pytest.raises(SweepError, match=r"^\[sweep\] r_max 1e\+300: at the last step, "
+                           r"r = 1e\+300 ohm, the voltage loop's .* is not finite$"):
+            check_last_step(grid, POWER_PI, VOLTAGE_PI, OVERFLOWING_SWEEP, "closed-inner")
+        check_last_step(grid, POWER_PI, VOLTAGE_PI, OVERFLOWING_SWEEP, "as-written")
+        # the sweep itself still names the first step that overflows
+        with pytest.raises(LtiError, match=r"^sweep step 26 at r = 5\.17947e\+158 ohm: "
+                           r"closed-loop characteristic polynomial \[.*\] is not finite$"):
+            sweep_voltage_loop(grid, POWER_PI, VOLTAGE_PI, OVERFLOWING_SWEEP,
+                               mode="closed-inner")
+
+    def test_gains_that_overflow_every_step_left_to_the_sweep(self, grid, default_sweep):
+        # not the sweep's range: the check passes, and the sweep reports step 0
+        gains = PiGains(kp=1.2e308, ki=1.2e308)
+        check_last_step(grid, gains, VOLTAGE_PI, default_sweep, "as-written")
+        with pytest.raises(LtiError, match=r"^sweep step 0 at r = 0\.1 ohm: "):
+            sweep_power_loop(grid, gains, default_sweep)
 
 
 class TestPowerLoopSweep:

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcgridlab import control
+from dcgridlab import control, sim
 from dcgridlab.cli import COMPARE_CASES, build_scheme
 from dcgridlab.config import CONVENTIONAL_HIGH_PI, load_config
 from dcgridlab.control import CascadeScheme, ConventionalScheme, PiGains, pi_step
 from dcgridlab.grid import default_grid
 from dcgridlab.lti import zoh
-from dcgridlab.sim import (LoadProfile, Scenario, SimResult,
-                           SimulationDiverged, SimulationError, _ControlLoop,
-                           _period_map, _plant_matrices, itae_current,
+from dcgridlab.sim import (DEFAULT_ITAE_WINDOW, SETTLING_BAND, LoadProfile, Scenario,
+                           SimResult, SimulationDiverged, SimulationError, _ControlLoop,
+                           _period_map, _plant_matrices, _window_slice, itae_current,
                            itae_voltage, run, voltage_settling)
 
 
@@ -158,7 +158,9 @@ class TestEventTicks:
         assert [r.getMessage() for r in caplog.records] == [
             "tick 200 (t = 0.2 s): load 0 -> 2000 W",
             "tick 500 (t = 0.5 s): secondary control activated",
-            "tick 1000 (t = 1 s): load 2000 -> 4000 W"]
+            "tick 1000 (t = 1 s): load 2000 -> 4000 W",
+            "run: 147 secondary periods advanced by period maps, 3 ticked; "
+            "blocks cut short by a test: 0"]
 
 
 class TestOpenLoop:
@@ -421,6 +423,78 @@ class TestSettling:
         # the cascade's regulated voltage barely moves at activation; with the
         # 0.05 V floor the event counts as settled immediately
         assert voltage_settling(cascade_result, 5.0, 10.0) == 0.0
+
+
+def mask_window(result: SimResult, start: float, length: float) -> np.ndarray:
+    """The oracle of ``_window_slice``: its samples as a mask of the time grid."""
+    t = result.time
+    return (t > start + 1e-12) & (t <= start + length + 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(3, 3000), plant_dt=st.sampled_from((1e-4, 5e-4, 1e-3)),
+       data=st.data())
+def test_window_slice_selects_the_masks_samples(n, plant_dt, data):
+    # starts on a plant-grid time (or 0), within 1e-13 of one, 1e-12 before
+    # one (so the rule's slack lands on it), or between two; windows of one
+    # to three plant steps, to a grid time (or 1e-12 before one), to the last
+    # sample (end_time) or of any length up to a step past it
+    t = np.arange(1, n + 1) * plant_dt
+    result = synthetic_result(t, *([np.zeros(n)] * 4))
+    near = data.draw(st.sampled_from((0.0, float(t[0]), float(t[-1])))
+                     | st.integers(0, n - 1).map(lambda i: float(t[i])))
+    start = data.draw(st.just(near)
+                      | st.floats(-1e-13, 1e-13).map(lambda d: near + d)
+                      | st.just(near - 1e-12)
+                      | st.floats(0.0, 1.0).map(lambda f: near + f * plant_dt))
+    length = data.draw(st.integers(1, 3).map(lambda k: k * plant_dt)
+                       | st.integers(0, n - 1).map(lambda i: float(t[i]) - start)
+                       | st.integers(0, n - 1).map(lambda i: float(t[i]) - start - 1e-12)
+                       | st.just(float(t[-1]) - start)
+                       | st.floats(0.0, float(t[-1]) + plant_dt))
+    mask = mask_window(result, start, length)
+    if start + length > t[-1] + 1e-12 or np.count_nonzero(mask) < 2:
+        match = ("exceeds the simulated span" if start + length > t[-1] + 1e-12
+                 else "holds fewer than 2 samples")
+        with pytest.raises(SimulationError, match=match):
+            _window_slice(result, start, length)
+        return
+    window, times = _window_slice(result, start, length)
+    assert np.array_equal(np.arange(n)[window], np.flatnonzero(mask))
+    assert times.tobytes() == (t[mask] - start).tobytes()
+
+
+def masked_scores(result: SimResult, t0: float, span: float) -> tuple[float, float, float]:
+    """itae_voltage, itae_current and voltage_settling as they were written
+    on the mask of ``mask_window``."""
+    m = mask_window(result, t0, DEFAULT_ITAE_WINDOW)
+    t = result.time[m] - t0
+    itae_v = float(np.trapezoid(t * np.abs(result.regulated_voltage[m]), t))
+    total = result.current[m].sum(axis=1)
+    err = sum(np.abs(result.weights[i] * total - result.current[m][:, i]) for i in range(2))
+    itae_i = float(np.trapezoid(t * err, t))
+    m = mask_window(result, t0, span)
+    t, err = result.time[m] - t0, np.abs(result.regulated_voltage[m])
+    outside = np.nonzero(err > max(SETTLING_BAND * float(err.max()), 0.05))[0]
+    settling = (0.0 if len(outside) == 0 else math.inf if outside[-1] == len(err) - 1
+                else float(t[outside[-1] + 1]))
+    return itae_v, itae_i, settling
+
+
+@pytest.mark.parametrize("case", ("cascade", "conventional-high"))
+def test_scores_equal_their_mask_versions(case):
+    # slices take the mask's samples in its order, so every score keeps its
+    # bits; so does the regulated voltage, formed as (V1 + V2) / 2
+    scenario = fast_scenario(case)
+    result = run(scenario)
+    assert (result.regulated_voltage.tobytes()
+            == result.terminal_voltage.mean(axis=1).tobytes())
+    for t0, span in scenario.scored_events():
+        for length in (span, DEFAULT_ITAE_WINDOW, 2 * scenario.plant_dt):
+            got = (itae_voltage(result, t0), itae_current(result, t0),
+                   voltage_settling(result, t0, length))
+            want = masked_scores(result, t0, length)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (t0, length)
 
 
 PINNED = Path(__file__).with_name("pinned_series.json")
@@ -719,6 +793,11 @@ PARTIAL_PERIOD_CASE = "cascade-partial-period"
 # the cascade case on 3 mH and 5 mH cables with loads off the 400 W grid: the
 # divider split l_j/(l1 + l2) and the jump dP/V are inexact in any dtype
 UNEQUAL_CASE = "cascade-unequal-cables"
+# the cascade case with bus-voltage PI (300, 2000) and the 4 kW step raised to
+# 11.8 kW: converter 2's power reference sits at its clamp through periods 51
+# and 53 after the step (period 50) but not through 52, so a block of mapped
+# periods 52 and 53 passes its first period and is cut short at its second
+MID_BLOCK_CASE = "cascade-mid-block-clamp"
 ORACLE_CASES = PINNED_CASES + (CLAMPED_CASE, UNEQUAL_CASE)
 
 
@@ -730,6 +809,12 @@ def oracle_scenario(case: str) -> Scenario:
         return dataclasses.replace(fast_scenario("cascade"), activation_time=0.505)
     if case == PARTIAL_PERIOD_CASE:
         return dataclasses.replace(fast_scenario("cascade"), duration=3.007)
+    if case == MID_BLOCK_CASE:
+        scenario = fast_scenario("cascade")
+        return dataclasses.replace(
+            scenario, scheme=dataclasses.replace(scenario.scheme,
+                                                 bus_voltage_pi=PiGains(300.0, 2000.0)),
+            load=LoadProfile(((0.2, 2000.0), (1.0, 11800.0))))
     if case == UNEQUAL_CASE:
         scenario = fast_scenario("cascade")
         converters = tuple(
@@ -805,7 +890,7 @@ def bench_scenario(case: str) -> Scenario:
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES + (
-    REFERENCE_CLAMPED_CASE, OFF_GRID_ACTIVATION_CASE, PARTIAL_PERIOD_CASE)
+    REFERENCE_CLAMPED_CASE, OFF_GRID_ACTIVATION_CASE, PARTIAL_PERIOD_CASE, MID_BLOCK_CASE)
     + tuple(f"bench-{c}" for c in COMPARE_CASES))
 def test_run_matches_per_tick_reference(case):
     # periods advanced by the maps round differently from ticks, by at most
@@ -823,11 +908,46 @@ def test_run_matches_per_tick_reference(case):
     assert bool(clamped) == (case == CLAMPED_CASE)
     # only the periods of the two load steps and activation run tick by tick;
     # also the one after the step when the references clamp, the one after an
-    # off-grid activation, the last, partial one, and every period from the
-    # step on in the clamped case
+    # off-grid activation, the last, partial one, every period from the step
+    # on in the clamped case, and periods 51 and 53 in the mid-block case
     assert ticked == {CLAMPED_CASE: 2 * 20 + 2000, REFERENCE_CLAMPED_CASE: 4 * 20,
                       OFF_GRID_ACTIVATION_CASE: 4 * 20,
-                      PARTIAL_PERIOD_CASE: 3 * 20 + 7}.get(case, 3 * 20), ticked
+                      PARTIAL_PERIOD_CASE: 3 * 20 + 7,
+                      MID_BLOCK_CASE: 5 * 20}.get(case, 3 * 20), ticked
+
+
+def test_mid_block_case_cuts_a_block_after_a_passed_period():
+    # the case's point: a block whose first period passes and whose second,
+    # 53, fails a clamp test, so the loop takes the state after 52 and 53
+    # runs tick by tick from it (test_run_matches_per_tick_reference checks
+    # the rows); (first period, width, periods passed) of every block
+    blocks, advance = [], sim._advance
+
+    def spy(loop, maps, x, flat, inputs, k0, count):
+        done = advance(loop, maps, x, flat, inputs, k0, count)
+        blocks.append((k0 // loop.n_sec, count, done))
+        return done
+
+    with mock.patch.object(sim, "_advance", spy):
+        run(oracle_scenario(MID_BLOCK_CASE))
+    assert [b for b in blocks if b[2] < b[1]] == [(51, 2, 0), (52, 2, 1)]
+
+
+@pytest.mark.parametrize("case,counts", [
+    ("bench-proposed", (1247, 3, 0)), (CLAMPED_CASE, (48, 102, 99)),
+    (REFERENCE_CLAMPED_CASE, (146, 4, 1)), (MID_BLOCK_CASE, (145, 5, 2))])
+def test_run_logs_its_periods(caplog, case, counts):
+    # one DEBUG line per run: the periods the maps advanced, those ticked,
+    # and the blocks of mapped periods that a clamp or finiteness test cut
+    # short (in the mid-block case, the block of period 51 at its first
+    # period and that of 52 and 53 at its second)
+    scenario = bench_scenario("proposed") if case == "bench-proposed" else oracle_scenario(case)
+    caplog.set_level(logging.DEBUG, logger="dcgridlab.sim")
+    run(scenario)
+    assert caplog.records[-1].getMessage() == (
+        "run: %d secondary periods advanced by period maps, %d ticked; "
+        "blocks cut short by a test: %d" % counts)
+    assert [r.getMessage().startswith("run: ") for r in caplog.records].count(True) == 1
 
 
 def control_tick(periods: range):
