@@ -14,17 +14,19 @@ therefore enters as a state jump whose split follows the inductive divider.
   applied event logs one DEBUG line; :class:`Scenario` accepts only times
   within 1e-9 of a whole tick count;
 - between events, whole secondary periods advance by the closed loop's
-  linear period maps, in blocks, while no clamp can act; a run logs one
-  DEBUG line with how many periods the maps advanced and how many ran tick
-  by tick;
+  linear period maps, in blocks, while no clamp can act; the maps hold the
+  current sum that the load pins exactly, so it moves by rounding only, not
+  with the horizon; a run logs one DEBUG line with how many periods the maps
+  advanced and how many ran tick by tick;
 - telemetry (the neighbor power feeding the cascade reference) arrives one
   control period old, and droop and the cascade's inner power PI run every
   control period; the coordination layer (the bus-voltage PIs and the
   conventional current-sharing PI) updates once per secondary period, seeing
   the neighbor one secondary period old;
-- every row agrees with control ticks stepped one by one within ~1e-13 of its
-  column's peak, and the PIs clamp at the same ticks; how mapped periods are
-  grouped into blocks changes no bit;
+- every row agrees with control ticks stepped one by one within 1.8e-13 of
+  its column's peak (measured on the bench-default cases), and the PIs clamp
+  at the same ticks; how mapped periods are grouped into blocks changes no
+  bit;
 - a non-finite state raises :class:`SimulationDiverged` at the control tick
   that finds it;
 - identical scenarios produce bit-identical results.
@@ -298,10 +300,10 @@ class _ControlLoop:
 
     def pack(self, x: np.ndarray) -> np.ndarray:
         """The loop's state z: the plant state x, each PI's integrator,
-        prev_error (0 for None) and out, and both delay registers."""
+        prev_error (0.0 for None) and out, and both delay registers."""
         z = x.tolist()
         for _, _, pi in self.pis():
-            z += [pi.integrator, pi.prev_error or 0.0, pi.out]
+            z += [pi.integrator, 0.0 if pi.prev_error is None else pi.prev_error, pi.out]
         return np.array(z + [v for reg in (self.telemetry, self.coordination)
                              for snapshot in reg for v in snapshot])
 
@@ -329,75 +331,80 @@ class _ControlLoop:
         return pairs
 
 
-def _period_map(loop: _ControlLoop, k0: int, x: np.ndarray):
-    """The maps from z, the loop's state (plant, PI states, both registers),
-    at the start of the secondary period from tick k0 to its plant rows, u,
-    clamped values and next z, plus those values' bounds, under the loop's
-    ``active`` flags: the period's ticks on each basis vector of z, on a copy
-    with every clamp lifted.  The period holds no event."""
+def _period_map(loop: _ControlLoop, k0: int):
+    """The secondary period from tick k0 as one stacked map of z, the loop's
+    state (plant, PI states, both registers) at its start, under the loop's
+    ``active`` flags, and the bounds of its clamp tests.  The stacked map's
+    rows are the period's plant rows, its references and its clamp tests,
+    each in tick order, then the next z.  The period holds no event.
+
+    Each tick is a linear map of z (the lifting of Bamieh, Pearson, Francis &
+    Tannenbaum, 1991): the period's secondary tick and, when the period has
+    one, its first ordinary tick are run on each basis vector of z, on a copy
+    with every clamp lifted, and the period's map is their product, M =
+    A_ord^(n_sec - 1) A_sec.  The load pins I1 + I2 between events, so each
+    plant row's I2 coefficients are z's current sum minus its I1 ones."""
     probe = copy.deepcopy(loop)
     for _, _, pi in probe.pis():
         pi.limit, pi.prev_error = math.inf, 0.0
-    columns = []
-    for e in np.eye(len(loop.pack(x))):
-        probe.unpack(e)
-        xj, rows, refs, tests = e[:4], [], [], []
-        for k in range(k0, k0 + loop.n_sec):
-            rows.append(np.empty(len(loop.phi)))
-            xj, u = probe.period(k, xj, rows[-1])
-            refs += u
-            tests += [value for value, _ in probe.clamps()]
-            xj = rows[-1][-4:]
-        columns.append((np.concatenate(rows), refs, tests, probe.pack(xj)))
-    rows, refs, tests, nxt = (np.array(c).T.copy() for c in zip(*columns))
+    size, eye = len(loop.phi), np.eye(len(probe.pack(np.zeros(4))))
+    n = len(eye)
+
+    def outputs(k, z):
+        # tick k from z: its plant rows, references, clamp tests and next z
+        probe.unpack(z)
+        block = np.empty(size)
+        _, u = probe.period(k, z[:4], block)
+        tests = [value for value, _ in probe.clamps()]
+        return np.concatenate((block, u, tests, probe.pack(block[-4:])))
+
+    # only the period's own ticks: with one tick a period, tick k0 + 1 is the
+    # next period's and may hold an event
+    tick_maps = [np.array([outputs(k, e) for e in eye]).T
+                 for k in range(k0, k0 + min(loop.n_sec, 2))]
+    ticks = tick_maps[:1]
+    for tick_map in tick_maps[1:] * (loop.n_sec - 1):
+        ticks.append(tick_map @ ticks[-1][-n:])
+    plant, refs, tests = np.split(np.array(ticks)[:, :-n], [size, size + 2], axis=1)
+    plant[:, 3::4] = eye[2] + eye[3] - plant[:, 2::4]
+    stacked = np.vstack([p.reshape(-1, n) for p in (plant, refs, tests, ticks[-1][-n:])])
     # the margin dwarfs the maps' rounding (~1e-13), so a value the maps keep
     # inside its bound is inside it in the per-tick arithmetic too
     limits = [limit for _, limit in loop.clamps()]
-    return rows, refs, tests, np.tile(limits, loop.n_sec) * (1 - 1e-9), nxt
+    return stacked, np.tile(limits, loop.n_sec) * (1 - 1e-9)
 
 
 # the most periods a block of mapped periods spans: it bounds the block's
-# temporaries (its clamp tests are 256 x 200 floats on bench defaults, 0.4
-# MB) on long runs, while its fixed cost (pack, checks, unpack) stays under
-# 1% of its products
+# temporaries (256 x 1,064 floats on bench defaults, 2.2 MB) on long runs,
+# while its fixed cost (pack, checks, unpack) stays about 1% of its time
 _MAX_BLOCK = 256
 
 
 def _advance(loop: _ControlLoop, maps, x: np.ndarray, flat: np.ndarray,
              inputs: np.ndarray, k0: int, count: int) -> int:
     """Advance up to ``count`` event-free secondary periods from tick k0 by
-    the period maps ``maps``, from the plant state x: write each period's
-    plant rows into ``flat`` and its references into ``inputs``, then check
-    every period's results and clamp tests at once.  The loop takes the state
-    after the last period that passes; returns how many passed, the leading
-    ones.  A later period's rows may be written, to be written over."""
-    rows, refs, tests, bound, nxt = maps
-    span, size = len(rows), len(loop.phi)
-    z, z_next = np.empty((count, len(nxt))), np.empty((count, len(nxt)))
-    tested = np.empty((count, len(tests)))
-    # 0.0 at z's prev_error entries (3 per PI after the plant's 4, before the
-    # registers' 8), -0.0 elsewhere
-    zero = np.full(len(nxt), -0.0)
-    zero[5:-8:3] = 0.0
-    periods = flat[k0 * size:k0 * size + count * span].reshape(count, span)
-    held = inputs[k0:k0 + count * loop.n_sec].reshape(count, -1)
-    z[0] = loop.pack(x)
-    for b in range(count):
-        np.dot(rows, z[b], out=periods[b])
-        np.dot(refs, z[b], out=held[b])
-        np.matmul(nxt, z[b], out=z_next[b])
-        np.matmul(tests, z[b], out=tested[b])
-        if b + 1 < count:
-            # pack(x) after unpack(z_next): each prev_error + 0.0, as pack's
-            # "or 0.0" turns -0.0 into 0.0, every other entry + -0.0, which
-            # keeps it; then the plant state from the period's last row
-            np.add(z_next[b], zero, out=z[b + 1])
-            z[b + 1, :4] = periods[b, -4:]
-    passed = (np.isfinite(periods).all(axis=1) & np.isfinite(z_next).all(axis=1)
-              & (np.abs(tested) < bound).all(axis=1))
+    the :func:`_period_map` ``maps``, from the plant state x: one product of
+    the stacked map per period into a block buffer, on the previous period's
+    next z with the plant state of that period's last row.  Then write every
+    period's plant rows into ``flat`` and its references into ``inputs``, and
+    check every period's results and clamp tests at once.  The loop takes the
+    state after the last period that passes; returns how many passed, the
+    leading ones.  A later period's rows may be written, to be written over."""
+    stacked, bound = maps
+    n_z, n_ref, size = stacked.shape[1], 2 * loop.n_sec, len(loop.phi)
+    span, k1 = loop.n_sec * size, k0 + count * loop.n_sec
+    out = np.empty((count, len(stacked)))
+    z = loop.pack(x)
+    for row in out:
+        np.dot(stacked, z, out=row)
+        z = np.concatenate((row[span - 4:span], row[4 - n_z:]))
+    flat[k0 * size:k1 * size].reshape(count, span)[:] = out[:, :span]
+    inputs[k0:k1].reshape(count, n_ref)[:] = out[:, span:span + n_ref]
+    passed = (np.isfinite(out).all(axis=1)
+              & (np.abs(out[:, span + n_ref:-n_z]) < bound).all(axis=1))
     done = count if passed.all() else int(np.argmin(passed))
     if done:
-        loop.unpack(z_next[done - 1])
+        loop.unpack(out[done - 1, -n_z:])
     return done
 
 
@@ -411,7 +418,7 @@ def run(scenario: Scenario) -> SimResult:
     runs tick by tick.
 
     Consecutive mapped periods advance in blocks (:func:`_advance`): each
-    period takes the same matrix-vector products of its maps as it would
+    period takes one product of the stacked map with its z, as it would
     alone, so a block changes no bit, and the block's results and clamp tests
     are checked in one pass.  A block ends before the next period that holds
     an event or is partial.  It spans at most two periods at the start and
@@ -450,7 +457,7 @@ def run(scenario: Scenario) -> SimResult:
                         for name in unit.PI_NAMES)):
             active = tuple(unit.active for unit in loop.units)
             if active not in maps:
-                maps[active] = _period_map(loop, period * n_sec, x)
+                maps[active] = _period_map(loop, period * n_sec)
             end = min([period + width, n_full] + [p for p in loop.eventful if p > period])
             done = _advance(loop, maps[active], x, flat, inputs, period * n_sec,
                             end - period)

@@ -1,5 +1,6 @@
 """Time-domain engine: oracles, linearity, determinism, scoring metrics."""
 
+import copy
 import dataclasses
 import functools
 import json
@@ -550,8 +551,8 @@ def test_series_match_pinned_reference(case):
 
 
 # worst |I1 + I2 - P_load / V_nom| relative to the sum after a load step, on
-# the 3 s scenario: 1.27e-13 measured (the stepwise engine: 1.27e-12), with a
-# margin of about 2.4
+# the 3 s scenario: 1.4e-15 (cascade) and 5.7e-15 (conventional-high) measured
+# (the stepwise engine: 1.27e-12)
 CURRENT_SUM_DRIFT = 3e-13
 
 
@@ -567,6 +568,22 @@ def test_current_sum_conserved_between_load_steps(case):
         want = power / scenario.grid.nominal_bus_voltage
         drift = np.abs(result.current[after].sum(axis=1) - want).max() / want
         assert drift <= CURRENT_SUM_DRIFT, (t0, drift)
+
+
+@pytest.mark.parametrize("duration", (100.0, 400.0))
+@pytest.mark.parametrize("case", tuple(COMPARE_CASES))
+def test_current_sum_held_on_long_horizons(case, duration):
+    # every mapped period repeats its map's rounding, so a current-sum row
+    # that rounds off the exact sum drifts in proportion to the horizon; the
+    # maps' I2 rows hold the sum exactly, and the drift after the 20 s step
+    # stays at rounding (7.2e-14 at most measured)
+    scenario = dataclasses.replace(bench_scenario(case), duration=duration)
+    result = run(scenario)
+    t0, power = scenario.load.steps[-1]
+    want = power / scenario.grid.nominal_bus_voltage
+    after = result.time > t0 + 1e-12
+    drift = np.abs(result.current[after].sum(axis=1) - want).max() / want
+    assert drift <= CURRENT_SUM_DRIFT, drift
 
 
 def event_scores(scenario: Scenario) -> list[tuple[float, float, float]]:
@@ -798,6 +815,10 @@ UNEQUAL_CASE = "cascade-unequal-cables"
 # and 53 after the step (period 50) but not through 52, so a block of mapped
 # periods 52 and 53 passes its first period and is cut short at its second
 MID_BLOCK_CASE = "cascade-mid-block-clamp"
+# the pinned cases with one control tick per secondary period (secondary_dt =
+# control_dt), the second load step 2 ms after activation: the tick after a
+# period's own is the next period's, and may hold an event
+ONE_TICK_CASES = tuple(f"{case}-one-tick-periods" for case in PINNED_CASES)
 ORACLE_CASES = PINNED_CASES + (CLAMPED_CASE, UNEQUAL_CASE)
 
 
@@ -815,6 +836,11 @@ def oracle_scenario(case: str) -> Scenario:
             scenario, scheme=dataclasses.replace(scenario.scheme,
                                                  bus_voltage_pi=PiGains(300.0, 2000.0)),
             load=LoadProfile(((0.2, 2000.0), (1.0, 11800.0))))
+    if case in ONE_TICK_CASES:
+        scenario = fast_scenario(case[:-len("-one-tick-periods")])
+        return dataclasses.replace(scenario, secondary_dt=scenario.control_dt,
+                                   duration=2.6, load=LoadProfile(
+                                       ((0.2, 2000.0), (0.502, 4000.0))))
     if case == UNEQUAL_CASE:
         scenario = fast_scenario("cascade")
         converters = tuple(
@@ -891,10 +917,10 @@ def bench_scenario(case: str) -> Scenario:
 
 @pytest.mark.parametrize("case", ORACLE_CASES + (
     REFERENCE_CLAMPED_CASE, OFF_GRID_ACTIVATION_CASE, PARTIAL_PERIOD_CASE, MID_BLOCK_CASE)
-    + tuple(f"bench-{c}" for c in COMPARE_CASES))
+    + ONE_TICK_CASES + tuple(f"bench-{c}" for c in COMPARE_CASES))
 def test_run_matches_per_tick_reference(case):
     # periods advanced by the maps round differently from ticks, by at most
-    # ~1.1e-13 of a column's peak; clamps engage at the same ticks
+    # ~1.8e-13 of a column's peak; clamps engage at the same ticks
     bench = case.startswith("bench-")
     scenario = bench_scenario(case[len("bench-"):]) if bench else oracle_scenario(case)
     result, ticked, clamped = run_recording_ticks(scenario)
@@ -909,11 +935,13 @@ def test_run_matches_per_tick_reference(case):
     # only the periods of the two load steps and activation run tick by tick;
     # also the one after the step when the references clamp, the one after an
     # off-grid activation, the last, partial one, every period from the step
-    # on in the clamped case, and periods 51 and 53 in the mid-block case
+    # on in the clamped case, and periods 51 and 53 in the mid-block case;
+    # a period of the one-tick cases is one tick
     assert ticked == {CLAMPED_CASE: 2 * 20 + 2000, REFERENCE_CLAMPED_CASE: 4 * 20,
                       OFF_GRID_ACTIVATION_CASE: 4 * 20,
                       PARTIAL_PERIOD_CASE: 3 * 20 + 7,
-                      MID_BLOCK_CASE: 5 * 20}.get(case, 3 * 20), ticked
+                      MID_BLOCK_CASE: 5 * 20,
+                      **dict.fromkeys(ONE_TICK_CASES, 3)}.get(case, 3 * 20), ticked
 
 
 def test_mid_block_case_cuts_a_block_after_a_passed_period():
@@ -948,6 +976,21 @@ def test_run_logs_its_periods(caplog, case, counts):
         "run: %d secondary periods advanced by period maps, %d ticked; "
         "blocks cut short by a test: %d" % counts)
     assert [r.getMessage().startswith("run: ") for r in caplog.records].count(True) == 1
+
+
+@pytest.mark.parametrize("case", ONE_TICK_CASES)
+def test_one_tick_periods_log_only_their_events(caplog, case):
+    # a map probes only ticks of its own period, never the next period's
+    # tick, which may hold an event: the run logs its three events, then
+    # its run line
+    caplog.set_level(logging.DEBUG, logger="dcgridlab.sim")
+    run(oracle_scenario(case))
+    assert [r.getMessage() for r in caplog.records] == [
+        "tick 200 (t = 0.2 s): load 0 -> 2000 W",
+        "tick 500 (t = 0.5 s): secondary control activated",
+        "tick 502 (t = 0.502 s): load 2000 -> 4000 W",
+        "run: 2597 secondary periods advanced by period maps, 3 ticked; "
+        "blocks cut short by a test: 0"]
 
 
 def control_tick(periods: range):
@@ -1003,12 +1046,62 @@ def test_period_map_advances_per_tick_engine(case):
             first_update = -(-loop.activation // n_sec)
             if k // n_sec not in loop.eventful and k // n_sec > first_update:
                 if m is None:
-                    *_, m = _period_map(loop, k, x)
+                    m = _period_map(loop, k)[0][-len(z):]
                 predicted = m @ z
         loop.period(k, x, block)
         x = block[-4:].copy()
     # periods 26-149 but the 1 s step's (50) and the last, which ends the run
     assert checked == 122, checked
+
+
+def replayed_period_map(loop: _ControlLoop, k0: int, x: np.ndarray):
+    """The maps from z, the loop's state (plant, PI states, both registers),
+    at the start of the secondary period from tick k0 to its plant rows, u,
+    clamped values and next z, plus those values' bounds, under the loop's
+    ``active`` flags: the period's ticks on each basis vector of z, on a copy
+    with every clamp lifted.  The period holds no event."""
+    probe = copy.deepcopy(loop)
+    for _, _, pi in probe.pis():
+        pi.limit, pi.prev_error = math.inf, 0.0
+    columns = []
+    for e in np.eye(len(loop.pack(x))):
+        probe.unpack(e)
+        xj, rows, refs, tests = e[:4], [], [], []
+        for k in range(k0, k0 + loop.n_sec):
+            rows.append(np.empty(len(loop.phi)))
+            xj, u = probe.period(k, xj, rows[-1])
+            refs += u
+            tests += [value for value, _ in probe.clamps()]
+            xj = rows[-1][-4:]
+        columns.append((np.concatenate(rows), refs, tests, probe.pack(xj)))
+    rows, refs, tests, nxt = (np.array(c).T.copy() for c in zip(*columns))
+    # the margin dwarfs the maps' rounding (~1e-13), so a value the maps keep
+    # inside its bound is inside it in the per-tick arithmetic too
+    limits = [limit for _, limit in loop.clamps()]
+    return rows, refs, tests, np.tile(limits, loop.n_sec) * (1 - 1e-9), nxt
+
+
+@pytest.mark.parametrize("active", (False, True))
+@pytest.mark.parametrize("case", tuple(COMPARE_CASES))
+def test_stacked_period_map_equals_replayed_ticks(case, active):
+    # the product of the probed tick maps is the map of the period's ticks
+    # replayed on each basis vector, block by block (plant rows, references,
+    # clamp tests, next z) within 1e-14 of the block's peak, with the
+    # current-sum rows included; a block of zeros is zero
+    loop = _ControlLoop(bench_scenario(case))
+    for unit in loop.units:
+        unit.active = active
+    stacked, bound = _period_map(loop, loop.n_sec)
+    *want, want_bound, nxt = replayed_period_map(loop, loop.n_sec, np.zeros(4))
+    assert np.array_equal(bound, want_bound)
+    blocks = np.split(stacked, np.cumsum([len(w) for w in want]))
+    for name, got, w in zip(("rows", "refs", "tests", "next z"), blocks, want + [nxt]):
+        assert got.shape == w.shape, name
+        peak = np.abs(w).max(initial=0.0)
+        if peak == 0.0:
+            assert np.array_equal(got, w), name
+        else:
+            assert np.abs(got - w).max() <= 1e-14 * peak, (name, np.abs(got - w).max() / peak)
 
 
 def capture_pinned(stride: int = 97) -> dict:
