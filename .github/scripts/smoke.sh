@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Smoke checks of the installed `dcgrid-lab` console script: every subcommand
 # runs, reruns of rootlocus, simulate and compare are byte-identical, the dense
-# and mixed-L/R root loci are those of a one-step-at-a-time scalar path, the full-size
-# timeseries follows the per-cell %.12g rule whether one process or two format
-# it, the proposed scheme wins every ordering of a bench-default compare, and
+# and mixed-L/R root loci are those of a one-step-at-a-time scalar path, tune's
+# and bode's frequency responses those of a one-frequency-at-a-time one, the
+# full-size timeseries follows the per-cell %.12g rule whether one process or
+# two format it, the proposed scheme wins every ordering of a bench-default compare, and
 # a verbose run logs its events, its periods and its CSV.  Needs
 # `dcgrid-lab` and `taskset` on PATH and `python` able to import dcgridlab;
 # writes only into a fresh temporary directory.
@@ -77,6 +78,47 @@ for r, l in zip(rs.tolist(), (rs / cfg.sweep.ratio_r_over_l).tolist()):
 PY
     tail -n +3 ${c}1/rootlocus_$loop.csv | cmp - ${c}1/scalar_$loop.csv
   done
+done
+
+# the array frequency responses change no bit: in both outer-plant modes
+# tune's gains.json and two Bode files, and bode for every plant on both
+# converters, must be those of a scalar path: each response one frequency at
+# a time in Python complex arithmetic, then freq_response's own
+# post-processing, written by cli.write_csv, and the crossover grid one _db
+# call per frequency
+# (closed-inner tuning is feasible at a 100 deg voltage-loop margin, not at 70)
+: > defaults.ini
+printf '[tuning]\nouter_plant_mode = closed-inner\nvoltage_margin = 100.0\n' > ci-100.ini
+for c in defaults ci-100; do
+  dcgrid-lab tune --config $c.ini --out bode-$c/tune
+  for plant in power voltage power-loop voltage-loop unity; do
+    for k in 0 1; do
+      dcgrid-lab bode --config $c.ini --plant $plant --converter $k --out bode-$c/$plant-$k
+    done
+  done
+  python - $c.ini scalar-$c <<'PY'
+import math, sys
+import numpy as np
+from dcgridlab import cli, lti
+
+def response(g, w):
+    resp, flagged = np.empty(len(w), complex), np.zeros(len(w), bool)
+    for i, wi in enumerate(w.tolist()):
+        dv = g.den(1j * wi)
+        flagged[i] = math.hypot(dv.real, dv.imag) < lti._den_floor(g)
+        resp[i] = complex(math.inf, 0.0) if flagged[i] else g.num(1j * wi) / dv
+    return resp, flagged
+
+lti._response = response
+lti._grid_db = lambda g: np.array([lti._db(g, w) for w in lti.FREQUENCY_GRID.tolist()])
+config, out = sys.argv[1:]
+assert cli.main(["tune", "--config", config, "--out", f"{out}/tune"]) == 0
+for plant in ("power", "voltage", "power-loop", "voltage-loop", "unity"):
+    for k in "01":
+        assert cli.main(["bode", "--config", config, "--plant", plant, "--converter", k,
+                         "--out", f"{out}/{plant}-{k}"]) == 0
+PY
+  diff -r bode-$c scalar-$c
 done
 
 # the scenario engine's reruns are bit-identical too: the time series, the

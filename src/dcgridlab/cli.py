@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import logging
@@ -463,6 +464,9 @@ COMMANDS = {"tune": cmd_tune, "simulate": cmd_simulate, "compare": cmd_compare,
 # ---------------------------------------------------------------------------
 
 
+# built once per process: each parse_args call fills a fresh Namespace from
+# the defaults, so no option carries over from one main call to the next
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcgrid-lab",

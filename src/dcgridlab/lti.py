@@ -18,6 +18,22 @@ every root at once (``_roots``).  That step is float64 ufuncs that write out
 the complex arithmetic a loop over one row's roots meets: CPython's for the
 float64 roots of a real spectrum, numpy's complex128 scalars' for a complex
 one.  numpy's complex ufuncs round differently, so they are not used.
+
+A frequency response is evaluated for a whole grid at once, with the bits of
+a loop over its frequencies in Python complex arithmetic (``_response``):
+numpy's complex128 Horner's rule on the array ``s = 1j * w``, which is
+CPython's bit for bit because s has a zero real part (one product of each
+complex multiply is an exact zero, so fusing the other into a multiply-add
+rounds nothing differently), then CPython's Smith quotient num/den written in
+float64 ufuncs (``_smith``, which ``_newton`` shares); numpy's complex ``/``
+moves about half of a grid's responses by an ulp.  The crossover search grid
+then takes |g| by ``np.hypot``, the C ``hypot`` that ``abs()`` of a Python
+complex calls, and the log by ``math.log10``, not by numpy's complex ``abs``
+and ``log10``, which move about one dB value in six by an ulp.  That ulp
+matters: each tuned crossover sits on a grid point (100 and 10 rad/s are
+``FREQUENCY_GRID[228]`` and ``[171]``), where the loop's dB value is 0 within
+an ulp and its sign picks the bisection's bracket, so it would move the tuned
+gains' reported crossover and margin.
 """
 
 from __future__ import annotations
@@ -119,6 +135,21 @@ _SIGNS = np.array([-1.0, 1.0])
 _NEWTON_ROWS = 256
 
 
+def _smith(a, b):
+    """Smith's quotient a/b of complex numbers held as float64 (..., re/im)
+    pairs: divide through by b's larger part, u.  Returns ``(top, den)``, the
+    quotient being ``top / den`` in CPython's complex ``/`` and ``top * (1.0 /
+    den)`` in numpy's complex128 scalars' ``CDOUBLE_divide``.  A zero or NaN b
+    gives NaN parts, so call it under ``np.errstate(all="ignore")``."""
+    wide = np.abs(b[..., :1]) >= np.abs(b[..., 1:])
+    uv = np.where(wide, b, b[..., ::-1])
+    u, v = uv[..., 0], uv[..., 1]
+    ratio = v / u
+    scaled = a * ratio[..., None]
+    top = np.where(wide, a, scaled) - np.where(wide, scaled[..., ::-1], a[..., ::-1]) * _SIGNS
+    return top, (u + v * ratio)[..., None]
+
+
 def _newton(p, roots, real):
     """One Newton step on each root of each row of descending coefficients
     ``p``, kept where the step is finite, in the arithmetic a one-row loop
@@ -147,16 +178,8 @@ def _newton(p, roots, real):
         acc += ck
     num, dv = acc
     with np.errstate(all="ignore"):    # a zero or non-finite derivative: no step
-        # Smith: divide through by the derivative's larger part, u
-        wide = np.abs(dv[..., :1]) >= np.abs(dv[..., 1:])
-        uv = np.where(wide, dv, dv[..., ::-1])
-        u, v = uv[..., 0], uv[..., 1]
-        ratio = v / u
-        den = (u + v * ratio)[..., None]
-        scaled = num * ratio[..., None]
-        step = (np.where(wide, num, scaled)
-                - np.where(wide, scaled[..., ::-1], num[..., ::-1]) * _SIGNS)
-        step = np.where(real[:, None, None], step / den, step * (1.0 / den))
+        top, den = _smith(num, dv)
+        step = np.where(real[:, None, None], top / den, top * (1.0 / den))
     return np.where(np.isfinite(step).all(axis=-1, keepdims=True),
                     x - step, x).view(complex)[..., 0]
 
@@ -287,6 +310,23 @@ def analytic_phase(g: TransferFunction, omega: float) -> float:
     return phase
 
 
+def _den_floor(g: TransferFunction) -> float:
+    """The |den(jw)| below which g(jw) is taken to sit on an imaginary-axis pole."""
+    return 1e-300 * max(1.0, max(abs(c) for c in g.den.coeffs))
+
+
+def _response(g: TransferFunction, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(jw) at each frequency of ``w``, with the bits of one Python complex
+    evaluation per frequency, and the mask of the frequencies where
+    |den(jw)| is below ``_den_floor``, at which g(jw) reads ``inf``."""
+    with np.errstate(all="ignore"):    # non-finite parts are the caller's to read
+        s = 1j * w
+        num, den = g.num(s), g.den(s)
+        top, scale = _smith(num[:, None].view(float), den[:, None].view(float))
+        flagged = np.hypot(den.real, den.imag) < _den_floor(g)
+        return np.where(flagged, math.inf, (top / scale).view(complex)[:, 0]), flagged
+
+
 def freq_response(g: TransferFunction,
                   omegas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Magnitude (dB) and unwrapped phase (deg) at strictly positive frequencies.
@@ -299,17 +339,7 @@ def freq_response(g: TransferFunction,
     w = np.asarray(list(omegas), dtype=float)
     if len(w) == 0 or np.any(w <= 0) or np.any(np.diff(w) < 0):
         raise ValueError("frequencies must be nonempty, strictly positive and ascending")
-    den_scale = max(abs(c) for c in g.den.coeffs)
-    resp = np.empty(len(w), dtype=complex)
-    flagged = np.zeros(len(w), dtype=bool)
-    for i, wi in enumerate(w):
-        dv = g.den(1j * wi)
-        # hypot: abs() raises OverflowError past the float range
-        if math.hypot(dv.real, dv.imag) < 1e-300 * max(1.0, den_scale):
-            flagged[i] = True
-            resp[i] = complex(math.inf, 0.0)
-        else:
-            resp[i] = g.num(1j * wi) / dv
+    resp, flagged = _response(g, w)
     mag_db = np.where(flagged, math.inf, 20.0 * np.log10(np.maximum(np.abs(resp), 1e-300)))
     raw = np.angle(resp)
     raw[flagged] = 0.0
@@ -319,8 +349,13 @@ def freq_response(g: TransferFunction,
 
 
 def _db(g: TransferFunction, w: float) -> float:
-    """20*log10|g(jw)|, floored at -6000 dB so a zero gain stays finite."""
-    return 20.0 * math.log10(max(abs(g(1j * w)), 1e-300))
+    """20*log10|g(jw)|, floored at -6000 dB so a zero gain stays finite, and
+    ``inf`` where ``_response`` flags den(jw)."""
+    s = 1j * w
+    dv = g.den(s)
+    if math.hypot(dv.real, dv.imag) < _den_floor(g):    # abs() can overflow
+        return math.inf
+    return 20.0 * math.log10(max(abs(g.num(s) / dv), 1e-300))
 
 
 def _bisect_db(g: TransferFunction, level_db: float, wa: float, wb: float) -> float:
@@ -341,8 +376,14 @@ def _bisect_db(g: TransferFunction, level_db: float, wa: float, wb: float) -> fl
 
 
 def _grid_db(g: TransferFunction) -> np.ndarray:
-    """20*log10|g(jw)| at each frequency of the crossover search grid."""
-    return np.array([_db(g, w) for w in FREQUENCY_GRID])
+    """``_db`` at each frequency of the crossover search grid, with its bits:
+    |g| is ``np.hypot``, C's ``hypot`` as in ``abs()`` of a Python complex, and
+    the log is ``math.log10``, as numpy's complex ``abs`` and its ``log10``
+    round differently."""
+    resp, _ = _response(g, FREQUENCY_GRID)
+    with np.errstate(all="ignore"):    # |g| past the float range: inf
+        mag = np.maximum(np.hypot(resp.real, resp.imag), 1e-300)
+    return 20.0 * np.fromiter(map(math.log10, mag.tolist()), float, len(mag))
 
 
 def gain_crossover(g: TransferFunction) -> float:
@@ -350,18 +391,19 @@ def gain_crossover(g: TransferFunction) -> float:
 
     A log grid brackets the crossing, bisection refines it to better than
     1e-6 dB.  A grid interval with a non-finite magnitude at either end
-    brackets no crossing.  Raises :class:`NoCrossoverError` when the
+    brackets no crossing; a grid point on an imaginary-axis pole reads
+    ``inf`` dB, as in :func:`freq_response`.  Raises :class:`NoCrossoverError` when the
     magnitude never crosses 0 dB on the range.
     """
     grid = FREQUENCY_GRID
     db = _grid_db(g)
     sign, finite = np.sign(db), np.isfinite(db)
-    for i in range(len(grid) - 1):
-        if sign[i] == 0:
-            return float(grid[i])
-        if sign[i] != sign[i + 1] and finite[i] and finite[i + 1]:
-            return float(_bisect_db(g, 0.0, grid[i], grid[i + 1]))
-    raise NoCrossoverError("no 0 dB crossing of |g(jw)|")
+    # the first grid point at 0 dB, or opening an interval with finite ends of either sign
+    hit = (sign[:-1] == 0) | ((sign[:-1] != sign[1:]) & finite[:-1] & finite[1:])
+    if not hit.any():
+        raise NoCrossoverError("no 0 dB crossing of |g(jw)|")
+    i = np.argmax(hit)
+    return float(grid[i] if sign[i] == 0 else _bisect_db(g, 0.0, grid[i], grid[i + 1]))
 
 
 def bandwidth_3db(g: TransferFunction) -> float:
@@ -370,12 +412,12 @@ def bandwidth_3db(g: TransferFunction) -> float:
     if not math.isfinite(dc) or dc == 0.0:
         raise LtiError("3 dB bandwidth needs a finite nonzero DC gain")
     level = 20.0 * math.log10(abs(dc)) - 3.0
-    grid = FREQUENCY_GRID
     above = _grid_db(g) - level
-    for i in range(len(grid) - 1):
-        if above[i] >= 0 > above[i + 1]:
-            return float(_bisect_db(g, level, grid[i], grid[i + 1]))
-    raise NoCrossoverError("gain never falls 3 dB below DC")
+    hit = (above[:-1] >= 0) & (above[1:] < 0)
+    if not hit.any():
+        raise NoCrossoverError("gain never falls 3 dB below DC")
+    i = np.argmax(hit)
+    return float(_bisect_db(g, level, FREQUENCY_GRID[i], FREQUENCY_GRID[i + 1]))
 
 
 # ---------------------------------------------------------------------------

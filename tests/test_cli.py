@@ -617,6 +617,29 @@ class TestBode:
                                "roots of the polynomial [inf, inf")
         assert line.endswith("a coefficient or a ratio of two is not finite")
 
+    def test_reused_parser_leaks_no_option(self, tmp_path, capsys):
+        # main builds its parser once per process: an option one call gives
+        # does not carry over to the next, nor does a rejected call spoil it.
+        # Unequal cables, so the two converters' plants differ
+        cfgp = write(tmp_path, "[grid]\ncable_resistances = 0.5, 1.0\n")
+        out = [tmp_path / f"out{i}" for i in range(3)]
+        assert main(["bode", "--plant", "power", "--converter", "1", "--config", cfgp,
+                     "--out", str(out[0])]) == 0
+        assert main(["bode", "--plant", "power", "--config", cfgp, "--out", str(out[1])]) == 0
+        rows = [(o / "bode_power.csv").read_text().splitlines()[2:] for o in out[:2]]
+        plant = cli.power_plant_tf(load_config(cfgp).grid, 0)
+        want = [f"{w:.12g},{m:.12g},{p:.12g}" for w, m, p in
+                zip(cli.FREQUENCY_GRID, *cli.freq_response(plant, cli.FREQUENCY_GRID))]
+        assert rows[1] == want != rows[0]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["bode", "--plant", "bogus", "--out", str(out[2])])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert main(["bode", "--plant", "power", "--config", cfgp, "--out", str(out[2])]) == 0
+        assert ((out[2] / "bode_power.csv").read_bytes()
+                == (out[1] / "bode_power.csv").read_bytes())
+
     def test_tuned_loop_annotation_matches_verify(self, tmp_path):
         out = tmp_path / "out"
         assert main(["bode", "--plant", "power-loop", "--out", str(out)]) == 0

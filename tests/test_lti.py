@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from dcgridlab.grid import default_grid
-from dcgridlab.lti import (DegenerateLoopError, LtiError, NoCrossoverError, Polynomial,
-                           _roots, analytic_phase, bandwidth_3db,
-                           freq_response, gain_crossover, poles, tf,
-                           tf_feedback, tf_series, zoh)
+from dcgridlab.config import load_config
+from dcgridlab.grid import default_grid, pi_tf, power_plant_tf, voltage_loop_plant_tf
+from dcgridlab.lti import (FREQUENCY_GRID, DegenerateLoopError, LtiError, NoCrossoverError,
+                           Polynomial, TransferFunction, _bisect_db, _db, _grid_db, _roots,
+                           analytic_phase, bandwidth_3db, freq_response, gain_crossover,
+                           poles, tf, tf_feedback, tf_series, zoh)
 from dcgridlab.sim import _plant_matrices
+from dcgridlab.tuning import design_pi
 
 
 def mp_zoh(a, b, dt):
@@ -293,6 +295,123 @@ class TestCrossoverAndMargin:
         g = _plant()
         assert gain_crossover(g) == pytest.approx(5160.7, rel=1e-3)
         assert bandwidth_3db(g) == pytest.approx(116.6, abs=0.5)
+
+    def test_pole_on_a_grid_point_brackets_no_crossing(self):
+        # the poles at +-j1 fall on the grid point w = 1.0, where den(jw) is
+        # exactly 0: that point reads inf dB, as freq_response flags it, and
+        # |1 / (1 - w^2)| crosses 0 dB at sqrt(2) and -3 dB at 1.5532 rad/s
+        g = tf([1.0], [1.0, 0.0, 1.0])
+        assert 1.0 in FREQUENCY_GRID
+        assert _db(g, 1.0) == math.inf
+        assert gain_crossover(g) == 1.4142135623861718
+        assert bandwidth_3db(g) == 1.5532345427329188
+
+    def test_bench_default_tuned_crossovers_pinned(self):
+        # each tuned crossover is a grid point (FREQUENCY_GRID[228] = 100 and
+        # [171] = 10), where the loop's dB value is 0 within an ulp: its sign
+        # picks the bisection's bracket, so an ulp in the grid's dB values
+        # moves these bits (numpy's complex abs gives 99.99999999247567)
+        cfg = load_config(None)
+        plants = [power_plant_tf(cfg.grid, 0)]
+        power = design_pi(plants[0], cfg.tuning.power)
+        plants.append(voltage_loop_plant_tf(cfg.grid, 0, power.gains))
+        voltage = design_pi(plants[1], cfg.tuning.voltage)
+        assert (FREQUENCY_GRID[228], FREQUENCY_GRID[171]) == (100.0, 10.0)
+        got = [gain_crossover(tf_series(pi_tf(t.gains), p))
+               for t, p in zip((power, voltage), plants)]
+        assert got == [100.00000000752442, 10.00000000075244]
+
+
+def oracle_freq_response(g, omegas):
+    """freq_response as one loop over the frequencies in Python complex
+    arithmetic, then the same post-processing."""
+    w = np.asarray(list(omegas), dtype=float)
+    den_scale = max(abs(c) for c in g.den.coeffs)
+    resp = np.empty(len(w), dtype=complex)
+    flagged = np.zeros(len(w), dtype=bool)
+    for i, wi in enumerate(w):
+        dv = g.den(1j * wi)
+        if math.hypot(dv.real, dv.imag) < 1e-300 * max(1.0, den_scale):
+            flagged[i] = True
+            resp[i] = complex(math.inf, 0.0)
+        else:
+            resp[i] = g.num(1j * wi) / dv
+    mag_db = np.where(flagged, math.inf, 20.0 * np.log10(np.maximum(np.abs(resp), 1e-300)))
+    raw = np.angle(resp)
+    raw[flagged] = 0.0
+    unwrapped = np.unwrap(raw)
+    unwrapped += analytic_phase(g, w[0]) - unwrapped[0]
+    return mag_db, np.degrees(unwrapped)
+
+
+def oracle_gain_crossover(g):
+    """gain_crossover with the grid's dB values from one _db call per frequency
+    and a loop over the grid's intervals."""
+    grid = FREQUENCY_GRID
+    db = np.array([_db(g, w) for w in grid])
+    sign, finite = np.sign(db), np.isfinite(db)
+    for i in range(len(grid) - 1):
+        if sign[i] == 0:
+            return db, float(grid[i])
+        if sign[i] != sign[i + 1] and finite[i] and finite[i + 1]:
+            return db, float(_bisect_db(g, 0.0, grid[i], grid[i + 1]))
+    return db, None
+
+
+def same_bits(a, b):
+    """Equal bit patterns, or NaN at the same places (a NaN's sign and payload
+    carry no value)."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all()
+                and (a[~nan].view(np.int64) == b[~nan].view(np.int64)).all())
+
+
+# zero of either sign, or a magnitude anywhere in 1e-30..1e31: no response of
+# a degree-6 polynomial overflows on the grid, so abs() of a Python complex
+# stays finite
+GRID_COEFF = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.builds(lambda m, e: m * 10.0 ** e,
+                                 st.one_of(st.floats(1.0, 10.0), st.floats(-10.0, -1.0)),
+                                 st.integers(-30, 30)))
+
+
+@st.composite
+def grid_tfs(draw):
+    """Numerator and denominator of degree 0 to 6; half of the denominators
+    carry a pole pair on the imaginary axis at a grid frequency."""
+    num = draw(st.lists(GRID_COEFF, min_size=1, max_size=7))
+    den = Polynomial(draw(st.lists(GRID_COEFF, min_size=1, max_size=5)))
+    if draw(st.booleans()):
+        w0 = float(FREQUENCY_GRID[draw(st.integers(0, len(FREQUENCY_GRID) - 1))])
+        den = Polynomial([w0 * w0, 0.0, 1.0]) * den
+    assume(not den.is_zero)
+    return TransferFunction(Polynomial(num), den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_tfs())
+@example(tf([1.0], [1.0, 0.0, 1.0]))
+@example(tf([-0.0, 3e-30, -0.0], [1e30, -0.0, 2.5, 0.0, 1e-30]))
+def test_property_array_response_equals_per_frequency_loop(g):
+    """freq_response and the crossover grid have the bits of one Python
+    complex evaluation per frequency, and gain_crossover the result of a
+    bracket search over those values."""
+    try:
+        want = oracle_freq_response(g, FREQUENCY_GRID)
+    except LtiError:    # analytic_phase's roots: not finite
+        with pytest.raises(LtiError):
+            freq_response(g, FREQUENCY_GRID)
+    else:
+        got = freq_response(g, FREQUENCY_GRID)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    db, wc = oracle_gain_crossover(g)
+    assert same_bits(_grid_db(g), db)
+    if wc is None:
+        with pytest.raises(NoCrossoverError):
+            gain_crossover(g)
+    else:
+        assert gain_crossover(g) == wc
 
 
 def _degree_six_rows():
