@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Smoke checks of the installed `dcgrid-lab` console script: every subcommand
-# runs, reruns of rootlocus, simulate and compare are byte-identical, the dense
-# and mixed-L/R root loci are those of a one-step-at-a-time scalar path, tune's
-# and bode's frequency responses those of a one-frequency-at-a-time one, the
-# full-size timeseries follows the per-cell %.12g rule whether one process or
-# two format it, the proposed scheme wins every ordering of a bench-default compare, and
+# runs, reruns of rootlocus, simulate and compare are byte-identical, the dense,
+# mixed-L/R and other sweep-end root loci are those of a one-step-at-a-time
+# scalar path, tune's and bode's frequency responses those of a
+# one-frequency-at-a-time one, the full-size timeseries follows the per-cell
+# %.12g rule whether one process or two format it, the proposed scheme wins
+# every ordering of a bench-default compare, and
 # a verbose run logs its events, its periods and its CSV.  Needs
 # `dcgrid-lab` and `taskset` on PATH and `python` able to import dcgridlab;
 # writes only into a fresh temporary directory.
@@ -32,7 +33,12 @@ printf '[tuning]\nouter_plant_mode = closed-inner\n' | cat dense.ini - > dense-c
 # equal L/R at 741 of the 1000 steps: the batched divider's padded branch
 printf '[sweep]\nr_min = 0.1\nratio_r_over_l = 166.66666683333332\nsteps = 1000\n' > mixed.ini
 printf '[tuning]\nouter_plant_mode = closed-inner\n' | cat mixed.ini - > mixed-ci.ini
-for c in dense dense-ci mixed mixed-ci; do
+# the sweep ends of perfbench's design-sweep seeds 57 and 91
+for r in 2.039 2.323; do
+  printf "[sweep]\nr_max = $r\nsteps = 1000\n" > r$r.ini
+  printf '[tuning]\nouter_plant_mode = closed-inner\n' | cat r$r.ini - > r$r-ci.ini
+done
+for c in dense dense-ci mixed mixed-ci r2.039 r2.039-ci r2.323 r2.323-ci; do
   dcgrid-lab rootlocus --config $c.ini --out ${c}1
   dcgrid-lab rootlocus --config $c.ini --out ${c}2
   cmp ${c}1/rootlocus_power.csv ${c}2/rootlocus_power.csv
@@ -40,11 +46,12 @@ for c in dense dense-ci mixed mixed-ci; do
 done
 
 # the stacked solve's array Newton step, the per-step arrays and the array
-# L/R decision change no bit: the dense loci, and the mixed ones whose steps
-# have 3/4 or 4/5 poles, in both outer-plant modes, must be those of a scalar
-# path, one step at a time: the step's own characteristic polynomial, then
-# np.roots, then one Newton step per root in that root's own type, then %.12g
-for c in dense dense-ci mixed mixed-ci; do
+# L/R decision change no bit: the dense loci, the mixed ones whose steps have
+# 3/4 or 4/5 poles, and those of two other sweep ends, in both outer-plant
+# modes, must be those of a scalar path, one step at a time: the step's own
+# characteristic polynomial, then np.roots, then one Newton step per root in
+# that root's own type, then %.12g
+for c in dense dense-ci mixed mixed-ci r2.039 r2.039-ci r2.323 r2.323-ci; do
   for loop in power voltage; do
     python - $c.ini $loop > ${c}1/scalar_$loop.csv <<'PY'
 import cmath, dataclasses, sys

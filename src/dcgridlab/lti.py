@@ -13,27 +13,19 @@ operations are pure functions, so they are safe to evaluate concurrently.
 A coefficient may also hold one value per step of a sweep (see
 ``Polynomial``), so one pass of the algebra builds every step's transfer
 function, each step with the bits of its scalar build.  Their roots come from
-one stacked eigenvalue solve per group of like rows and one Newton step on
-every root at once (``_roots``).  That step is float64 ufuncs that write out
-the complex arithmetic a loop over one row's roots meets: CPython's for the
-float64 roots of a real spectrum, numpy's complex128 scalars' for a complex
-one.  numpy's complex ufuncs round differently, so they are not used.
+one stacked eigenvalue solve per group of like rows, then one Newton step on
+every root of the stack at once, by one rule: numpy's complex128 scalar
+arithmetic (``_newton``).
 
 A frequency response is evaluated for a whole grid at once, with the bits of
 a loop over its frequencies in Python complex arithmetic (``_response``):
-numpy's complex128 Horner's rule on the array ``s = 1j * w``, which is
-CPython's bit for bit because s has a zero real part (one product of each
-complex multiply is an exact zero, so fusing the other into a multiply-add
-rounds nothing differently), then CPython's Smith quotient num/den written in
-float64 ufuncs (``_smith``, which ``_newton`` shares); numpy's complex ``/``
-moves about half of a grid's responses by an ulp.  The crossover search grid
-then takes |g| by ``np.hypot``, the C ``hypot`` that ``abs()`` of a Python
-complex calls, and the log by ``math.log10``, not by numpy's complex ``abs``
-and ``log10``, which move about one dB value in six by an ulp.  That ulp
-matters: each tuned crossover sits on a grid point (100 and 10 rad/s are
-``FREQUENCY_GRID[228]`` and ``[171]``), where the loop's dB value is 0 within
-an ulp and its sign picks the bisection's bracket, so it would move the tuned
-gains' reported crossover and margin.
+numpy's complex Horner's rule on ``s = 1j * w``, CPython's bit for bit even
+where numpy fuses a product's multiply and add, as one of its two products is
+an exact zero, then CPython's Smith quotient (``_smith``).  The crossover
+grid takes |g| by ``np.hypot`` and the log by ``math.log10``, as ``abs()`` of
+a Python complex does.  Those ulps matter: each tuned crossover sits on a
+grid point, where the loop's dB value is 0 within an ulp and its sign picks
+the bisection's bracket.
 """
 
 from __future__ import annotations
@@ -130,58 +122,49 @@ class Polynomial:
         return Polynomial([k * c for c in self.coeffs])
 
 
-_SIGNS = np.array([-1.0, 1.0])
-# rows per _newton call: keeps its temporaries small (a sweep has 1000s of rows)
-_NEWTON_ROWS = 256
-
-
 def _smith(a, b):
-    """Smith's quotient a/b of complex numbers held as float64 (..., re/im)
-    pairs: divide through by b's larger part, u.  Returns ``(top, den)``, the
-    quotient being ``top / den`` in CPython's complex ``/`` and ``top * (1.0 /
-    den)`` in numpy's complex128 scalars' ``CDOUBLE_divide``.  A zero or NaN b
-    gives NaN parts, so call it under ``np.errstate(all="ignore")``."""
+    """Smith's quotient a/b of two complex arrays, as CPython's complex ``/``
+    rounds it: divide through by b's larger part, u.  A zero or NaN b gives
+    NaN parts, so call it under ``np.errstate(all="ignore")``."""
+    a, b = a[..., None].view(float), b[..., None].view(float)    # (..., re/im)
     wide = np.abs(b[..., :1]) >= np.abs(b[..., 1:])
     uv = np.where(wide, b, b[..., ::-1])
     u, v = uv[..., 0], uv[..., 1]
     ratio = v / u
     scaled = a * ratio[..., None]
-    top = np.where(wide, a, scaled) - np.where(wide, scaled[..., ::-1], a[..., ::-1]) * _SIGNS
-    return top, (u + v * ratio)[..., None]
+    top = np.where(wide, a, scaled) - np.where(wide, scaled[..., ::-1], a[..., ::-1]) * [-1.0, 1.0]
+    return (top / (u + v * ratio)[..., None]).view(complex)[..., 0]
 
 
-def _newton(p, roots, real):
-    """One Newton step on each root of each row of descending coefficients
-    ``p``, kept where the step is finite, in the arithmetic a one-row loop
-    meets: a real row's ``np.float64`` root takes CPython's complex product
-    and Smith quotient, a complex row's ``np.complex128`` root numpy's scalar
-    product and ``CDOUBLE_divide``, which multiplies by 1/denominator.  Each
-    complex operation is written out in float64 ufuncs on (re, im) pairs, so
-    the bits match: Horner's ``acc * x + c`` from 0j is (ar xr + ai (-xi) + c,
-    ai xr + ar xi + 0.0), for the polynomial and its derivative at once."""
-    x = roots.view(float).reshape(*roots.shape, 2)    # (row, root, re/im)
-    np.copyto(x[..., 1], 0.0, where=real[:, None])
-    d = p.shape[1] - 1
-    # (coefficient, p or its derivative, row, root, re/im).  At a finite root
-    # Horner's first step from 0j gives (c, 0.0), so acc starts there and the
-    # derivative's leading 0.0 changes nothing; at a root that is not finite
-    # the Newton step comes out non-finite either way
-    c = np.zeros((d + 1, 2, len(p), 1, 2))
-    c[:, 0, :, 0, 0] = p.T
-    c[1:, 1, :, 0, 0] = p[:, :-1].T * np.arange(d, 0, -1.0)[:, None]
-    acc = np.repeat(c[0], x.shape[1], axis=-2)
-    xr, xs = x[..., :1], x[..., 1:] * _SIGNS
-    for ck in c[1:]:
-        swapped = acc[..., ::-1] * xs
-        acc *= xr
-        acc += swapped
-        acc += ck
-    num, dv = acc
+def _newton(p, roots):
+    """One Newton step x - p(x)/p'(x), in place, on each root of each row of
+    descending coefficients ``p``, kept where the step is finite, in the
+    arithmetic of numpy's complex128 scalars: Horner's ``acc * x + c`` for the
+    polynomial and its derivative at once, then numpy's complex ``/``.  Each
+    product is the unfused (ar xr - ai xi, ar xi + ai xr) in float64 ufuncs,
+    as numpy's complex ufunc multiply fuses it on CPUs with FMA."""
+    dp = p[:, :-1] * np.arange(p.shape[1] - 1, 0, -1.0)
+    xr, xi = roots.real, roots.imag
+    # (p or p', row, root); at a finite root Horner's first step from 0j
+    # gives (c, 0.0), so p's sum starts there and p''s at 0.0
+    shape = (2, *roots.shape)
+    re, im, t, u = np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(shape)
+    re[0] = p[:, :1]
+    for k in range(dp.shape[1]):
+        np.multiply(im, xi, out=t)
+        np.multiply(re, xi, out=u)
+        im *= xr
+        im += u
+        im += 0.0    # complex + float adds (c, 0.0), so a zero part is +0.0
+        re *= xr
+        re -= t
+        re[0] += p[:, k + 1, None]
+        re[1] += dp[:, k, None]
+    del t, u, dp    # so the peak stays 4.5x the roots array
+    num, dv = np.stack((re, im), axis=-1).view(complex)[..., 0]
     with np.errstate(all="ignore"):    # a zero or non-finite derivative: no step
-        top, den = _smith(num, dv)
-        step = np.where(real[:, None, None], top / den, top * (1.0 / den))
-    return np.where(np.isfinite(step).all(axis=-1, keepdims=True),
-                    x - step, x).view(complex)[..., 0]
+        num /= dv
+    np.subtract(roots, num, out=roots, where=np.isfinite(num))
 
 
 def _roots(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -192,27 +175,28 @@ def _roots(rows) -> tuple[np.ndarray, np.ndarray]:
     terms): as in ``np.roots``, a row stripped of its zero high-order and
     constant terms gives its companion-matrix eigenvalues (none at degree 0),
     then one zero root per zero constant term.  Then ``_newton`` polishes
-    every root of every row, each row left-padded to the largest degree with
-    its own high-order zeros, with the bits of a loop over the row's roots in
-    the type a one-row ``eigvals`` gives them: float64 for a real spectrum,
-    complex128 otherwise.  A padding zero's sign changes no bit: while Horner's
-    sum at a finite root is a signed zero, each ``+ c`` leaves its imaginary
-    part +0.0, and adding the row's leading coefficient gives exactly that
-    coefficient, as when the sum starts there.
+    every root of every row in one pass, each row left-padded to the largest
+    degree with its own high-order zeros.  A padding zero's sign changes no
+    bit: while Horner's sum at a finite root is a signed zero, each ``+ c``
+    leaves its imaginary part +0.0, and adding the row's leading coefficient
+    gives exactly that coefficient, as when the sum starts there.
     Raises :class:`LtiError` for a row whose companion matrix is not finite."""
     nonzero, cols = rows != 0.0, np.arange(rows.shape[1])
-    degree = (nonzero * cols).max(axis=1)    # 0 for the zero row, as for its Polynomial
+    # reduced down the columns: numpy reduces along a short row axis slowly
+    degree = np.ascontiguousarray(nonzero.T * cols[:, None]).max(axis=0)    # 0 for the zero row
     lo = np.argmax(nonzero, axis=1)    # zero constant terms
     d = int(degree.max())
     full = rows[:, d::-1]    # descending
     roots = np.zeros((len(rows), d), complex)
-    for n, zeros in sorted(set(zip((degree - lo).tolist(), lo.tolist()))):
-        members = np.flatnonzero((degree - lo == n) & (lo == zeros))
+    group = (degree - lo) * (d + 1) + lo    # (stripped degree, zero constant terms)
+    for key in sorted(set(group.tolist())):
+        (n, zeros), members = divmod(key, d + 1), np.flatnonzero(group == key)
         p = full[members, d - n - zeros:d - zeros + 1]
         with np.errstate(over="ignore", invalid="ignore"):    # checked below
             ratios = -p[:, 1:] / p[:, :1]    # the companion matrix's first row
-        bad = ~(np.isfinite(p).all(axis=1) & np.isfinite(ratios).all(axis=1))
-        if bad.any():    # eigvals would reject the whole stack without naming a row
+        if not (np.isfinite(p).all() and np.isfinite(ratios).all()):
+            # eigvals would reject the whole stack without naming a row
+            bad = ~(np.isfinite(p).all(axis=1) & np.isfinite(ratios).all(axis=1))
             row = np.trim_zeros(rows[members[np.argmax(bad)]], "b").tolist()
             raise LtiError(f"cannot find the roots of the polynomial {row} (ascending): "
                            f"a coefficient or a ratio of two is not finite")
@@ -221,9 +205,8 @@ def _roots(rows) -> tuple[np.ndarray, np.ndarray]:
             companion[:, 0] = ratios
             companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
             roots[members, :n] = np.linalg.eigvals(companion)
-    for i in range(0, len(roots), _NEWTON_ROWS):
-        chunk = slice(i, i + _NEWTON_ROWS)
-        roots[chunk] = _newton(full[chunk], roots[chunk], ~roots[chunk].imag.any(axis=1))
+    p = ratios = companion = None    # the last group's arrays, freed for _newton's
+    _newton(full, roots)
     roots[cols[:d] >= degree[:, None]] = 0.0
     return roots, degree
 
@@ -322,9 +305,8 @@ def _response(g: TransferFunction, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     with np.errstate(all="ignore"):    # non-finite parts are the caller's to read
         s = 1j * w
         num, den = g.num(s), g.den(s)
-        top, scale = _smith(num[:, None].view(float), den[:, None].view(float))
         flagged = np.hypot(den.real, den.imag) < _den_floor(g)
-        return np.where(flagged, math.inf, (top / scale).view(complex)[:, 0]), flagged
+        return np.where(flagged, math.inf, _smith(num, den)), flagged
 
 
 def freq_response(g: TransferFunction,

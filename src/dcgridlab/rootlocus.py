@@ -14,7 +14,8 @@ count, which varies where the cables' L/R is equal at some steps only, and
 builds per-step objects only when a caller asks for ``steps``.  Pole
 trajectories are matched step to step by the assignment of least total
 distance so they can be plotted as continuous branches: every step's
-assignments are scored at once, and the few steps whose two best scores
+assignments are scored at once, the branch orders are composed from the
+step-to-step moves in array passes, and the few steps whose two best scores
 nearly tie are decided again one at a time in branch order.
 """
 
@@ -128,7 +129,9 @@ class LocusResult:
         branches were ordered before.  A step whose two best costs lie within
         1e-12 relative, where the sum's order could decide, is decided again
         in branch order, scoring every assignment in permutation order as a
-        one-step-at-a-time pairing does, so ties resolve the same way."""
+        one-step-at-a-time pairing does, so ties resolve the same way.  Each
+        step's branch order is the composition of the moves before it, taken
+        in log2(steps) array passes, restarted after each such step."""
         raw, n = self.poles, self.poles.shape[1]
         if (self.counts != n).any():
             raise SweepError("pole count changes along the sweep; cannot pair")
@@ -145,22 +148,35 @@ class LocusResult:
             pick[cost < best] = t
             np.minimum(second, np.maximum(best, cost), out=second)
             np.minimum(best, cost, out=best)
-        clear = second - best > 1e-12 * best
-        moves = assignments[pick].tolist()
         branch = np.arange(n)
-        order = [list(range(n))]    # order[k][b]: the step-k pole on branch b
-        for k, (move, ok) in enumerate(zip(moves, clear.tolist())):
-            if ok:
-                order.append([move[i] for i in order[-1]])
-            else:
-                d = dist[k][order[-1]]
-                order.append(assignments[np.argmin(d[branch, assignments].sum(axis=1))].tolist())
-        order = np.array(order, dtype=int)
+        # moved[k][i]: where the picked moves take step 0's pole i by step k,
+        # composed by doubling: after the pass of width w, moved[k] composes
+        # the moves of steps k - 2w .. k - 1 (flat[n k + i] is moved[k][i])
+        moved = np.concatenate([branch[None], assignments[pick]])
+        flat, firsts, w = moved.reshape(-1), np.arange(0, moved.size, n)[:, None], 1
+        while w < len(moved):
+            moved[w:] = flat[firsts[w:] + moved[:-w]]
+            w *= 2
+        # order[k][b], the step-k pole on branch b, is moved[k][start[b]];
+        # start changes only after a step decided again in branch order, so
+        # that moved[k + 1][start] is the order it decided
+        start, resets, starts = branch, [0], [branch]
+        for k in np.flatnonzero(~(second - best > 1e-12 * best)).tolist():
+            d = dist[k][moved[k][start]]
+            decided = assignments[np.argmin(d[branch, assignments].sum(axis=1))]
+            start = np.argsort(moved[k + 1])[decided]
+            resets.append(k + 1)
+            starts.append(start)
+        starts = np.repeat(starts, np.diff(resets + [len(moved)]), axis=0)
+        order = np.take_along_axis(moved, starts, axis=1)
         steps = np.arange(len(dist))[:, None]
         rows, cols = order[:-1], order[1:]
         assigned = dist[steps, rows, cols]
         dist[steps, rows, cols] = np.inf
-        unclear = dist.min(axis=2)[steps, rows] < 2.0 * assigned
+        # the nearest pole of the next step, one np.minimum per pole, as numpy
+        # reduces along a short last axis about ten times slower
+        nearest = functools.reduce(np.minimum, np.moveaxis(dist, 2, 0))
+        unclear = nearest[steps, rows] < 2.0 * assigned
         paths = np.take_along_axis(raw, order, axis=1)
         paths.flags.writeable = False
         return paths, tuple((int(k) + 1, int(b)) for k, b in zip(*np.nonzero(unclear)))

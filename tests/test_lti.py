@@ -479,19 +479,15 @@ def row_roots(rows, signs=(), extra=0):
 
 def np_roots_polished(poly):
     """The roots before the stacked solve: ``np.roots``, then one Newton step
-    per root where it is finite."""
+    per root where it is finite, each root a ``np.complex128`` scalar."""
     if poly.degree == 0:
         return np.array([], dtype=complex)
     d = Polynomial(tuple(i * c for i, c in enumerate(poly.coeffs))[1:] or (0.0,))
     polished = []
-    for root in np.roots(poly.coeffs[::-1]):
-        dv = d(root)
-        if abs(dv) > 0.0:
-            with np.errstate(over="ignore", invalid="ignore"):    # checked below
-                step = poly(root) / dv
-            if np.isfinite(step):
-                root = root - step
-        polished.append(root)
+    for root in np.roots(poly.coeffs[::-1]).astype(complex):
+        with np.errstate(all="ignore"):    # checked below
+            step = poly(root) / d(root)
+        polished.append(root - step if np.isfinite(step) else root)
     return np.array(polished, dtype=complex)
 
 
@@ -516,6 +512,37 @@ class TestStackedRoots:
         assert [list(r[:n]) for r, n in zip(roots, counts)] == [
             poles(tf([1.0], row)) for row in ragged]
         assert roots[2:].tolist() == [[-2 + 0j, 0j], [0j, 0j]]
+
+    def test_large_stack_equals_row_by_row(self):
+        # 700 rows in one Newton pass: degrees 0-5, 0-2 zero constant terms,
+        # real spectra and complex ones, padded with zeros of either sign
+        rng = np.random.default_rng(27)
+        rows = []
+        for i in range(700):
+            degree = i % 6
+            zeros = min(i % 3, degree)
+            if i % 4:
+                body = rng.uniform(-100.0, 100.0, degree - zeros + 1)
+                body[-1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 100.0)
+            else:
+                body = np.atleast_1d(np.poly(rng.uniform(-50.0, 50.0, degree - zeros)))[::-1]
+            rows.append((0.0,) * zeros + tuple(body.tolist()))
+        signs = rng.choice([0.0, -0.0], 5 * len(rows)).tolist()
+        roots, degree = _roots(padded(rows, signs))
+        for row, got, n in zip(rows, roots, degree.tolist()):
+            one, (m,) = _roots(np.array([row]))
+            assert n == m
+            assert got[:n].tobytes() == one[0, :m].tobytes(), row
+
+    def test_real_roots_keep_a_positive_zero_imaginary_part(self):
+        # real spectra stacked with a complex one, so eigvals returns complex:
+        # no real root's imaginary part is -0.0, which a CSV would print as -0
+        rows = [(6.0, 5.0, 1.0), (-6.0, 1.0, 1.0), (8.1, 2.08, 1.0), (6.0, -5.0, 1.0),
+                (0.0, 2.0, 3.0, 1.0), (0.0, -2.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)]
+        roots, degree = _roots(padded(rows))
+        real = roots.imag == 0.0
+        assert real[[0, 1, 3, 4, 5]].all() and not real[2, :2].any()
+        assert not np.signbit(roots.imag[real]).any()
 
     @pytest.mark.parametrize("row", [(1.0, math.inf), (math.nan, 2.0, 1.0),
                                      (1e300, 1e-300)])
@@ -724,8 +751,8 @@ def stack_rows(draw):
 # s^4 + s^2 with a -0.0 linear term: the 0.0 that Horner's "+ c" adds to the
 # imaginary part decides a zero's sign
 @example([(0.0, -0.0, 1.0, 0.0, 1.0)], [], 0)
-# a real spectrum whose Newton step is CPython's quotient, and a complex one
-# whose step is numpy's: each rounds otherwise under the other's division
+# a real spectrum and a complex one whose Newton steps round otherwise under
+# CPython's complex quotient than under numpy's
 @example([(2.6360205985498584e-206, 9.327496024468239e-153, 0.0, 1.0, 1.0),
           (1.2, 1.0, 1.2, 1.0)], [], 0)
 # the first 3-pole and 4-pole rows of the as-written voltage locus of
@@ -734,8 +761,8 @@ def stack_rows(draw):
           (36.647, 9.790282000000001, 0.7341024191847846, 0.00708623021040125,
            1.815690057238664e-05)], [], 0)
 def test_property_stacked_roots_equal_np_roots_then_polish(rows, signs, extra):
-    # the array Newton step against the one-root-at-a-time loop, each root in
-    # the type np.roots gives it; the rows share one matrix, padded with high-
+    # the array Newton step against the one-root-at-a-time loop on
+    # np.complex128 scalars; the rows share one matrix, padded with high-
     # order zeros of either sign, so degrees drop inside it
     for row, got in zip(rows, row_roots(rows, signs, extra)):
         assert got.tobytes() == np_roots_polished(Polynomial(row)).tobytes(), row

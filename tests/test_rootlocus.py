@@ -263,6 +263,103 @@ def test_sweep_pairing_equals_sequential(grid, mode):
     assert locus.pairing_ambiguities() == flags
 
 
+def per_step_loop_pairing(locus):
+    """The pairing with every step scored at once and each step's branch order
+    built from the last one in a loop over the steps, near-ties decided again
+    in branch order: paths, flags and the number of steps decided again."""
+    raw, n = locus.poles, locus.poles.shape[1]
+    dist = np.abs(raw[:-1, :, None] - raw[1:, None])
+    best, second = np.full(len(dist), np.inf), np.full(len(dist), np.inf)
+    pick = np.zeros(len(dist), dtype=int)
+    assignments = np.array(list(itertools.permutations(range(n))), dtype=int)
+    for t, perm in enumerate(assignments.tolist()):
+        cost = sum((dist[:, i, j] for i, j in enumerate(perm)), np.zeros(len(dist)))
+        pick[cost < best] = t
+        np.minimum(second, np.maximum(best, cost), out=second)
+        np.minimum(best, cost, out=best)
+    clear = second - best > 1e-12 * best
+    moves = assignments[pick].tolist()
+    branch = np.arange(n)
+    order = [list(range(n))]
+    for k, (move, ok) in enumerate(zip(moves, clear.tolist())):
+        if ok:
+            order.append([move[i] for i in order[-1]])
+        else:
+            d = dist[k][order[-1]]
+            order.append(assignments[np.argmin(d[branch, assignments].sum(axis=1))].tolist())
+    order = np.array(order, dtype=int)
+    steps = np.arange(len(dist))[:, None]
+    rows, cols = order[:-1], order[1:]
+    assigned = dist[steps, rows, cols]
+    dist[steps, rows, cols] = np.inf
+    unclear = dist.min(axis=2)[steps, rows] < 2.0 * assigned
+    flags = [(int(k) + 1, int(b)) for k, b in zip(*np.nonzero(unclear))]
+    return np.take_along_axis(raw, order, axis=1), flags, int((~clear).sum())
+
+
+def assert_pairing_is_the_loops(locus):
+    paths, flags, decided_again = per_step_loop_pairing(locus)
+    assert locus.trajectories().tobytes() == paths.tobytes()
+    assert locus.pairing_ambiguities() == flags
+    return decided_again
+
+
+@pytest.mark.parametrize("mode", ["power", "as-written", "closed-inner"])
+def test_bench_sweep_pairing_equals_per_step_loop(grid, mode):
+    # design-sweep's 1000-step sweeps; their real poles print as 0, never -0
+    sweep = ImpedanceSweep(r_min=0.1, r_max=2.0, ratio_r_over_l=RATIO, steps=1000)
+    locus = (sweep_power_loop(grid, POWER_PI, sweep) if mode == "power" else
+             sweep_voltage_loop(grid, POWER_PI, VOLTAGE_PI, sweep, mode=mode))
+    assert_pairing_is_the_loops(locus)
+    on_axis = locus.poles.imag == 0.0
+    assert on_axis.any() and not np.signbit(locus.poles.imag[on_axis]).any()
+
+
+def test_crossing_locus_pairing_equals_per_step_loop():
+    # two real poles that cross at -2, and a conjugate pair that meets the
+    # real axis at -0.5 and splits along it, eigvals-like orders shuffled:
+    # the steps at and next to each meeting are decided again
+    rng = np.random.default_rng(5)
+    steps = []
+    for t in np.linspace(0.0, 2.0, 41).tolist():
+        im = complex(0.0, 1.0 - t) if t < 1.0 else complex(t - 1.0, 0.0)
+        ps = [complex(-1.0 - t, 0.0), complex(-3.0 + t, 0.0), -0.5 + im, -0.5 - im]
+        steps.append(LocusStep(1.0, 1.0, tuple(ps[i] for i in rng.permutation(4)), True))
+    locus = locus_of(tuple(steps))
+    assert assert_pairing_is_the_loops(locus) >= 2
+    assert locus.pairing_ambiguities()
+
+
+@st.composite
+def tied_loci(draw):
+    """3-40 steps of n = 2-5 poles in a drawn order: each step moves the last
+    one's poles a little, or draws new ones, or sends two of them to points
+    at most 1e-12 apart, so two assignments nearly tie."""
+    n = draw(st.integers(2, 5))
+    steps = [[complex(draw(_PART), draw(_PART)) for _ in range(n)]]
+    small = st.floats(-0.5, 0.5)
+    for _ in range(draw(st.integers(2, 39))):
+        kind = draw(st.sampled_from(["drift", "new", "tie"]))
+        if kind == "drift":
+            ps = [p + complex(draw(small), draw(small)) for p in steps[-1]]
+        elif kind == "new":
+            ps = [complex(draw(_PART), draw(_PART)) for _ in range(n)]
+        else:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            ps = list(steps[-1])
+            meet = (ps[i] + ps[j]) / 2
+            ps[i], ps[j] = meet, meet + complex(draw(st.floats(0.0, 1e-12)),
+                                                draw(st.floats(0.0, 1e-12)))
+        steps.append(draw(st.permutations(ps)))
+    return tuple(LocusStep(1.0, 1.0, tuple(ps), True) for ps in steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_loci())
+def test_property_composed_pairing_equals_per_step_loop(steps):
+    assert_pairing_is_the_loops(locus_of(steps))
+
+
 class TestVoltageLoopSweep:
     def test_all_steps_stable(self, voltage_locus):
         assert voltage_locus.all_stable
