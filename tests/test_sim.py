@@ -961,6 +961,22 @@ def test_mid_block_case_cuts_a_block_after_a_passed_period():
     assert [b for b in blocks if b[2] < b[1]] == [(51, 2, 0), (52, 2, 1)]
 
 
+def test_clamped_case_wastes_few_mapped_periods():
+    # blocks restart at two periods after a ticked one, so each block that a
+    # clamp test cuts throws few mapped periods away: 197 in 109 blocks here,
+    # where fixed 256-period blocks throw away 4,950
+    wasted, advance = [], sim._advance
+
+    def spy(loop, maps, x, flat, inputs, k0, count):
+        done = advance(loop, maps, x, flat, inputs, k0, count)
+        wasted.append(count - done)
+        return done
+
+    with mock.patch.object(sim, "_advance", spy):
+        run(oracle_scenario(CLAMPED_CASE))
+    assert sum(wasted) <= 197, (sum(wasted), len(wasted))
+
+
 @pytest.mark.parametrize("case,counts", [
     ("bench-proposed", (1247, 3, 0)), (CLAMPED_CASE, (48, 102, 99)),
     (REFERENCE_CLAMPED_CASE, (146, 4, 1)), (MID_BLOCK_CASE, (145, 5, 2))])
@@ -1102,6 +1118,22 @@ def test_stacked_period_map_equals_replayed_ticks(case, active):
             assert np.array_equal(got, w), name
         else:
             assert np.abs(got - w).max() <= 1e-14 * peak, (name, np.abs(got - w).max() / peak)
+
+
+@pytest.mark.parametrize("active", (False, True))
+@pytest.mark.parametrize("case", tuple(COMPARE_CASES))
+def test_period_map_holds_the_current_sum_exactly(case, active):
+    # M, the stacked map's last n rows, is the next z as the engine steps it:
+    # its plant rows are the period's last plant row, whose I1 + I2 is z's
+    # current sum bit for bit
+    loop = _ControlLoop(bench_scenario(case))
+    for unit in loop.units:
+        unit.active = active
+    stacked, _ = _period_map(loop, loop.n_sec)
+    n, span = stacked.shape[1], loop.n_sec * len(loop.phi)
+    m, eye = stacked[-n:], np.eye(n)
+    assert (m[2] + m[3]).tobytes() == (eye[2] + eye[3]).tobytes()
+    assert m.tobytes() == np.vstack([stacked[span - 4:span], stacked[4 - n:]]).tobytes()
 
 
 def capture_pinned(stride: int = 97) -> dict:
