@@ -3,14 +3,16 @@ a comment, with blank lines and docstrings left out.
 
 A docstring here is any statement made of string literals alone.  A line
 counts once however many tokens it holds; a string or a bracketed expression
-over several lines counts every line it spans.  Prints one count per file and
-their total, as ``wc -l`` does:
+over several lines counts every line it spans.  A directory argument stands
+for its own ``*.py`` files, sorted.  Prints one count per file and their
+total, as ``wc -l`` does:
 
-    python .github/scripts/loc.py src/dcgridlab/*.py
+    python .github/scripts/loc.py src/dcgridlab
 """
 
 import sys
 import tokenize
+from pathlib import Path
 
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -31,7 +33,9 @@ def code_lines(path: str) -> int:
 
 
 def main(paths: list[str]) -> None:
-    counts = [(code_lines(p), p) for p in paths]
+    files = [str(f) for p in map(Path, paths)
+             for f in (sorted(p.glob("*.py")) if p.is_dir() else [p])]
+    counts = [(code_lines(p), p) for p in files]
     for n, p in counts:
         print(f"{n:7d} {p}")
     print(f"{sum(n for n, _ in counts):7d} total")

@@ -19,13 +19,13 @@ from .rootlocus import (ImpedanceSweep, LocusResult, max_resistance_bound,
                         sweep_power_loop, sweep_voltage_loop)
 from .sim import (LoadProfile, Scenario, SimResult, itae_current, itae_voltage,
                   run, voltage_settling)
-from .tuning import TunedController, TuningSpec, design_pi, verify_design
+from .tuning import TuningSpec, design_pi, verify_design
 
 __all__ = [
     "__version__", "CableParams", "CascadeScheme", "ConventionalScheme",
     "ConverterParams", "GridConfig", "ImpedanceSweep", "LoadProfile",
     "LocusResult", "PiGains", "Polynomial", "Scenario", "SimResult",
-    "TransferFunction", "TunedController", "TuningSpec", "analytic_phase",
+    "TransferFunction", "TuningSpec", "analytic_phase",
     "bandwidth_3db", "default_grid", "design_pi", "freq_response",
     "gain_crossover", "itae_current", "itae_voltage", "max_resistance_bound",
     "pi_step", "poles", "power_plant_tf", "run",

@@ -31,12 +31,12 @@ from . import __version__
 from .config import (CONVENTIONAL_HIGH_PI, CONVENTIONAL_LOW_PI, ConfigError,
                      RunConfig, build_scheme, load_config, render_config)
 from .grid import (OUTER_PLANT_MODES, GridModelError, check_converter_index,
-                   pi_tf, power_plant_tf, voltage_loop_plant_tf)
-from .lti import FREQUENCY_GRID, LtiError, TransferFunction, freq_response, tf, tf_series
+                   power_plant_tf, voltage_loop_plant_tf)
+from .lti import FREQUENCY_GRID, LtiError, TransferFunction, freq_response, tf
 from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
 from .sim import (DEFAULT_ITAE_WINDOW, SimResult, SimulationDiverged,
                   SimulationError, itae_current, itae_voltage, run, voltage_settling)
-from .tuning import InfeasibleDesignError, TunedController, design_pi, verify_design
+from .tuning import DesignReport, InfeasibleDesignError, design_pi, verify_design
 
 log = logging.getLogger("dcgridlab")
 
@@ -230,7 +230,7 @@ def write_csv(path: Path, manifest: RunManifest, header: Sequence[str],
 def _write_bode(path: Path, manifest: RunManifest, g: TransferFunction,
                 note: Optional[str] = None) -> None:
     write_csv(path, manifest, ("omega_rad_s", "magnitude_db", "phase_deg"),
-              (FREQUENCY_GRID, *freq_response(g, FREQUENCY_GRID)), note=note)
+              (FREQUENCY_GRID, *freq_response(g)), note=note)
 
 
 def _json_safe(value):
@@ -265,19 +265,18 @@ def _prepare_outdir(config_text: str, out: str) -> Path:
 # subcommands
 
 
-def _tuned_entry(tuned: TunedController) -> dict:
+def _tuned_entry(tuned: DesignReport) -> dict:
     return {"kp": tuned.gains.kp, "ki": tuned.gains.ki,
-            "achieved_crossover_rad_s": tuned.achieved_crossover,
-            "achieved_margin_deg": tuned.achieved_margin}
+            "achieved_crossover_rad_s": tuned.crossover,
+            "achieved_margin_deg": tuned.margin}
 
 
 def cmd_tune(cfg: RunConfig, outdir: Path, manifest: RunManifest,
              args: argparse.Namespace) -> int:
     """Design the power and bus-voltage PI gains."""
     mode = cfg.tuning.outer_plant_mode
-    power_plant = power_plant_tf(cfg.grid, 0)
     try:
-        power = design_pi(power_plant, cfg.tuning.power)
+        power = design_pi(power_plant_tf(cfg.grid, 0), cfg.tuning.power)
     except InfeasibleDesignError as exc:
         log.error("power loop design infeasible: %s", exc)
         return EXIT_NUMERICAL
@@ -293,20 +292,18 @@ def cmd_tune(cfg: RunConfig, outdir: Path, manifest: RunManifest,
             continue
         results[f"voltage_loop[{m}]"] = _tuned_entry(tuned)
         if m == mode:
-            chosen, voltage_plant = tuned, plant
+            chosen = tuned
     write_json(outdir / "gains.json", manifest, results)
     if chosen is None:
         log.error("voltage loop design infeasible in mode %s", mode)
         return EXIT_NUMERICAL
 
-    for name, label, tuned, plant in (
-            ("power", "power loop", power, power_plant),
-            ("voltage", f"voltage loop [{mode}]", chosen, voltage_plant)):
-        _write_bode(outdir / f"bode_{name}_loop.csv", manifest,
-                    tf_series(pi_tf(tuned.gains), plant))
+    for name, label, tuned in (("power", "power loop", power),
+                               ("voltage", f"voltage loop [{mode}]", chosen)):
+        _write_bode(outdir / f"bode_{name}_loop.csv", manifest, tuned.loop)
         print(f"{label}: kp={tuned.gains.kp:.6g} ki={tuned.gains.ki:.6g} "
-              f"(crossover {tuned.achieved_crossover:.4g} rad/s, "
-              f"margin {tuned.achieved_margin:.4g} deg)")
+              f"(crossover {tuned.crossover:.4g} rad/s, "
+              f"margin {tuned.margin:.4g} deg)")
     return EXIT_OK
 
 
@@ -450,7 +447,7 @@ def cmd_bode(cfg: RunConfig, outdir: Path, manifest: RunManifest,
         if report.ok:
             note = (f"crossover_rad_s={_fmt(report.crossover)} "
                     f"margin_deg={_fmt(report.margin)}")
-        g = tf_series(pi_tf(gains), g)
+        g = report.loop
     path = outdir / f"bode_{plant_name}.csv"
     _write_bode(path, manifest, g, note)
     print(f"wrote {path}")

@@ -309,24 +309,21 @@ def _response(g: TransferFunction, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return np.where(flagged, math.inf, _smith(num, den)), flagged
 
 
-def freq_response(g: TransferFunction,
-                  omegas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitude (dB) and unwrapped phase (deg) at strictly positive frequencies.
+def freq_response(g: TransferFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude (dB) and unwrapped phase (deg) at each frequency of
+    ``FREQUENCY_GRID``, the grid of every Bode export.
 
     Phase is cumulatively unwrapped along the grid and anchored at the lowest
     frequency with the analytic phase of g there, so margins read from the
     result use absolute phase.  Evaluation on top of an imaginary-axis pole
     yields an ``inf`` magnitude (and a held phase) instead of a crash.
     """
-    w = np.asarray(list(omegas), dtype=float)
-    if len(w) == 0 or np.any(w <= 0) or np.any(np.diff(w) < 0):
-        raise ValueError("frequencies must be nonempty, strictly positive and ascending")
-    resp, flagged = _response(g, w)
+    resp, flagged = _response(g, FREQUENCY_GRID)
     mag_db = np.where(flagged, math.inf, 20.0 * np.log10(np.maximum(np.abs(resp), 1e-300)))
     raw = np.angle(resp)
     raw[flagged] = 0.0
     unwrapped = np.unwrap(raw)
-    unwrapped += analytic_phase(g, w[0]) - unwrapped[0]
+    unwrapped += analytic_phase(g, FREQUENCY_GRID[0]) - unwrapped[0]
     return mag_db, np.degrees(unwrapped)
 
 

@@ -36,30 +36,28 @@ class TuningSpec:
 
 
 @dataclass(frozen=True)
-class TunedController:
-    gains: PiGains
-    achieved_crossover: float
-    achieved_margin: float
-
-
-@dataclass(frozen=True)
 class DesignReport:
-    """Verification of a PI design against its spec."""
+    """A PI design verified against its spec: the gains, the open loop C*G
+    they make with the plant, and that loop's crossover and phase margin
+    (None, with the reason, when it has no 0 dB crossing)."""
 
     ok: bool
+    gains: PiGains
+    loop: TransferFunction
     crossover: Optional[float]
     margin: Optional[float]
     crossover_delta: Optional[float]
     reason: str = ""
 
 
-def design_pi(plant: TransferFunction, spec: TuningSpec) -> TunedController:
+def design_pi(plant: TransferFunction, spec: TuningSpec) -> DesignReport:
     """Solve C(jwc)*G(jwc) = 1 at angle (margin - 180 deg) for C = kp + ki/s.
 
     The required controller phase theta must lie in (-90, 0] degrees; then
     |C| = 1/|G(jwc)|, kp = |C| cos(theta), ki = -wc |C| sin(theta).  The
     design is rejected when the loop's lowest 0 dB crossing is not wc (|C*G|
-    may touch 1 at wc from below and cross it lower down).
+    may touch 1 at wc from below and cross it lower down).  Returns the
+    verified loop's report.
     """
     wc = spec.crossover_omega
     g = plant(1j * wc)
@@ -84,9 +82,7 @@ def design_pi(plant: TransferFunction, spec: TuningSpec) -> TunedController:
         raise InfeasibleDesignError(
             f"designed loop first crosses 0 dB at {report.crossover:.6g} rad/s, "
             f"not at the requested {wc:g} rad/s")
-    return TunedController(gains=gains,
-                           achieved_crossover=report.crossover,
-                           achieved_margin=report.margin)
+    return report
 
 
 def verify_design(plant: TransferFunction, gains: PiGains,
@@ -97,8 +93,8 @@ def verify_design(plant: TransferFunction, gains: PiGains,
     try:
         wc = gain_crossover(loop)
     except NoCrossoverError as exc:
-        return DesignReport(ok=False, crossover=None, margin=None,
-                            crossover_delta=None, reason=str(exc))
+        return DesignReport(ok=False, gains=gains, loop=loop, crossover=None,
+                            margin=None, crossover_delta=None, reason=str(exc))
     pm = 180.0 + math.degrees(analytic_phase(loop, wc))   # phase margin
-    return DesignReport(ok=True, crossover=wc, margin=pm,
+    return DesignReport(ok=True, gains=gains, loop=loop, crossover=wc, margin=pm,
                         crossover_delta=wc - spec.crossover_omega)

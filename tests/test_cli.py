@@ -629,7 +629,7 @@ class TestBode:
         rows = [(o / "bode_power.csv").read_text().splitlines()[2:] for o in out[:2]]
         plant = cli.power_plant_tf(load_config(cfgp).grid, 0)
         want = [f"{w:.12g},{m:.12g},{p:.12g}" for w, m, p in
-                zip(cli.FREQUENCY_GRID, *cli.freq_response(plant, cli.FREQUENCY_GRID))]
+                zip(cli.FREQUENCY_GRID, *cli.freq_response(plant))]
         assert rows[1] == want != rows[0]
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:

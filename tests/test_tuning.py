@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcgridlab.config import load_config
 from dcgridlab.control import PiGains
 from dcgridlab.grid import default_grid, pi_tf, power_plant_tf, voltage_loop_plant_tf
 from dcgridlab.lti import tf, tf_series
@@ -49,8 +50,8 @@ class TestDesign:
 
     def test_achieved_matches_spec(self, power_plant):
         tuned = design_pi(power_plant, TuningSpec(100.0, 70.0))
-        assert tuned.achieved_crossover == pytest.approx(100.0, rel=1e-6)
-        assert tuned.achieved_margin == pytest.approx(70.0, rel=1e-6)
+        assert tuned.crossover == pytest.approx(100.0, rel=1e-6)
+        assert tuned.margin == pytest.approx(70.0, rel=1e-6)
 
     def test_margin_demanding_phase_lift_rejected(self):
         # 1/s sits at -90 deg; a 170 deg margin would need +80 deg from the PI
@@ -81,6 +82,21 @@ class TestVerify:
         assert report.ok
         assert abs(report.crossover_delta) < 1e-6 * spec.crossover_omega
         assert abs(report.margin - spec.phase_margin) < 1e-6 * spec.phase_margin
+
+    def test_design_returns_its_verified_report(self):
+        # the bench power loop and the bench-default voltage loop on its gains:
+        # each design's report equals a fresh verification of its gains, field
+        # for field, and its loop is C*G
+        cfg = load_config(None)
+        power_plant = power_plant_tf(cfg.grid, 0)
+        power = design_pi(power_plant, cfg.tuning.power)
+        voltage_plant = voltage_loop_plant_tf(cfg.grid, 0, power.gains,
+                                              mode=cfg.tuning.outer_plant_mode)
+        for plant, spec in ((power_plant, cfg.tuning.power),
+                            (voltage_plant, cfg.tuning.voltage)):
+            report = design_pi(plant, spec)
+            assert report == verify_design(plant, report.gains, spec)
+            assert report.loop == tf_series(pi_tf(report.gains), plant)
 
     def test_bench_gains_on_bench_plant(self, power_plant):
         report = verify_design(power_plant, PiGains(kp=0.001, ki=0.130),
