@@ -325,12 +325,8 @@ def _score_events(cfg: RunConfig, result: SimResult) -> list[dict]:
 def cmd_simulate(cfg: RunConfig, outdir: Path, manifest: RunManifest,
                  args: argparse.Namespace) -> int:
     """Run one scenario and score its transients."""
-    try:
-        result = run(cfg.scenario())
-        scored = _score_events(cfg, result)
-    except SimulationError as exc:
-        log.error("simulation failed: %s", exc)
-        return EXIT_NUMERICAL
+    result = run(cfg.scenario())
+    scored = _score_events(cfg, result)
     columns = (result.time,
                result.power[:, 0], result.power[:, 1],
                result.bus_voltage,

@@ -150,19 +150,20 @@ def _newton(p, roots):
     shape = (2, *roots.shape)
     re, im, t, u = np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(shape)
     re[0] = p[:, :1]
-    for k in range(dp.shape[1]):
-        np.multiply(im, xi, out=t)
-        np.multiply(re, xi, out=u)
-        im *= xr
-        im += u
-        im += 0.0    # complex + float adds (c, 0.0), so a zero part is +0.0
-        re *= xr
-        re -= t
-        re[0] += p[:, k + 1, None]
-        re[1] += dp[:, k, None]
-    del t, u, dp    # so the peak stays 4.5x the roots array
-    num, dv = np.stack((re, im), axis=-1).view(complex)[..., 0]
-    with np.errstate(all="ignore"):    # a zero or non-finite derivative: no step
+    # a sum that overflows, or a zero or non-finite derivative: no step
+    with np.errstate(all="ignore"):
+        for k in range(dp.shape[1]):
+            np.multiply(im, xi, out=t)
+            np.multiply(re, xi, out=u)
+            im *= xr
+            im += u
+            im += 0.0    # complex + float adds (c, 0.0), so a zero part is +0.0
+            re *= xr
+            re -= t
+            re[0] += p[:, k + 1, None]
+            re[1] += dp[:, k, None]
+        del t, u, dp    # so the peak stays 4.5x the roots array
+        num, dv = np.stack((re, im), axis=-1).view(complex)[..., 0]
         num /= dv
     np.subtract(roots, num, out=roots, where=np.isfinite(num))
 

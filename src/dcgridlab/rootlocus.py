@@ -14,9 +14,9 @@ count, which varies where the cables' L/R is equal at some steps only, and
 builds per-step objects only when a caller asks for ``steps``.  Pole
 trajectories are matched step to step by the assignment of least total
 distance so they can be plotted as continuous branches: every step's
-assignments are scored at once, the branch orders are composed from the
-step-to-step moves in array passes, and the few steps whose two best scores
-nearly tie are decided again one at a time in branch order.
+assignments are scored at once, each step takes the first of least cost in
+permutation order, with poles in ``eigvals`` order, and the branch orders are
+composed from these step-to-step moves in array passes.
 """
 
 from __future__ import annotations
@@ -126,49 +126,34 @@ class LocusResult:
         """Each step's poles matched to the previous step's by the assignment of
         least total distance, every step scored at once: with poles in
         ``eigvals`` order, an assignment's cost does not depend on how the
-        branches were ordered before.  A step whose two best costs lie within
-        1e-12 relative, where the sum's order could decide, is decided again
-        in branch order, scoring every assignment in permutation order as a
-        one-step-at-a-time pairing does, so ties resolve the same way.  Each
-        step's branch order is the composition of the moves before it, taken
-        in log2(steps) array passes, restarted after each such step."""
+        branches were ordered before.  Each step takes the first assignment of
+        least cost in permutation order, and a step whose costs are all NaN
+        (only a hand-built result has NaN poles) keeps each branch's index.
+        Each step's branch order is the composition of the moves before it,
+        taken in log2(steps) array passes."""
         raw, n = self.poles, self.poles.shape[1]
         if (self.counts != n).any():
             raise SweepError("pole count changes along the sweep; cannot pair")
         # dist[k - 1, i, j]: from pole i of step k - 1 to pole j of step k
         dist = np.abs(raw[:-1, :, None] - raw[1:, None])
         # every assignment is scored: n! is 120 for the largest loop here (5
-        # poles).  best and second hold each step's two least costs (NaN where
-        # a cost is NaN), pick the first assignment of least cost
-        best, second = np.full(len(dist), np.inf), np.full(len(dist), np.inf)
-        pick = np.zeros(len(dist), dtype=int)
+        # poles).  best holds each step's least cost, pick the first
+        # assignment of that cost
+        best, pick = np.full(len(dist), np.inf), np.zeros(len(dist), dtype=int)
         assignments = np.array(list(itertools.permutations(range(n))), dtype=int)
         for t, perm in enumerate(assignments.tolist()):
             cost = sum((dist[:, i, j] for i, j in enumerate(perm)), np.zeros(len(dist)))
             pick[cost < best] = t
-            np.minimum(second, np.maximum(best, cost), out=second)
             np.minimum(best, cost, out=best)
-        branch = np.arange(n)
-        # moved[k][i]: where the picked moves take step 0's pole i by step k,
-        # composed by doubling: after the pass of width w, moved[k] composes
-        # the moves of steps k - 2w .. k - 1 (flat[n k + i] is moved[k][i])
-        moved = np.concatenate([branch[None], assignments[pick]])
-        flat, firsts, w = moved.reshape(-1), np.arange(0, moved.size, n)[:, None], 1
-        while w < len(moved):
-            moved[w:] = flat[firsts[w:] + moved[:-w]]
+        # order[k][b], the step-k pole on branch b: where the picked moves take
+        # step 0's pole b by step k, composed by doubling: after the pass of
+        # width w, order[k] composes the moves of steps k - 2w .. k - 1
+        # (flat[n k + b] is order[k][b])
+        order = np.concatenate([np.arange(n)[None], assignments[pick]])
+        flat, firsts, w = order.reshape(-1), np.arange(0, order.size, n)[:, None], 1
+        while w < len(order):
+            order[w:] = flat[firsts[w:] + order[:-w]]
             w *= 2
-        # order[k][b], the step-k pole on branch b, is moved[k][start[b]];
-        # start changes only after a step decided again in branch order, so
-        # that moved[k + 1][start] is the order it decided
-        start, resets, starts = branch, [0], [branch]
-        for k in np.flatnonzero(~(second - best > 1e-12 * best)).tolist():
-            d = dist[k][moved[k][start]]
-            decided = assignments[np.argmin(d[branch, assignments].sum(axis=1))]
-            start = np.argsort(moved[k + 1])[decided]
-            resets.append(k + 1)
-            starts.append(start)
-        starts = np.repeat(starts, np.diff(resets + [len(moved)]), axis=0)
-        order = np.take_along_axis(moved, starts, axis=1)
         steps = np.arange(len(dist))[:, None]
         rows, cols = order[:-1], order[1:]
         assigned = dist[steps, rows, cols]

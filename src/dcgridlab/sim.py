@@ -121,6 +121,10 @@ class Scenario:
             raise SimulationError("control_dt must be a multiple of plant_dt")
         if not _is_multiple(self.secondary_dt, self.control_dt):
             raise SimulationError("secondary_dt must be a multiple of control_dt")
+        n = len(self.grid.converters)
+        if isinstance(self.scheme, CascadeScheme) and len(self.scheme.weights) != n:
+            raise SimulationError(f"cascade weights {list(self.scheme.weights)} must be "
+                                  f"one per converter of the grid's {n}")
         # the engine acts only on control ticks from t = 0, so an off-grid
         # time would silently move to another tick and a negative one to 0
         timed = [("activation_time", self.activation_time),
@@ -367,8 +371,9 @@ def _period_map(loop: _ControlLoop, k0: int):
     tick_maps = [np.array([outputs(k, e) for e in eye]).T
                  for k in range(k0, k0 + min(loop.n_sec, 2))]
     ticks = tick_maps[:1]
-    for tick_map in tick_maps[1:] * (loop.n_sec - 1):
-        ticks.append(tick_map @ ticks[-1][-n:])
+    with np.errstate(over="ignore", invalid="ignore"):    # _advance checks the results
+        for tick_map in tick_maps[1:] * (loop.n_sec - 1):
+            ticks.append(tick_map @ ticks[-1][-n:])
     plant, refs, tests = np.split(np.array(ticks)[:, :-n], [size, size + 2], axis=1)
     plant[:, 3::4] = eye[2] + eye[3] - plant[:, 2::4]
     stacked = np.vstack([p.reshape(-1, n)
@@ -401,8 +406,9 @@ def _advance(loop: _ControlLoop, maps, x: np.ndarray, flat: np.ndarray,
     span, k1 = loop.n_sec * size, k0 + count * loop.n_sec
     out = np.empty((count, len(stacked)))
     z = loop.pack(x)
-    for row in out:
-        z = np.dot(stacked, z, out=row)[-n_z:]
+    with np.errstate(over="ignore", invalid="ignore"):    # checked below
+        for row in out:
+            z = np.dot(stacked, z, out=row)[-n_z:]
     flat[k0 * size:k1 * size].reshape(count, span)[:] = out[:, :span]
     inputs[k0:k1].reshape(count, n_ref)[:] = out[:, span:span + n_ref]
     passed = (np.isfinite(out).all(axis=1)

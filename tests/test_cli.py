@@ -322,6 +322,33 @@ class TestRejectedAtLoad:
         assert "activation_time 5.0" in message and "plant_dt 0.001" in message
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["simulate"], FAST_SCENARIO + "[scheme]\nvoltage_kp = 1e200\nvoltage_ki = 1e200\n"),
+    (["simulate"], FAST_SCENARIO + "[grid]\nnominal_bus_voltage = 1e150\n"),
+    (["rootlocus"], "[sweep]\nratio_r_over_l = 1e300\n"),
+    (["tune"], "[grid]\nvoltage_loop_taus = 1e-300, 0.005\n"),
+    (["rootlocus"], "[grid]\nvoltage_loop_taus = 1e-300, 0.005\n"),
+    (["bode", "--plant", "voltage-loop"], "[grid]\nvoltage_loop_taus = 1e-300, 0.005\n"),
+    (["tune"], "[grid]\ncable_inductances = 1e-300, 3e-3\n")],
+    ids=["voltage-gains", "bus-voltage", "sweep-ratio", "tune-taus", "rootlocus-taus",
+         "bode-taus", "tune-inductance"])
+def test_overflow_the_code_checks_prints_no_warning(tmp_path, argv, text):
+    # these runs succeed, yet printed numpy's overflow and invalid-value
+    # warnings: from sim's period-map composition and block product, whose
+    # results the block's finiteness check tests, and from lti._newton's
+    # Horner sums, whose steps it keeps only where finite
+    cfgp = write(tmp_path, text)
+    src = str(Path(dcgridlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-c",
+         "import sys; from dcgridlab.cli import main; sys.exit(main())",
+         *argv, "--config", cfgp, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=""))
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == []
+
+
 def g12(v) -> str:
     return format(v, ".12g") if isinstance(v, float) else str(v)
 
@@ -339,7 +366,7 @@ class TestRunBeyondMemory:
         cfgp = write(tmp_path, "[scenario]\nduration = 1e7\n")
         assert main([subcommand, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert len(errors) == 1
+        assert len(errors) == 1 and errors[0].startswith("numerical failure: ")
         assert "duration 10000000.0 s needs 1.000e+11 plant rows" in errors[0]
         assert "Unable to allocate 745. GiB" in errors[0]
 

@@ -181,6 +181,16 @@ class TestPairing:
         assert locus.pairing_ambiguities() == [(1, 0)]
         assert locus.trajectories() is paths and not paths.flags.writeable
 
+    def test_all_nan_step_keeps_each_branchs_index(self):
+        # a hand-built NaN pole makes every assignment's cost NaN: the step
+        # takes the identity move, so each branch keeps its pole index
+        locus = locus_of(tuple(LocusStep(1.0, 1.0, ps, True) for ps in
+                               [(0j, 1 + 0j), (1.01 + 0j, 0.01 + 0j), (np.nan + 0j, 0.5 + 0j)]))
+        paths = locus.trajectories()
+        assert paths[:2].tolist() == [[0j, 1 + 0j], [0.01 + 0j, 1.01 + 0j]]
+        assert paths[2, 0] == 0.5 and np.isnan(paths[2, 1])
+        assert locus.pairing_ambiguities() == []
+
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_total_distance_matches_hungarian(self, n):
         rng = np.random.default_rng(n)
@@ -238,6 +248,31 @@ def loci(draw):
     return tuple(steps)
 
 
+def eigvals_order_pairing(steps):
+    """The pairing one step at a time, each step's poles in eigvals order:
+    every assignment from the last step's poles to this step's scored in
+    permutation order, the first of least total distance taken, and the
+    branch order carried on from the last step's."""
+    n = len(steps[0].poles)
+    assignments = np.array(list(itertools.permutations(range(n))), dtype=int)
+    branch = np.arange(n)
+    order = branch
+    paths = np.empty((len(steps), n), dtype=complex)
+    paths[0] = steps[0].poles
+    flags = []
+    for k, step in enumerate(steps[1:], start=1):
+        last, candidates = np.array(steps[k - 1].poles), np.array(step.poles)
+        dist = np.abs(last[:, None] - candidates[None, :])
+        move = assignments[np.argmin(dist[branch, assignments].sum(axis=1))]
+        order = move[order]
+        paths[k] = candidates[order]
+        d = np.abs(paths[k - 1][:, None] - candidates[None, :])
+        assigned = d[branch, order]
+        d[branch, order] = np.inf
+        flags += [(k, int(b)) for b in np.nonzero(d.min(axis=1) < 2.0 * assigned)[0]]
+    return paths, flags
+
+
 @settings(max_examples=200, deadline=None)
 @given(loci())
 # a conjugate pair that meets on the real axis and splits again: the split's
@@ -245,10 +280,10 @@ def loci(draw):
 @example(tuple(LocusStep(1.0, 1.0, ps, True) for ps in
                [(-1 + 1j, -1 - 1j), (-1 + 0j, -1 + 0j), (-1 + 1j, -1 - 1j)]))
 def test_property_pairing_equals_sequential(steps):
-    # all steps scored at once in eigvals order, near-ties decided again in
-    # branch order, against the one-step-at-a-time loop
+    # all steps scored at once and composed, against one step at a time; on
+    # an exact tie both take the first assignment in eigvals order
     locus = locus_of(steps)
-    paths, flags = sequential_pairing(steps)
+    paths, flags = eigvals_order_pairing(steps)
     assert locus.trajectories().tobytes() == paths.tobytes()
     assert locus.pairing_ambiguities() == flags
 
@@ -264,29 +299,20 @@ def test_sweep_pairing_equals_sequential(grid, mode):
 
 
 def per_step_loop_pairing(locus):
-    """The pairing with every step scored at once and each step's branch order
-    built from the last one in a loop over the steps, near-ties decided again
-    in branch order: paths, flags and the number of steps decided again."""
+    """The pairing with every step scored at once, in eigvals order, the first
+    assignment of least cost taken, and each step's branch order built from
+    the last one in a loop over the steps: paths and flags."""
     raw, n = locus.poles, locus.poles.shape[1]
     dist = np.abs(raw[:-1, :, None] - raw[1:, None])
-    best, second = np.full(len(dist), np.inf), np.full(len(dist), np.inf)
-    pick = np.zeros(len(dist), dtype=int)
+    best, pick = np.full(len(dist), np.inf), np.zeros(len(dist), dtype=int)
     assignments = np.array(list(itertools.permutations(range(n))), dtype=int)
     for t, perm in enumerate(assignments.tolist()):
         cost = sum((dist[:, i, j] for i, j in enumerate(perm)), np.zeros(len(dist)))
         pick[cost < best] = t
-        np.minimum(second, np.maximum(best, cost), out=second)
         np.minimum(best, cost, out=best)
-    clear = second - best > 1e-12 * best
-    moves = assignments[pick].tolist()
-    branch = np.arange(n)
     order = [list(range(n))]
-    for k, (move, ok) in enumerate(zip(moves, clear.tolist())):
-        if ok:
-            order.append([move[i] for i in order[-1]])
-        else:
-            d = dist[k][order[-1]]
-            order.append(assignments[np.argmin(d[branch, assignments].sum(axis=1))].tolist())
+    for move in assignments[pick].tolist():
+        order.append([move[i] for i in order[-1]])
     order = np.array(order, dtype=int)
     steps = np.arange(len(dist))[:, None]
     rows, cols = order[:-1], order[1:]
@@ -294,20 +320,24 @@ def per_step_loop_pairing(locus):
     dist[steps, rows, cols] = np.inf
     unclear = dist.min(axis=2)[steps, rows] < 2.0 * assigned
     flags = [(int(k) + 1, int(b)) for k, b in zip(*np.nonzero(unclear))]
-    return np.take_along_axis(raw, order, axis=1), flags, int((~clear).sum())
+    return np.take_along_axis(raw, order, axis=1), flags
 
 
 def assert_pairing_is_the_loops(locus):
-    paths, flags, decided_again = per_step_loop_pairing(locus)
+    paths, flags = per_step_loop_pairing(locus)
     assert locus.trajectories().tobytes() == paths.tobytes()
     assert locus.pairing_ambiguities() == flags
-    return decided_again
 
 
-@pytest.mark.parametrize("mode", ["power", "as-written", "closed-inner"])
-def test_bench_sweep_pairing_equals_per_step_loop(grid, mode):
-    # design-sweep's 1000-step sweeps; their real poles print as 0, never -0
-    sweep = ImpedanceSweep(r_min=0.1, r_max=2.0, ratio_r_over_l=RATIO, steps=1000)
+@pytest.mark.parametrize("mode, r_min, r_max, steps", [
+    pytest.param(mode, *sweep, id=mode + tag) for tag, sweep in
+    [("", (0.1, 2.0, 1000)), ("-wide", (0.001, 50.0, 5000))]
+    for mode in ["power", "as-written", "closed-inner"]])
+def test_bench_sweep_pairing_equals_per_step_loop(grid, mode, r_min, r_max, steps):
+    # design-sweep's 1000-step sweeps, and a wide one in which some steps'
+    # two least costs lie within 1e-12 of each other; their real poles print
+    # as 0, never -0
+    sweep = ImpedanceSweep(r_min=r_min, r_max=r_max, ratio_r_over_l=RATIO, steps=steps)
     locus = (sweep_power_loop(grid, POWER_PI, sweep) if mode == "power" else
              sweep_voltage_loop(grid, POWER_PI, VOLTAGE_PI, sweep, mode=mode))
     assert_pairing_is_the_loops(locus)
@@ -317,8 +347,7 @@ def test_bench_sweep_pairing_equals_per_step_loop(grid, mode):
 
 def test_crossing_locus_pairing_equals_per_step_loop():
     # two real poles that cross at -2, and a conjugate pair that meets the
-    # real axis at -0.5 and splits along it, eigvals-like orders shuffled:
-    # the steps at and next to each meeting are decided again
+    # real axis at -0.5 and splits along it, eigvals-like orders shuffled
     rng = np.random.default_rng(5)
     steps = []
     for t in np.linspace(0.0, 2.0, 41).tolist():
@@ -326,7 +355,7 @@ def test_crossing_locus_pairing_equals_per_step_loop():
         ps = [complex(-1.0 - t, 0.0), complex(-3.0 + t, 0.0), -0.5 + im, -0.5 - im]
         steps.append(LocusStep(1.0, 1.0, tuple(ps[i] for i in rng.permutation(4)), True))
     locus = locus_of(tuple(steps))
-    assert assert_pairing_is_the_loops(locus) >= 2
+    assert_pairing_is_the_loops(locus)
     assert locus.pairing_ambiguities()
 
 

@@ -124,6 +124,15 @@ class TestValidation:
         assert dataclasses.replace(scenario, plant_dt=5e-4).scored_events() == [
             (5.0, pytest.approx(0.001)), (5.001, pytest.approx(4.999))]
 
+    # CascadeController reads its converter's weight by index: one weight
+    # died with an IndexError, and three ran, sharing by the first two
+    @pytest.mark.parametrize("weights", [(1.0,), (0.5, 0.3, 0.2)])
+    def test_cascade_weights_one_per_converter(self, weights):
+        scheme = dataclasses.replace(zero_gain_cascade(), weights=weights)
+        with pytest.raises(SimulationError, match=rf"cascade weights \[.*\] must be one "
+                                                  rf"per converter of the grid's 2"):
+            dataclasses.replace(open_loop_scenario(((1.0, 2000.0),)), scheme=scheme)
+
     def test_off_grid_duration_rejected(self):
         # 2.99951 s used to run 30000 rows, to 3.0 s
         scenario = open_loop_scenario(((1.0, 2000.0),), duration=3.0)
