@@ -13,12 +13,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import logging
 import math
 import os
-import signal
 import sys
 import warnings
 from dataclasses import dataclass
@@ -37,6 +35,16 @@ from .rootlocus import LocusResult, sweep_power_loop, sweep_voltage_loop
 from .sim import (DEFAULT_ITAE_WINDOW, SimResult, SimulationDiverged,
                   SimulationError, itae_current, itae_voltage, run, voltage_settling)
 from .tuning import DesignReport, InfeasibleDesignError, design_pi, verify_design
+
+# CPython's builtin SHA-256, the one hashlib falls back to: importing hashlib
+# loads OpenSSL, about 3.8 MB of peak RSS per process for one ~1 KB digest
+try:
+    from _sha2 import sha256           # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256     # Python 3.10 and 3.11
+    except ImportError:                # a build without builtin hashes (FIPS)
+        from hashlib import sha256
 
 log = logging.getLogger("dcgridlab")
 
@@ -214,6 +222,7 @@ def write_csv(path: Path, manifest: RunManifest, header: Sequence[str],
                     break
     except BaseException:
         if helper is not None:
+            import signal   # this path only: kept off the import path
             os.kill(helper[0], signal.SIGKILL)
         raise
     finally:
@@ -493,7 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config_text = render_config(cfg)
     manifest = RunManifest(
         version=__version__, subcommand=args.subcommand,
-        config_sha256=hashlib.sha256(config_text.encode("utf-8")).hexdigest())
+        config_sha256=sha256(config_text.encode("utf-8")).hexdigest())
     try:
         if args.subcommand == "bode":
             # before _prepare_outdir, so a rejected request writes nothing;

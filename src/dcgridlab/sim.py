@@ -30,7 +30,8 @@ therefore enters as a state jump whose split follows the inductive divider.
   at the same ticks; how mapped periods are grouped into blocks changes no
   bit;
 - a non-finite state raises :class:`SimulationDiverged` at the control tick
-  that finds it;
+  that finds it, and a plant whose ZOH is not finite (a cable's L/R far
+  under plant_dt) raises :class:`SimulationError` before the first tick;
 - identical scenarios produce bit-identical results.
 
 :class:`_ControlLoop` owns the closed loop's model: the lifted plant, the
@@ -43,7 +44,6 @@ import copy
 import logging
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Union
 
 import numpy as np
@@ -140,7 +140,7 @@ class Scenario:
         # numpy indexes the (n_rows, 4) float64 state array in bytes
         if self.n_rows * 32 > np.iinfo(np.intp).max:
             raise SimulationError(
-                f"duration {self.duration!r} s needs {Decimal(self.n_rows):.3e} "
+                f"duration {self.duration!r} s needs {_sci(self.n_rows)} "
                 f"plant rows; numpy indexes at most {np.iinfo(np.intp).max // 32}")
 
     @property
@@ -182,6 +182,12 @@ class Scenario:
 def _is_multiple(value: float, step: float) -> bool:
     n = value / step
     return math.isfinite(n) and abs(n - round(n)) <= 1e-9
+
+
+def _sci(n: int) -> str:
+    """``n`` as ``%.3e``, also past the float range."""
+    from decimal import Decimal   # for error messages only: off the import path
+    return f"{Decimal(n):.3e}"
 
 
 @dataclass(frozen=True)
@@ -235,9 +241,17 @@ class _ControlLoop:
         # exact ZOH over j plant steps, j = 1..n_sub, stacked: row block j - 1 of
         # phi @ x + gam @ u is the state j plant steps into a control period
         n_sub = round(scenario.control_dt / scenario.plant_dt)
-        pairs = [zoh(a, b, j * scenario.plant_dt) for j in range(1, n_sub + 1)]
+        with np.errstate(over="ignore", invalid="ignore"):    # checked below
+            pairs = [zoh(a, b, j * scenario.plant_dt) for j in range(1, n_sub + 1)]
         self.phi = np.vstack([ad for ad, _ in pairs])    # (n_sub * 4, 4)
         self.gam = np.vstack([bd for _, bd in pairs])    # (n_sub * 4, 2)
+        if not (np.isfinite(self.phi).all() and np.isfinite(self.gam).all()):
+            # a stable plant, but too stiff for the exponential's float range
+            taus = [c.cable.inductance / c.cable.resistance for c in grid.converters]
+            raise SimulationError(
+                f"the plant's zero-order hold (ZOH) over plant_dt "
+                f"{scenario.plant_dt!r} s is not finite: the cables' L/R time "
+                f"constants {taus} s are too short against plant_dt")
         unit = (CascadeController if isinstance(scenario.scheme, CascadeScheme)
                 else ConventionalController)
         self.units = [unit(scenario.scheme, grid, i, scenario.control_dt,
@@ -459,7 +473,7 @@ def run(scenario: Scenario) -> SimResult:
         inputs = np.empty((n_ctl, 2))    # u held over each control period
     except MemoryError as exc:
         raise SimulationError(
-            f"duration {scenario.duration!r} s needs {Decimal(n_rows):.3e} plant "
+            f"duration {scenario.duration!r} s needs {_sci(n_rows)} plant "
             f"rows, which do not fit in memory: {exc}") from exc
     flat = states.reshape(-1)        # a view: row r is flat[4 r:4 r + 4]
 

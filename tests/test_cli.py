@@ -1,5 +1,6 @@
 """End-to-end CLI runs: files, exit codes, manifests, reproducibility."""
 
+import hashlib
 import json
 import logging
 import math
@@ -19,7 +20,7 @@ import dcgridlab
 from dcgridlab import cli
 from dcgridlab.cli import (_CSV_CHUNK_ROWS, _CSV_HELPER_MIN_CHUNKS, COMPARE_CASES,
                            RunManifest, main, write_csv)
-from dcgridlab.config import load_config
+from dcgridlab.config import load_config, render_config
 from dcgridlab.sim import run
 
 FAST_SCENARIO = """
@@ -79,6 +80,20 @@ class TestTune:
         doc = read_json(out / "gains.json")
         assert "voltage_loop[as-written]" in doc
         assert "voltage_loop[closed-inner]" in doc
+
+
+class TestManifest:
+    @pytest.mark.parametrize("text", [
+        "", "[grid]\ncable_inductances = 2e-3, 4e-3\n", CLOSED_INNER],
+        ids=["bench-defaults", "cables", "closed-inner"])
+    def test_digest_is_the_rendered_configs_sha256(self, tmp_path, text):
+        cfgp = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["tune", "--config", cfgp, "--out", str(out)]) == 0
+        want = hashlib.sha256(render_config(load_config(cfgp)).encode("utf-8")).hexdigest()
+        assert read_json(out / "gains.json")["manifest"]["config_sha256"] == want
+        with open(out / "bode_power_loop.csv", encoding="utf-8") as fh:
+            assert fh.readline().endswith(f" tune config={want[:12]}\n")
 
 
 class TestValidationErrors:
@@ -337,16 +352,48 @@ def test_overflow_the_code_checks_prints_no_warning(tmp_path, argv, text):
     # warnings: from sim's period-map composition and block product, whose
     # results the block's finiteness check tests, and from lti._newton's
     # Horner sums, whose steps it keeps only where finite
+    proc = run_with_warnings(tmp_path, argv, text)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == []
+
+
+def run_with_warnings(tmp_path, argv, text):
+    """``dcgrid-lab argv`` on the config ``text`` in a fresh process that
+    prints every warning; writes to tmp_path / "out"."""
     cfgp = write(tmp_path, text)
     src = str(Path(dcgridlab.__file__).resolve().parents[1])
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-W", "default", "-c",
          "import sys; from dcgridlab.cli import main; sys.exit(main())",
          *argv, "--config", cfgp, "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=""))
-    assert proc.returncode == 0
-    assert proc.stderr.splitlines() == []
+
+
+class TestStiffCable:
+    """Cables whose L/R lies far under plant_dt: a stable plant whose ZOH
+    leaves the float range from about 1e-23 H on the default 0.5 ohm."""
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
+    def test_non_finite_zoh_named(self, tmp_path, subcommand):
+        # used to print numpy's overflow warnings from lti._expm, then exit 2
+        # with "simulation diverged (non-finite state) at t = 0.001000 s"
+        proc = run_with_warnings(tmp_path, [subcommand], FAST_SCENARIO
+                                 + "[grid]\ncable_inductances = 1e-30, 1e-30\n")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "ERROR dcgridlab: numerical failure: the plant's zero-order hold (ZOH) "
+            "over plant_dt 0.0001 s is not finite: the cables' L/R time constants "
+            "[2e-30, 2e-30] s are too short against plant_dt"]
+        assert os.listdir(tmp_path / "out") == ["config_effective.ini"]
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
+    def test_finite_zoh_runs(self, tmp_path, subcommand):
+        # a finite ZOH runs; how accurate it is so stiff is ROADMAP item 20's
+        proc = run_with_warnings(tmp_path, [subcommand], FAST_SCENARIO
+                                 + "[grid]\ncable_inductances = 1e-20, 1e-20\n")
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == []
 
 
 def g12(v) -> str:
