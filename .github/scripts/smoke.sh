@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Smoke checks of the installed `dcgrid-lab` console script: every subcommand
-# runs, reruns of rootlocus, simulate and compare are byte-identical, the dense,
+# runs, a plant too stiff for its zero-order hold exits 2 with one error
+# line, reruns of rootlocus, simulate and compare are byte-identical, the dense,
 # mixed-L/R and other sweep-end root loci are those of a one-step-at-a-time
 # scalar path, tune's and bode's frequency responses those of a
 # one-frequency-at-a-time one, the full-size timeseries follows the per-cell
@@ -25,6 +26,20 @@ dcgrid-lab rootlocus --config closed-inner.ini --out ci1
 dcgrid-lab rootlocus --config ci1/config_effective.ini --out ci2
 cmp ci1/rootlocus_voltage.csv ci2/rootlocus_voltage.csv
 dcgrid-lab bode --plant voltage-loop --out o
+
+# a plant too stiff for its zero-order hold exits 2 before the first tick,
+# with one error line and only the echoed config in --out; 1e-10 H cables run
+printf '[scenario]\nactivation_time = 0.5\nduration = 3.0\nload_steps = 0.2:2000.0, 1.0:4000.0\n' > fast.ini
+printf '[grid]\ncable_inductances = 1e-20, 1e-20\n' | cat fast.ini - > stiff.ini
+printf '[grid]\ncable_inductances = 1e-10, 1e-10\n' | cat fast.ini - > firm.ini
+status=0
+dcgrid-lab simulate --config stiff.ini --out stiff 2> stiff.txt || status=$?
+cat stiff.txt
+test "$status" = 2
+test "$(wc -l < stiff.txt)" = 1
+grep -q "^ERROR dcgridlab: numerical failure: the plant's zero-order hold (ZOH) over plant_dt 0.0001 s is inaccurate: .* the cables' L/R time constants \[2e-20, 2e-20\] s" stiff.txt
+test "$(ls stiff)" = config_effective.ini
+dcgrid-lab simulate --config firm.ini --out firm
 
 # reruns of the batched root-locus build and stacked solve are bit-identical,
 # in both outer-plant modes

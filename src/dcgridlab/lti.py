@@ -30,7 +30,6 @@ the bisection's bracket.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -41,10 +40,6 @@ import numpy as np
 
 class LtiError(Exception):
     """Base error for LTI algebra failures."""
-
-
-class DegenerateLoopError(LtiError):
-    """Raised when a feedback interconnection has an identically zero denominator."""
 
 
 # The frequencies of every Bode export and of the crossover search: brackets
@@ -84,10 +79,6 @@ class Polynomial:
         while len(c) > 1 and (c[-1] == 0.0 if type(c[-1]) is float else not c[-1].any()):
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -250,7 +241,7 @@ def tf_feedback(forward: TransferFunction,
     num = forward.num * feedback.den
     den = forward.den * feedback.den + forward.num * feedback.num
     if den.is_zero:
-        raise DegenerateLoopError("algebraic loop: closed-loop denominator is zero")
+        raise LtiError("algebraic loop: closed-loop denominator is zero")
     return TransferFunction(num, den)
 
 
@@ -272,10 +263,12 @@ def _branch_angle(root: complex, w: float) -> float:
     # Continuous-in-w branch of angle(jw - root).  Left-half-plane and
     # imaginary-axis roots use the principal value (continuous for w > 0
     # except exactly at an imaginary-axis root); right-half-plane roots use
-    # the branch that starts at pi when w -> 0.
+    # the branch that starts at pi when w -> 0.  Each angle is atan2 of the
+    # parts of root - jw or jw - root as Python's complex arithmetic rounds
+    # them (jw's real part is 0.0 * w), so it is cmath.phase's value.
     if root.real > 0.0:
-        return math.pi + cmath.phase(root - 1j * w)
-    return cmath.phase(1j * w - root)
+        return math.pi + math.atan2(root.imag - w, root.real)
+    return math.atan2(w - root.imag, 0.0 * w - root.real)
 
 
 def analytic_phase(g: TransferFunction, omega: float) -> float:

@@ -30,8 +30,12 @@ therefore enters as a state jump whose split follows the inductive divider.
   at the same ticks; how mapped periods are grouped into blocks changes no
   bit;
 - a non-finite state raises :class:`SimulationDiverged` at the control tick
-  that finds it, and a plant whose ZOH is not finite (a cable's L/R far
-  under plant_dt) raises :class:`SimulationError` before the first tick;
+  that finds it; before the first tick, a plant whose ZOH is not finite (a
+  cable's L/R far under plant_dt) raises :class:`SimulationError`, and so
+  does one whose ZOH blocks read a spectral radius above 1 + 1e-7, which an
+  exact block of this stable plant never does (a cable's L/R or a voltage
+  loop's time constant near 1e-9 plant_dt or shorter, where the matrix
+  exponential's scaling and squaring loses accuracy);
 - identical scenarios produce bit-identical results.
 
 :class:`_ControlLoop` owns the closed loop's model: the lifted plant, the
@@ -227,6 +231,14 @@ def _plant_matrices(grid: GridConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return a, b, c_vg
 
 
+# how far the lifted ZOH blocks' spectral radius may read above 1.  lti.zoh's
+# scaling and squaring amplifies rounding with the stiffest mode's |a| *
+# plant_dt.  With 0.5 ohm cables the radius reads 1 + 8.1e-9 at 1e-12 H (a 3 s
+# scenario's ITAE_I within 7.2e-5 of its value at 1e-6 H), 1 + 1.2e-7 at
+# 1e-13 H and 1 + 1.9e-6 at 1e-14 H (ITAE_I 1.3 % off)
+_ZOH_RADIUS_TOL = 1e-7
+
+
 class _ControlLoop:
     """The closed loop's model: the plant lifted over a control period
     (``phi``, ``gam``) and its bus-voltage row ``c_vg``, the event schedule
@@ -245,13 +257,25 @@ class _ControlLoop:
             pairs = [zoh(a, b, j * scenario.plant_dt) for j in range(1, n_sub + 1)]
         self.phi = np.vstack([ad for ad, _ in pairs])    # (n_sub * 4, 4)
         self.gam = np.vstack([bd for _, bd in pairs])    # (n_sub * 4, 2)
+        taus = [c.cable.inductance / c.cable.resistance for c in grid.converters]
         if not (np.isfinite(self.phi).all() and np.isfinite(self.gam).all()):
             # a stable plant, but too stiff for the exponential's float range
-            taus = [c.cable.inductance / c.cable.resistance for c in grid.converters]
             raise SimulationError(
                 f"the plant's zero-order hold (ZOH) over plant_dt "
                 f"{scenario.plant_dt!r} s is not finite: the cables' L/R time "
                 f"constants {taus} s are too short against plant_dt")
+        # or too stiff for its accuracy: an exact block of a stable plant has
+        # a spectral radius of at most 1
+        excess = np.abs(np.linalg.eigvals(self.phi.reshape(n_sub, 4, 4))).max() - 1.0
+        if excess > _ZOH_RADIUS_TOL:
+            raise SimulationError(
+                f"the plant's zero-order hold (ZOH) over plant_dt "
+                f"{scenario.plant_dt!r} s is inaccurate: its spectral radius reads "
+                f"1 + {excess:.3g}, where the stable plant's is at most 1 (tolerance "
+                f"{_ZOH_RADIUS_TOL:g}): the cables' L/R time constants {taus} s or "
+                f"the voltage loops' time constants "
+                f"{[c.voltage_loop_tau for c in grid.converters]} s are too short "
+                f"against plant_dt")
         unit = (CascadeController if isinstance(scenario.scheme, CascadeScheme)
                 else ConventionalController)
         self.units = [unit(scenario.scheme, grid, i, scenario.control_dt,
@@ -309,8 +333,9 @@ class _ControlLoop:
         """Tick k on the state x, then the plant's rows of its control period
         into block; returns what :meth:`tick` returns."""
         x, u = self.tick(k, x)
-        np.dot(self.phi, x, out=block)
-        block += self.gam.dot(u)
+        with np.errstate(over="ignore", invalid="ignore"):    # run tests the rows
+            np.dot(self.phi, x, out=block)
+            block += self.gam.dot(u)
         return x, u
 
     def pis(self) -> list[tuple[int, str, _Pi]]:
@@ -459,14 +484,10 @@ def run(scenario: Scenario) -> SimResult:
     run: the periods advanced by maps, the periods ticked and the blocks that
     a test cut short."""
     grid = scenario.grid
-    loop = _ControlLoop(scenario)
     n_sub = round(scenario.control_dt / scenario.plant_dt)
     n_ctl = round(scenario.duration / scenario.control_dt)
     n_rows = scenario.n_rows
-    n_sec, size = loop.n_sec, len(loop.phi)
-    n_full = n_ctl // n_sec    # the secondary periods that end by the horizon
-    maps = {}    # active flags -> _period_map
-
+    # before the ZOH stack, whose n_sub blocks cost one matrix exponential each
     try:
         time_grid = np.arange(1, n_rows + 1) * scenario.plant_dt
         states = np.empty((n_rows, 4))   # x = [V1, V2, I1, I2] at each plant step
@@ -476,6 +497,10 @@ def run(scenario: Scenario) -> SimResult:
             f"duration {scenario.duration!r} s needs {_sci(n_rows)} plant "
             f"rows, which do not fit in memory: {exc}") from exc
     flat = states.reshape(-1)        # a view: row r is flat[4 r:4 r + 4]
+    loop = _ControlLoop(scenario)
+    n_sec, size = loop.n_sec, len(loop.phi)
+    n_full = n_ctl // n_sec    # the secondary periods that end by the horizon
+    maps = {}    # active flags -> _period_map
 
     x = np.zeros(4)
     mapped = ticked = cut = 0

@@ -55,8 +55,9 @@ def design_pi(plant: TransferFunction, spec: TuningSpec) -> DesignReport:
 
     The required controller phase theta must lie in (-90, 0] degrees; then
     |C| = 1/|G(jwc)|, kp = |C| cos(theta), ki = -wc |C| sin(theta).  The
-    design is rejected when the loop's lowest 0 dB crossing is not wc (|C*G|
-    may touch 1 at wc from below and cross it lower down).  Returns the
+    design is rejected when a gain overflows, or when the loop's lowest 0 dB
+    crossing is not wc (|C*G| may touch 1 at wc from below and cross it lower
+    down).  Returns the
     verified loop's report.
     """
     wc = spec.crossover_omega
@@ -74,7 +75,11 @@ def design_pi(plant: TransferFunction, spec: TuningSpec) -> DesignReport:
             f"on this plant are ({lo:.2f}, {hi:.2f}] deg")
     mag = 1.0 / abs(g)
     th = math.radians(theta)
-    gains = PiGains(kp=mag * math.cos(th), ki=-wc * mag * math.sin(th))
+    kp, ki = mag * math.cos(th), -wc * mag * math.sin(th)
+    if not (math.isfinite(kp) and math.isfinite(ki)):
+        raise InfeasibleDesignError(
+            f"the PI gains for a {wc:g} rad/s crossover overflow: kp = {kp:g}, ki = {ki:g}")
+    gains = PiGains(kp=kp, ki=ki)
     report = verify_design(plant, gains, spec)
     if not report.ok:
         raise InfeasibleDesignError(f"designed loop: {report.reason}")

@@ -5,9 +5,11 @@ import json
 import logging
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dcgridlab
-from dcgridlab import cli
+from dcgridlab import cli, sim
 from dcgridlab.cli import (_CSV_CHUNK_ROWS, _CSV_HELPER_MIN_CHUNKS, COMPARE_CASES,
                            RunManifest, main, write_csv)
 from dcgridlab.config import load_config, render_config
@@ -357,6 +359,24 @@ def test_overflow_the_code_checks_prints_no_warning(tmp_path, argv, text):
     assert proc.stderr.splitlines() == []
 
 
+@pytest.mark.parametrize("argv,text,error", [
+    (["tune"], "[tuning]\npower_crossover = 1e150\npower_margin = 1e-300\n",
+     "ERROR dcgridlab: power loop design infeasible: the PI gains for a 1e+150 rad/s "
+     "crossover overflow: kp = 3.75e+292, ki = nan"),
+    (["simulate"], FAST_SCENARIO + "[scheme]\nkind = conventional\ndroop_ohm = 1e150\n",
+     "ERROR dcgridlab: numerical failure: simulation diverged (non-finite state) at "
+     "t = 0.203000 s: [V1, V2, I1, I2] = [nan, nan, inf, -inf], held references "
+     "u = [inf, -inf]; no PI at its clamp")],
+    ids=["tune-gains", "droop"])
+def test_failure_is_one_error_line(tmp_path, argv, text, error):
+    # boundary configs from the exit-code property test: tune's design used
+    # to raise ControlError out of main, and a ticked period's product
+    # printed numpy's invalid-value warning before the divergence it reports
+    proc = run_with_warnings(tmp_path, argv, text)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [error]
+
+
 def run_with_warnings(tmp_path, argv, text):
     """``dcgrid-lab argv`` on the config ``text`` in a fresh process that
     prints every warning; writes to tmp_path / "out"."""
@@ -371,8 +391,11 @@ def run_with_warnings(tmp_path, argv, text):
 
 
 class TestStiffCable:
-    """Cables whose L/R lies far under plant_dt: a stable plant whose ZOH
-    leaves the float range from about 1e-23 H on the default 0.5 ohm."""
+    """Cables or voltage loops far faster than plant_dt: a stable plant whose
+    ZOH, from lti.zoh's scaling and squaring, reads a spectral radius above
+    1 + 1e-7 from about 1e-13 H on the default 0.5 ohm (1e-14 H: 1 + 1.9e-6),
+    and leaves the float range from about 1e-23 H.  Both exit 2 before the
+    first tick; 1e-10 H (1 + 5.1e-11) runs."""
 
     @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
     def test_non_finite_zoh_named(self, tmp_path, subcommand):
@@ -388,10 +411,35 @@ class TestStiffCable:
         assert os.listdir(tmp_path / "out") == ["config_effective.ini"]
 
     @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
-    def test_finite_zoh_runs(self, tmp_path, subcommand):
-        # a finite ZOH runs; how accurate it is so stiff is ROADMAP item 20's
+    @pytest.mark.parametrize("grid,taus", [
+        ("cable_inductances = 1e-20, 1e-20",
+         "[2e-20, 2e-20] s or the voltage loops' time constants [0.005, 0.005]"),
+        ("voltage_loop_taus = 1e-200, 1e-200",
+         "[0.006, 0.006] s or the voltage loops' time constants [1e-200, 1e-200]")],
+        ids=["cables-1e-20", "taus-1e-200"])
+    def test_inaccurate_zoh_named(self, tmp_path, subcommand, grid, taus):
+        # both used to exit 0: ITAE_V 107.8 V*s^2 at t = 0.5 s for 1e-20 H
+        # (0.0086 at 1e-6 H), ITAE_I 5.1e71 A*s^2 for tau = 1e-200.  The
+        # radius (1 + 53.6 and 1 + 0.0869 on x86-64 with numpy 2.4) is
+        # rounding amplified, so its digits are not pinned
         proc = run_with_warnings(tmp_path, [subcommand], FAST_SCENARIO
-                                 + "[grid]\ncable_inductances = 1e-20, 1e-20\n")
+                                 + f"[grid]\n{grid}\n")
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        head, excess, tail = re.fullmatch(r"(.*radius reads 1 \+ )(\S+)(, .*)", line).groups()
+        assert head == ("ERROR dcgridlab: numerical failure: the plant's zero-order hold "
+                        "(ZOH) over plant_dt 0.0001 s is inaccurate: its spectral radius "
+                        "reads 1 + ")
+        assert float(excess) > 1e-7
+        assert tail == (f", where the stable plant's is at most 1 (tolerance 1e-07): the "
+                        f"cables' L/R time constants {taus} s are too short against plant_dt")
+        assert os.listdir(tmp_path / "out") == ["config_effective.ini"]
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
+    def test_finite_zoh_runs(self, tmp_path, subcommand):
+        # a radius of 1 + 5.1e-11: ITAE_I at t = 0.5 s within 2.3e-6 of 1e-6 H's
+        proc = run_with_warnings(tmp_path, [subcommand], FAST_SCENARIO
+                                 + "[grid]\ncable_inductances = 1e-10, 1e-10\n")
         assert proc.returncode == 0
         assert proc.stderr.splitlines() == []
 
@@ -417,6 +465,22 @@ class TestRunBeyondMemory:
         assert "duration 10000000.0 s needs 1.000e+11 plant rows" in errors[0]
         assert "Unable to allocate 745. GiB" in errors[0]
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
+    def test_rows_checked_before_the_zoh(self, tmp_path, caplog, monkeypatch, subcommand):
+        # plant_dt = 1e-12 asks for 3e12 rows and a ZOH stack of 1e9 blocks,
+        # one matrix exponential each: the run used to build the stack first,
+        # for hours, and only then fail to allocate the rows
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 21.8 TiB")
+
+        monkeypatch.setattr(np, "arange", no_memory)
+        monkeypatch.setattr(sim, "zoh", lambda *args: pytest.fail("ZOH built"))
+        cfgp = write(tmp_path, FAST_SCENARIO + "plant_dt = 1e-12\n")
+        assert main([subcommand, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["numerical failure: duration 3.0 s needs 3.000e+12 plant rows, "
+                          "which do not fit in memory: Unable to allocate 21.8 TiB"]
+
     def test_sweep_steps_beyond_memory(self, tmp_path, caplog):
         # 2**50 steps ask for 8 PiB per array, more than a process can address,
         # so the allocation fails at once; its _ArrayMemoryError went uncaught
@@ -425,6 +489,84 @@ class TestRunBeyondMemory:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1
         assert f"sweep steps {2**50}: the per-step arrays do not fit in memory" in errors[0]
+
+
+# the boundary values of the exit-code contract's draws, and off-grid values
+# of the time keys (each 0.5 ms off its grid); the base is FAST_SCENARIO with
+# the 50-step default sweep
+BOUNDARY_VALUES = ("0", "-1", "1e-300", "1e-12", "1e150", "1e300")
+OFF_GRID = {"activation_time": ("0.5005",), "duration": ("3.0005",),
+            "plant_dt": ("0.00015",), "control_dt": ("0.0015",), "secondary_dt": ("0.0205",),
+            "load_steps": ("0.2005",)}
+CHOICES = {"kind": ("cascade", "conventional"),
+           "outer_plant_mode": ("as-written", "closed-inner")}
+BASE = {section: dict(keys) for section, keys in load_config(None).raw.items()}
+BASE["scenario"].update(activation_time="0.5", duration="3.0",
+                        load_steps="0.2:2000.0, 1.0:4000.0")
+
+
+@st.composite
+def boundary_config(draw):
+    """INI text with 1-3 keys of the 3 s scenario set to boundary values: a
+    number for each number, one or both converters' entry of a per-converter
+    key, or one number of a load step; a choice key takes one of its options."""
+    keys = [(section, key) for section, kv in BASE.items() for key in kv]
+    raw = {section: dict(kv) for section, kv in BASE.items()}
+    for section, key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                                      unique=True)):
+        default = raw[section][key]
+        if key in CHOICES:
+            raw[section][key] = draw(st.sampled_from(CHOICES[key]))
+            continue
+        value = draw(st.sampled_from(BOUNDARY_VALUES + OFF_GRID.get(key, ())))
+        if key == "load_steps":
+            numbers = default.replace(":", ",").split(",")
+            numbers[draw(st.integers(0, 3))] = value
+            value = "{}:{}, {}:{}".format(*numbers)
+        elif "," in default:
+            first, second = default.split(", ")
+            value = draw(st.sampled_from([f"{value}, {value}", f"{value}, {second}",
+                                          f"{first}, {value}", value]))
+        raw[section][key] = value
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                   for section, kv in raw.items())
+
+
+class TestExitCodeContract:
+    """A config runs (exit 0), is rejected at load with one ERROR line and no
+    --out (exit 1), or fails numerically with an ERROR line that names the
+    failure (exit 2), for every subcommand, with numpy's RuntimeWarnings made
+    errors as in CI."""
+
+    FAILURE = re.compile(r"numerical failure: |case \S+ failed: "
+                         r"|power loop design infeasible: |voltage loop design infeasible in mode ")
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(boundary_config(), st.sampled_from(["tune", "simulate", "compare", "rootlocus",
+                                               "bode"]), st.data())
+    def test_property_exit_codes(self, tmp_path, caplog, text, subcommand, data):
+        argv = [subcommand]
+        if subcommand == "bode":
+            argv += ["--plant", data.draw(st.sampled_from(
+                ["power", "voltage", "power-loop", "voltage-loop", "unity"])),
+                     "--converter", data.draw(st.sampled_from("01"))]
+        caplog.clear()
+        with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+            cfgp, out = write(Path(scratch), text), Path(scratch) / "out"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv + ["--config", cfgp, "--out", str(out)])
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert errors == []
+            elif code == 1:
+                assert not out.exists()
+                assert len(errors) == 1
+                assert errors[0].startswith(("config error: ", "invalid grid request: "))
+            else:
+                assert errors and all(self.FAILURE.match(e) for e in errors), errors
 
 
 # cell values that one %.12g per distinct bit pattern must keep apart or

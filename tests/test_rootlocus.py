@@ -16,8 +16,7 @@ from dcgridlab.config import POWER_PI, VOLTAGE_PI
 from dcgridlab.control import PiGains
 from dcgridlab.grid import (CableParams, default_grid, pi_tf, power_plant_tf,
                             voltage_loop_plant_tf)
-from dcgridlab.lti import (DegenerateLoopError, LtiError, poles, tf, tf_feedback,
-                           tf_series)
+from dcgridlab.lti import LtiError, poles, tf, tf_feedback, tf_series
 from dcgridlab.rootlocus import (ImpedanceSweep, LocusResult, LocusStep,
                                  SweepError, _characteristic_rows, _locus,
                                  _power_loop, _voltage_loop, check_last_step,
@@ -455,7 +454,7 @@ class TestStackedSolve:
 
     def test_zero_characteristic_polynomial_raises(self, grid, default_sweep):
         # a loop gain of -1 makes 1 + L(s) identically zero at every step
-        with pytest.raises(DegenerateLoopError, match="algebraic loop"):
+        with pytest.raises(LtiError, match="algebraic loop: closed-loop denominator is zero"):
             _locus(grid, default_sweep, lambda g: tf([-1.0], [1.0]))
 
 

@@ -6,6 +6,7 @@ import functools
 import json
 import logging
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -292,9 +293,10 @@ class TestDivergenceGuard:
                             lambda self, *a, **k: math.inf if self.weight > 0.5 else 0.25)
         scenario = open_loop_scenario((), duration=0.2)
         scenario = dataclasses.replace(scenario, activation_time=0.0)
-        # the inf reference times a zero entry of the input map is a NaN
-        with pytest.raises(SimulationDiverged) as exc, \
-                pytest.warns(RuntimeWarning, match="invalid value encountered"):
+        # the inf reference times a zero entry of the input map is a NaN, which
+        # the run reports with no numpy warning
+        with pytest.raises(SimulationDiverged) as exc, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             run(scenario)
         err = exc.value
         assert err.time == pytest.approx(scenario.control_dt)

@@ -127,7 +127,7 @@ class TestVerify:
 
     def test_pi_tf_pure_gain(self):
         g = pi_tf(PiGains(kp=3.0, ki=0.0))
-        assert g.den.degree == 0
+        assert len(g.den.coeffs) == 1
         assert g.dc_gain() == pytest.approx(3.0)
 
 
