@@ -17,7 +17,6 @@ first.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -244,10 +243,8 @@ def load_config(path: Optional[str] = None) -> RunConfig:
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Echo the effective configuration as INI text; reloading it reproduces the run."""
-    parser = configparser.ConfigParser(interpolation=None)
-    for section, kv in cfg.raw.items():
-        parser[section] = dict(kv)
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+    """Echo ``cfg.raw`` as INI text by ``ConfigParser.write``'s rule (a tab after
+    each newline inside a value); reloading it reproduces the run."""
+    return "".join(f"[{section}]\n" + "".join(f"{key} = " + value.replace("\n", "\n\t") + "\n"
+                                              for key, value in kv.items()) + "\n"
+                   for section, kv in cfg.raw.items())

@@ -32,6 +32,11 @@ duration = 3.0
 load_steps = 0.2:2000.0, 1.0:4000.0
 """
 
+# the same scenario with its load steps over two lines, so the effective
+# configuration echoes a multi-line value
+TWO_LINE_STEPS = FAST_SCENARIO.replace("0.2:2000.0, 1.0:4000.0",
+                                       "0.2:2000.0,\n    1.0:4000.0")
+
 
 THREE_CONVERTERS = """
 [grid]
@@ -86,14 +91,17 @@ class TestTune:
 
 class TestManifest:
     @pytest.mark.parametrize("text", [
-        "", "[grid]\ncable_inductances = 2e-3, 4e-3\n", CLOSED_INNER],
-        ids=["bench-defaults", "cables", "closed-inner"])
+        "", "[grid]\ncable_inductances = 2e-3, 4e-3\n", CLOSED_INNER, TWO_LINE_STEPS],
+        ids=["bench-defaults", "cables", "closed-inner", "two-line-steps"])
     def test_digest_is_the_rendered_configs_sha256(self, tmp_path, text):
         cfgp = write(tmp_path, text)
         out = tmp_path / "out"
         assert main(["tune", "--config", cfgp, "--out", str(out)]) == 0
         want = hashlib.sha256(render_config(load_config(cfgp)).encode("utf-8")).hexdigest()
         assert read_json(out / "gains.json")["manifest"]["config_sha256"] == want
+        # as README states: the digest of config_effective.ini past its first line
+        echo = (out / "config_effective.ini").read_bytes()
+        assert hashlib.sha256(echo.split(b"\n", 1)[1]).hexdigest() == want
         with open(out / "bode_power_loop.csv", encoding="utf-8") as fh:
             assert fh.readline().endswith(f" tune config={want[:12]}\n")
 
@@ -955,7 +963,8 @@ class TestSimulate:
         (["simulate"], FAST_SCENARIO),
         (["tune"], CLOSED_INNER),
         (["rootlocus"], CLOSED_INNER),
-        (["bode", "--plant", "voltage-loop"], CLOSED_INNER)])
+        (["bode", "--plant", "voltage-loop"], CLOSED_INNER),
+        (["simulate"], TWO_LINE_STEPS)])
     def test_config_echo_reproduces_run(self, tmp_path, argv, text):
         # re-loading the echoed effective config reproduces every output file
         cfgp = write(tmp_path, text)

@@ -1,10 +1,15 @@
 """Config parsing: defaults, strict keys, typing, echo round-trip."""
 
+import configparser
 import dataclasses
 import hashlib
+import io
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from dcgridlab import config
 from dcgridlab.config import ConfigError, load_config, render_config
 
 
@@ -151,3 +156,43 @@ duration = 30.0
         cfg2 = load_config(str(echoed))
         assert render_config(cfg2) == render_config(cfg)
         assert cfg2.scenario().duration == 30.0
+
+
+def parser_echo(raw):
+    """``raw`` as ``ConfigParser.write`` writes it: the rule render_config keeps."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(raw)
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+def as_loaded(value):
+    """``value`` as the loader leaves it: each line stripped, no trailing blank line."""
+    return "\n".join(line.strip() for line in value.split("\n")).rstrip("\n")
+
+
+# a value's lines hold the characters INI syntax gives a meaning to; a
+# continuation line that starts with a comment prefix is a comment on reload,
+# so no value the loader returns holds one
+_LINE = st.text(st.sampled_from("a1.,- %=:#;[]"), max_size=8)
+_MORE = _LINE.filter(lambda line: not line.strip().startswith(("#", ";")))
+_VALUE = st.builds(lambda first, more: "\n".join([first, *more]), _LINE,
+                   st.lists(_MORE, max_size=3))
+_RAW = st.fixed_dictionaries({
+    section: st.fixed_dictionaries({key: _VALUE for key in keys})
+    for section, keys in config._SCHEMA.items()})
+
+
+class TestEcho:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_RAW)
+    def test_echo_is_configparsers_and_reloads(self, tmp_path, raw):
+        text = render_config(dataclasses.replace(load_config(None), raw=raw))
+        assert text == parser_echo(raw)
+        echoed = tmp_path / "echo.ini"
+        echoed.write_text(text, encoding="utf-8")
+        assert config._merged(str(echoed)) == {
+            section: {key: as_loaded(value) for key, value in kv.items()}
+            for section, kv in raw.items()}

@@ -29,13 +29,13 @@ print(json.dumps({"codes": codes, "scipy": scipy, "openssl": openssl}))
 """
 
 
-def run_python(code: str, *args: str) -> str:
-    """Stdout of ``code`` run by a fresh interpreter that imports this package."""
+def run_python(code: str, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports this package."""
     src = str(Path(dcgridlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, timeout=300, check=True).stdout
+                          text=True, env=env, timeout=300, check=check)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def every_subcommand(tmp_path_factory):
     config.write_text("[scenario]\nactivation_time = 0.5\nduration = 3.0\n"
                       "load_steps = 0.2:2000.0, 1.0:4000.0\n", encoding="utf-8")
     report = json.loads(run_python(EVERY_SUBCOMMAND, str(config),
-                                   str(tmp_path / "out")).splitlines()[-1])
+                                   str(tmp_path / "out")).stdout.splitlines()[-1])
     assert report["codes"] == [0] * 9
     return report
 
@@ -54,6 +54,14 @@ def test_every_public_name_resolves():
     missing = [name for name in dcgridlab.__all__ if not hasattr(dcgridlab, name)]
     assert missing == []
     assert len(set(dcgridlab.__all__)) == len(dcgridlab.__all__)
+
+
+def test_readme_library_use_runs():
+    # the root-package API as README's "Library use" block documents it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python(block, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_no_subcommand_imports_scipy(every_subcommand):
@@ -77,5 +85,5 @@ import sys
 sys.modules["_sha2"] = sys.modules["_sha256"] = None   # imports fail
 from dcgridlab import cli
 print(cli.sha256 is __import__("hashlib").sha256, cli.sha256(b"dcgrid").hexdigest())
-""")
+""").stdout
     assert digest.split() == ["True", hashlib.sha256(b"dcgrid").hexdigest()]
